@@ -14,6 +14,12 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
+echo "== tier-1: campaign benchmark harness tests (perfbench/tests) =="
+# Builds perfbench/ into .bench_build/ and runs one small session per
+# benchmark workload against a cold serial reference, so API or result drift
+# in the targets and drivers fails here rather than in the benchmark run.
+python3 -m unittest discover -s perfbench/tests
+
 echo "== tier-1: clang-tidy over src/ (see .clang-tidy) =="
 if command -v clang-tidy >/dev/null 2>&1; then
   # The standard build exports compile_commands.json (CMakeLists.txt sets

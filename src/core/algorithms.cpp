@@ -109,18 +109,32 @@ util::Status FaultInjectionAlgorithms::RunBody(ExperimentBody body) {
   return (this->*body)();
 }
 
-bool FaultInjectionAlgorithms::ShouldAutoCheckpoint() const {
-  if (checkpoint_interval_ == 0 || !SupportsCheckpoints()) return false;
-  if (campaign_.technique != Technique::kScifi &&
-      campaign_.technique != Technique::kSwifiRuntime) {
-    return false;
-  }
-  // Default policy: warm-start when every fault injects at or after the
-  // first checkpoint interval, so each experiment is guaranteed to skip at
-  // least one interval's worth of re-simulation.
-  return force_warm_start_ ||
-         static_cast<uint64_t>(campaign_.inject_min_instr) >=
-             checkpoint_interval_;
+util::Status FaultInjectionAlgorithms::BuildGoldenProducts(
+    uint64_t interval, bool force_warm_start, bool convergence_pruning,
+    std::shared_ptr<const CheckpointCache>* cache,
+    std::shared_ptr<const GoldenTrace>* trace) {
+  cache->reset();
+  trace->reset();
+  if (interval == 0 || !SupportsCheckpoints()) return util::Status::Ok();
+  // Warm start applies to the stop-inject-resume techniques, and by default
+  // only when every fault injects at or after the first checkpoint interval,
+  // so each experiment is guaranteed to skip at least one interval's worth
+  // of re-simulation. Any technique can prune: even pre-runtime SWIFI data
+  // faults can rejoin the golden trajectory.
+  const bool want_cache =
+      (campaign_.technique == Technique::kScifi ||
+       campaign_.technique == Technique::kSwifiRuntime) &&
+      (force_warm_start || campaign_.inject_min_instr >= interval);
+  if (!want_cache && !convergence_pruning) return util::Status::Ok();
+  std::shared_ptr<CheckpointCache> new_cache;
+  if (want_cache) new_cache = std::make_shared<CheckpointCache>(interval);
+  std::shared_ptr<GoldenTrace> new_trace;
+  if (convergence_pruning) new_trace = std::make_shared<GoldenTrace>();
+  GOOFI_RETURN_IF_ERROR(
+      BuildGoldenRun(interval, new_cache.get(), new_trace.get()));
+  *cache = std::move(new_cache);
+  *trace = std::move(new_trace);
+  return util::Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -262,23 +276,12 @@ util::Status FaultInjectionAlgorithms::PrepareCampaign(
                         part.value().end());
   }
 
-  // Build the golden-run products once per campaign: the checkpoint cache
-  // (warm-start) and/or the golden trace (convergence pruning), in a single
-  // fault-free pass. A campaign driven by ParallelCampaignRunner suppresses
-  // this (interval 0 on the workers) and installs shared products instead.
-  const bool want_cache = ShouldAutoCheckpoint();
-  const bool want_trace =
-      convergence_pruning_ && checkpoint_interval_ > 0 && SupportsCheckpoints();
-  if (want_cache || want_trace) {
-    std::shared_ptr<CheckpointCache> cache;
-    if (want_cache) cache = std::make_shared<CheckpointCache>(checkpoint_interval_);
-    std::shared_ptr<GoldenTrace> trace;
-    if (want_trace) trace = std::make_shared<GoldenTrace>();
-    GOOFI_RETURN_IF_ERROR(
-        BuildGoldenRun(checkpoint_interval_, cache.get(), trace.get()));
-    checkpoint_cache_ = std::move(cache);
-    golden_trace_ = std::move(trace);
-  }
+  // Build the golden-run products once per campaign. A campaign driven by
+  // ParallelCampaignRunner suppresses this (interval 0 on the workers) and
+  // installs shared products instead.
+  GOOFI_RETURN_IF_ERROR(BuildGoldenProducts(
+      checkpoint_interval_, force_warm_start_, convergence_pruning_,
+      &checkpoint_cache_, &golden_trace_));
   if (golden_trace_ != nullptr && convergence_memo_ == nullptr) {
     convergence_memo_ = std::make_shared<ConvergenceMemo>();
   }
@@ -428,19 +431,8 @@ util::Status FaultInjectionAlgorithms::RerunDetailed(
     }
   }
 
-  ExperimentBody body = &FaultInjectionAlgorithms::ScifiExperiment;
-  switch (campaign_.technique) {
-    case Technique::kScifi:
-      break;
-    case Technique::kSwifiPreRuntime:
-      body = &FaultInjectionAlgorithms::SwifiPreRuntimeExperiment;
-      break;
-    case Technique::kSwifiRuntime:
-      body = &FaultInjectionAlgorithms::SwifiRuntimeExperiment;
-      break;
-  }
   detail_log_.clear();
-  GOOFI_RETURN_IF_ERROR((this->*body)());
+  GOOFI_RETURN_IF_ERROR((this->*BodyForTechnique(campaign_.technique))());
   // Log the re-run with parentExperiment = the original experiment (§2.3).
   return LogExperiment(experiment_name + "/detail", experiment_name);
 }

@@ -225,6 +225,18 @@ class FaultInjectionAlgorithms {
         "this target does not support checkpointing");
   }
 
+  /// Decides and builds the golden-run products of the prepared campaign,
+  /// for serial and parallel runs alike: a checkpoint cache when warm start
+  /// pays off (a SCIFI or runtime-SWIFI campaign whose faults all inject at
+  /// or after the first `interval`, or `force_warm_start`), and a golden
+  /// trace when `convergence_pruning`. Both come from one BuildGoldenRun;
+  /// each stays null when not wanted, and both do when `interval` is 0 or
+  /// the target cannot checkpoint.
+  util::Status BuildGoldenProducts(
+      uint64_t interval, bool force_warm_start, bool convergence_pruning,
+      std::shared_ptr<const CheckpointCache>* cache,
+      std::shared_ptr<const GoldenTrace>* trace);
+
   // --- convergence pruning -------------------------------------------------
   //
   // With pruning enabled, PrepareCampaign additionally records a GoldenTrace
@@ -268,9 +280,9 @@ class FaultInjectionAlgorithms {
   const ConvergenceStats& prune_stats() const { return prune_stats_; }
 
  protected:
-  /// Restores the target to `checkpoint`'s state and re-arms triggers for
-  /// the current `faults_`, replacing InitTestCard..RunWorkload +
-  /// fast-forwarding execution to the checkpoint's instruction.
+  /// Restores the target to `checkpoint`'s state, replacing
+  /// InitTestCard..RunWorkload + fast-forwarding execution to the
+  /// checkpoint's instruction; WaitForBreakpoint follows as on a cold run.
   virtual util::Status RestoreCheckpoint(const Checkpoint& checkpoint) {
     (void)checkpoint;
     return util::FailedPrecondition(
@@ -283,7 +295,7 @@ class FaultInjectionAlgorithms {
   virtual util::Status LoadWorkload() = 0;
   /// Downloads the workload's initial input data into target memory.
   virtual util::Status WriteMemory() = 0;
-  /// Arms breakpoints/triggers and starts execution.
+  /// Resets the target to the workload's entry point, ready to run.
   virtual util::Status RunWorkload() = 0;
   /// Blocks until the injection breakpoint fires (servicing environment
   /// exchanges on the way).
@@ -351,9 +363,6 @@ class FaultInjectionAlgorithms {
   /// Dispatches one experiment body, taking the warm-start path when a
   /// usable checkpoint exists for the current faults.
   util::Status RunBody(ExperimentBody body);
-
-  /// Whether PrepareCampaign should auto-build a checkpoint cache.
-  bool ShouldAutoCheckpoint() const;
 
   static ExperimentBody BodyForTechnique(Technique technique);
 

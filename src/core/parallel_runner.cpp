@@ -99,44 +99,27 @@ util::Status ParallelCampaignRunner::Run(const std::string& campaign_name) {
   }
 
   // Build the golden run once, on the committer thread, and share its
-  // products read-only across all workers. Checkpoint cache: same engagement
-  // rule as the serial driver — warm-start only pays off when every fault
-  // injects at or after the first snapshot interval (or when forced).
-  // Convergence trace: any checkpoint-capable target qualifies (even
-  // pre-runtime SWIFI data faults can rejoin the golden trajectory).
-  const bool warm_technique = campaign.technique == Technique::kScifi ||
-                              campaign.technique == Technique::kSwifiRuntime;
-  const bool want_cache =
-      checkpoint_interval_ > 0 && warm_technique &&
-      targets[0]->SupportsCheckpoints() &&
-      (force_warm_start_ || campaign.inject_min_instr >= checkpoint_interval_);
-  const bool want_trace = convergence_pruning_ && checkpoint_interval_ > 0 &&
-                          targets[0]->SupportsCheckpoints();
-  if (want_cache || want_trace) {
-    auto cache = want_cache
-                     ? std::make_shared<CheckpointCache>(checkpoint_interval_)
-                     : nullptr;
-    auto trace = want_trace ? std::make_shared<GoldenTrace>() : nullptr;
-    GOOFI_RETURN_IF_ERROR(targets[0]->BuildGoldenRun(
-        checkpoint_interval_, cache ? cache.get() : nullptr,
-        trace ? trace.get() : nullptr));
-    if (cache != nullptr) {
-      const std::shared_ptr<const CheckpointCache> shared = std::move(cache);
-      for (auto& target : targets) target->SetCheckpointCache(shared);
-    }
-    if (trace != nullptr) {
-      const std::shared_ptr<const GoldenTrace> shared_trace = std::move(trace);
-      // One memo for the whole run: a suffix outcome memoized by any worker
-      // prunes matching experiments on every worker (single-writer inserts
-      // under the memo's lock, shared lock-guarded lookups).
-      auto memo = std::make_shared<ConvergenceMemo>();
-      for (auto& target : targets) {
-        target->SetConvergencePruning(true);
-        target->SetGoldenTrace(shared_trace);
-        target->SetConvergenceMemo(memo);
-        // Each worker needs its own memory baseline for canonical hashing.
-        GOOFI_RETURN_IF_ERROR(target->PrepareGoldenBaseline());
-      }
+  // products read-only across all workers; the same decision as the serial
+  // driver's.
+  std::shared_ptr<const CheckpointCache> cache;
+  std::shared_ptr<const GoldenTrace> trace;
+  GOOFI_RETURN_IF_ERROR(targets[0]->BuildGoldenProducts(
+      checkpoint_interval_, force_warm_start_, convergence_pruning_, &cache,
+      &trace));
+  if (cache != nullptr) {
+    for (auto& target : targets) target->SetCheckpointCache(cache);
+  }
+  if (trace != nullptr) {
+    // One memo for the whole run: a suffix outcome memoized by any worker
+    // prunes matching experiments on every worker (single-writer inserts
+    // under the memo's lock, shared lock-guarded lookups).
+    auto memo = std::make_shared<ConvergenceMemo>();
+    for (auto& target : targets) {
+      target->SetConvergencePruning(true);
+      target->SetGoldenTrace(trace);
+      target->SetConvergenceMemo(memo);
+      // Each worker needs its own memory baseline for canonical hashing.
+      GOOFI_RETURN_IF_ERROR(target->PrepareGoldenBaseline());
     }
   }
 

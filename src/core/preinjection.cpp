@@ -126,11 +126,9 @@ util::Result<std::unique_ptr<LivenessAnalyzer>> LivenessAnalyzer::BuildFromSpec(
   uint32_t output_addr = 0;
   uint32_t loop_end = 0;
   if (workload.infinite_loop) {
-    if (workload.environment == "inverted_pendulum") {
-      environment = std::make_unique<env::InvertedPendulum>();
-    } else if (workload.environment == "cruise_control") {
-      environment = std::make_unique<env::CruiseControl>();
-    }
+    auto plant = env::MakeEnvironment(workload.environment);
+    if (!plant.ok()) return plant.status();
+    environment = std::move(plant).value();
     auto io = program.Symbol(workload.input_symbol);
     if (!io.ok()) return io.status();
     input_addr = io.value();

@@ -6,11 +6,10 @@
 // class demonstrates exactly that: a simulator-only target that supports the
 // two SWIFI techniques but has *no scan-chain test logic*. It therefore:
 //
-//   - inherits FrameworkTarget (paper Fig. 3), not ThorRdTarget;
-//   - implements the blocks the SWIFI algorithms use (InitTestCard,
-//     LoadWorkload, WriteMemory, RunWorkload, WaitForBreakpoint,
-//     WaitForTermination, ReadMemory, MutateImage, InjectMemoryFault,
-//     EnumerateFaultSpace, CollectState);
+//   - inherits SimTargetCore (itself a FrameworkTarget, paper Fig. 3), not
+//     ThorRdTarget, and implements only the core's hooks: the machine
+//     operations on a bare cpu::Cpu, an instret-polling run loop, and the
+//     observed state;
 //   - leaves the SCIFI-only injection blocks (InjectFault / WriteScanChain)
 //     as Framework placeholders, so running a SCIFI campaign against it
 //     fails with a precise "not implemented" diagnosis instead of undefined
@@ -23,16 +22,11 @@
 
 #include <memory>
 
-#include "core/framework.hpp"
-#include "cpu/cpu.hpp"
-#include "env/environment.hpp"
-#include "env/workloads.hpp"
-#include "isa/assembler.hpp"
-#include "util/crc32.hpp"
+#include "core/sim_target_core.hpp"
 
 namespace goofi::core {
 
-class SwifiSimTarget : public FrameworkTarget {
+class SwifiSimTarget : public SimTargetCore {
  public:
   SwifiSimTarget(CampaignStore* store,
                  const cpu::CpuConfig& config = cpu::CpuConfig());
@@ -45,124 +39,61 @@ class SwifiSimTarget : public FrameworkTarget {
   const cpu::Cpu& cpu() const { return *cpu_; }
 
   /// Superblock fast path on/off (on by default). Off runs the reference
-  /// Step() loops, for differential byte-identical-DB suites.
+  /// Step() loop, for differential byte-identical-DB suites.
   bool use_fast_run() const { return use_fast_run_; }
   void set_use_fast_run(bool enabled) { use_fast_run_ = enabled; }
 
-  /// Checkpoint fast-forward support: the golden run snapshots the CPU
-  /// (registers, caches, memory delta) plus the environment simulator,
-  /// iteration count and actuator CRC. SCIFI is not offered by this target,
-  /// so only runtime SWIFI campaigns warm-start. The same builder records
-  /// the convergence-pruning GoldenTrace when asked for one.
-  bool SupportsCheckpoints() const override { return true; }
-  util::Status BuildGoldenRun(uint64_t interval, CheckpointCache* cache,
-                              GoldenTrace* trace) override;
-  util::Status PrepareGoldenBaseline() override { return EnsureWarmBaseline(); }
-
-  /// COW memory observability: the simulated CPU's main memory.
-  const cpu::Memory* TargetMemory() const override {
-    return cpu_ != nullptr ? &cpu_->memory() : nullptr;
-  }
-
  protected:
-  util::Status RestoreCheckpoint(const Checkpoint& checkpoint) override;
-
-  util::Status InitTestCard() override;
-  util::Status LoadWorkload() override;
-  util::Status WriteMemory() override;
-  util::Status RunWorkload() override;
-  util::Status WaitForBreakpoint() override;
-  util::Status WaitForTermination() override;
-  util::Status ReadMemory() override;
+  util::Status RunWorkload() override {
+    cpu_->Reset(program_.entry);
+    return util::Status::Ok();
+  }
   /// The SWIFI algorithm bodies end with an observation ReadScanChain; this
   /// target has no chains — the simulator host snapshots state directly in
   /// CollectState — so the observation step is a no-op here.
   util::Status ReadScanChain() override { return util::Status::Ok(); }
-  util::Status MutateImage() override;
-  util::Status InjectMemoryFault() override;
-  util::Result<std::vector<FaultCandidate>> EnumerateFaultSpace(
-      const FaultLocationSelector& selector) override;
-  util::Result<LoggedState> CollectState() override;
+
+  // SimTargetCore hooks.
+  util::Status PowerUp() override {
+    // No physical card: "init" means power-cycling the simulator instance.
+    cpu_->PowerCycle();
+    return util::Status::Ok();
+  }
+  util::Status Download(const isa::AssembledProgram& program) override;
+  util::Status MarkMemoryBaseline() override {
+    cpu_->MarkMemoryBaseline();
+    return util::Status::Ok();
+  }
+  util::Result<std::vector<uint32_t>> ReadWords(uint32_t address,
+                                                uint32_t count) override;
+  util::Status WriteWords(uint32_t address,
+                          const std::vector<uint32_t>& words) override;
+  /// The CPU: registers, caches and memory delta.
+  util::Result<std::shared_ptr<SimCheckpointPayload>> SaveMachine() override;
+  util::Status RestoreMachine(const SimCheckpointPayload& payload) override;
+  util::Status HashMachine(cpu::StateHasher* hasher) override {
+    cpu_->HashExecutionState(hasher);
+    return util::Status::Ok();
+  }
+  const cpu::Cpu& TargetCpu() const override { return *cpu_; }
+  util::Status RunToBreakpoint() override {
+    return RunUntil(faults_.empty() ? 0 : faults_.front().inject_instr);
+  }
+  util::Status RunToTermination() override { return RunUntil(0); }
+  void ObserveState(LoggedState* state) override;
 
   // Note: InjectFault / WriteScanChain intentionally NOT overridden — this
   // target has no scan logic, so SCIFI campaigns fail at InjectFault with
-  // the Framework's diagnostic (see class comment).
+  // the Framework's diagnostic (see class comment). It applies each fault
+  // exactly once, so every fault model is prunable.
 
  private:
-  util::Status EnsureWorkload();
-  util::Status ServiceIteration();
-  /// Steps until `stop_instr` retired instructions (0 = no breakpoint),
-  /// servicing environment exchanges; sets bookkeeping on termination.
+  /// Runs until `stop_instr` retired instructions (0 = no breakpoint),
+  /// servicing environment exchanges and boundaries; sets timed_out_.
   util::Status RunUntil(uint64_t stop_instr);
-  bool Terminated() const;
-  util::Status ApplyMemoryFaults();
-  /// Establishes the memory delta baseline for the prepared workload (the
-  /// deterministic cold prologue: InitTestCard/LoadWorkload/WriteMemory +
-  /// MarkMemoryBaseline), once per workload per target instance.
-  util::Status EnsureWarmBaseline();
-  util::Status CaptureCheckpoint(CheckpointCache* cache);
-  /// Fills the checkpoint cache (stops at the injection window) — the
-  /// `cache` half of BuildGoldenRun.
-  util::Status BuildCheckpointPass(uint64_t interval, CheckpointCache* cache);
-  /// Records the GoldenTrace by driving the fault-free workload through
-  /// RunUntil with boundary capture active — the `trace` half of
-  /// BuildGoldenRun.
-  util::Status BuildTracePass(uint64_t interval, GoldenTrace* trace);
-  /// Digests everything that can shape the rest of this experiment: the
-  /// CPU's full execution state plus the host-side per-experiment
-  /// accumulators (actuator CRC, iteration count, plant state).
-  util::Status HashTargetNow(cpu::StateHasher* hasher);
-  /// Whether the experiment entering WaitForTermination qualifies for
-  /// convergence pruning against the installed golden trace.
-  bool CanPruneExperiment() const;
-  /// Boundary action for RunUntil when prune_next_check_ is reached:
-  /// capture (golden trace pass) or compare-and-maybe-converge
-  /// (experiment). Advances prune_next_check_; may set converged_ or clear
-  /// prune_active_.
-  util::Status AtBoundary();
 
   std::unique_ptr<cpu::Cpu> cpu_;
-
-  env::WorkloadSpec workload_;
-  isa::AssembledProgram program_;
-  bool workload_ready_ = false;
-  std::unique_ptr<env::EnvironmentSimulator> environment_;
-  uint32_t input_addr_ = 0;
-  uint32_t output_addr_ = 0;
-  uint32_t loop_end_addr_ = 0;
-  uint32_t result_addr_ = 0;
-
-  int iterations_ = 0;
-  bool timed_out_ = false;
-  util::Crc32 actuator_crc_;
-  std::vector<uint32_t> outputs_;
   bool use_fast_run_ = true;
-
-  // Convergence-pruning state for the current run phase (see ThorRdTarget
-  // for the full protocol). converged_ means the rest of the run is
-  // synthesized from synth_state_.
-  bool prune_active_ = false;
-  bool converged_ = false;
-  uint64_t prune_next_check_ = 0;
-  LoggedState synth_state_;
-  GoldenTrace* capture_trace_ = nullptr;  ///< non-null during BuildTracePass
-
-  // First post-injection boundary whose state diverged from golden: the
-  // cross-experiment memo candidate, inserted in CollectState.
-  bool memo_pending_ = false;
-  uint64_t memo_instret_ = 0;
-  uint64_t memo_hash_ = 0;
-  std::vector<uint8_t> memo_blob_;
-
-  /// Plant-state buffer reused across boundary hashes.
-  std::vector<double> env_state_scratch_;
-
-  /// Workload the memory baseline was established for; empty = none yet.
-  std::string warm_ready_workload_;
-
-  /// Workload whose downloaded image was declared the shared golden set
-  /// (once per workload, at first LoadWorkload); empty = none yet.
-  std::string golden_image_workload_;
 };
 
 }  // namespace goofi::core

@@ -3,26 +3,22 @@
 //
 // In the paper's architecture, each supported target system contributes one
 // TargetSystemInterface class that inherits FaultInjectionAlgorithms and
-// implements its abstract methods (Fig. 1-3). This class binds them to the
+// implements its abstract methods (Fig. 1-3). The blocks every simulated
+// target shares come from SimTargetCore; this class binds its hooks to the
 // simulated test card: scan access goes through the IEEE 1149.1 TAP, debug
-// events through the scan-logic breakpoint unit, memory access through the
-// host port, and loop-iteration boundaries exchange data with the workload's
-// environment simulator (Fig. 1).
+// events through the scan-logic breakpoint unit, and memory access through
+// the host port. It adds the SCIFI injection surface, fault reactivation for
+// non-transient models, and the per-instruction detail loop.
 #pragma once
 
 #include <map>
-#include <memory>
 
-#include "core/algorithms.hpp"
-#include "env/environment.hpp"
-#include "env/workloads.hpp"
-#include "isa/assembler.hpp"
+#include "core/sim_target_core.hpp"
 #include "testcard/testcard.hpp"
-#include "util/crc32.hpp"
 
 namespace goofi::core {
 
-class ThorRdTarget : public FaultInjectionAlgorithms {
+class ThorRdTarget : public SimTargetCore {
  public:
   /// `card` must outlive the target.
   ThorRdTarget(CampaignStore* store, testcard::TestCard* card);
@@ -36,48 +32,51 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
   /// The default name this target registers under.
   static constexpr const char* kTargetName = "thor-rd-sim";
 
-  /// Checkpoint fast-forward support: the golden run snapshots the full
-  /// card state (CPU, caches, memory delta, TAP, debug unit) plus the
-  /// environment simulator, iteration count and actuator CRC. The same
-  /// builder records the convergence-pruning GoldenTrace (per-boundary state
-  /// digests + golden final outcome) when asked for one.
-  bool SupportsCheckpoints() const override { return true; }
-  util::Status BuildGoldenRun(uint64_t interval, CheckpointCache* cache,
-                              GoldenTrace* trace) override;
-  util::Status PrepareGoldenBaseline() override { return EnsureWarmBaseline(); }
-
-  /// COW memory observability: the simulated CPU's main memory.
-  const cpu::Memory* TargetMemory() const override {
-    return &card_->cpu().memory();
-  }
-
  protected:
-  util::Status RestoreCheckpoint(const Checkpoint& checkpoint) override;
-
-  util::Status InitTestCard() override;
-  util::Status LoadWorkload() override;
-  util::Status WriteMemory() override;
-  util::Status RunWorkload() override;
-  util::Status WaitForBreakpoint() override;
+  util::Status RunWorkload() override { return card_->ResetTarget(); }
   util::Status ReadScanChain() override;
   util::Status InjectFault() override;
   util::Status WriteScanChain() override;
-  util::Status WaitForTermination() override;
-  util::Status ReadMemory() override;
-  util::Status MutateImage() override;
-  util::Status InjectMemoryFault() override;
-  util::Result<std::vector<FaultCandidate>> EnumerateFaultSpace(
+
+  // SimTargetCore hooks.
+  util::Status PowerUp() override { return card_->Init(); }
+  util::Status Download(const isa::AssembledProgram& program) override {
+    return card_->LoadWorkload(program);
+  }
+  util::Status MarkMemoryBaseline() override {
+    return card_->MarkMemoryBaseline();
+  }
+  util::Result<std::vector<uint32_t>> ReadWords(uint32_t address,
+                                                uint32_t count) override {
+    return card_->ReadMemory(address, count);
+  }
+  util::Status WriteWords(uint32_t address,
+                          const std::vector<uint32_t>& words) override {
+    return card_->WriteMemory(address, words);
+  }
+  /// The full card state: CPU, caches, memory delta, TAP and debug unit.
+  util::Result<std::shared_ptr<SimCheckpointPayload>> SaveMachine() override;
+  util::Status RestoreMachine(const SimCheckpointPayload& payload) override;
+  /// The card state: CPU plus the conditional link-noise RNG.
+  util::Status HashMachine(cpu::StateHasher* hasher) override {
+    return card_->HashTargetState(hasher);
+  }
+  bool SupportsStateHash() const override {
+    return card_->SupportsStateHash();
+  }
+  const cpu::Cpu& TargetCpu() const override { return card_->cpu(); }
+  util::Status RunToBreakpoint() override;
+  util::Status RunToTermination() override;
+  void ObserveState(LoggedState* state) override {
+    state->scan_images = observe_images_;
+  }
+  util::Result<std::vector<FaultCandidate>> EnumerateScanSpace(
       const FaultLocationSelector& selector) override;
-  util::Result<LoggedState> CollectState() override;
+  bool TargetAllowsPruning() const override;
+  bool BoundaryComparable() const override;
+  void ResetTargetRunState() override;
 
  private:
-  /// Assembles the campaign's workload if not already cached and resolves
-  /// its I/O layout (environment words, loop boundary, result location).
-  util::Status EnsureWorkload();
-
-  /// Reads actuator words, advances the environment, writes sensor words.
-  util::Status ServiceIteration();
-
   /// Arms the debug triggers appropriate for the current phase.
   void ArmTriggers(bool with_injection_breakpoint, bool with_reactivation);
 
@@ -85,74 +84,17 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
   util::Status ReactivateFaults();
 
   /// Runs the target until an event, servicing iteration boundaries.
-  /// Returns when the injection breakpoint fires (`stop_at_breakpoint`) or a
-  /// termination condition is reached.
+  /// Returns when the injection breakpoint fires (`stop_at_breakpoint`), a
+  /// termination condition is reached, or a boundary stops the run.
   util::Status RunLoop(bool stop_at_breakpoint);
 
   /// Detail-mode variant: single-steps, logging state per instruction.
   util::Status RunLoopDetail();
 
-  /// True when a termination condition has been reached.
-  bool Terminated() const;
-
-  /// Establishes the memory delta baseline for the prepared workload (the
-  /// deterministic cold prologue: InitTestCard/LoadWorkload/WriteMemory +
-  /// MarkMemoryBaseline). Each worker runs this once per workload, so a
-  /// shared cache's deltas restore against an identical baseline — and so
-  /// canonical memory hashing has a baseline to digest against.
-  util::Status EnsureWarmBaseline();
-
-  /// Captures the current golden-run state into `cache`.
-  util::Status CaptureCheckpoint(CheckpointCache* cache);
-
-  /// Fills the checkpoint cache (the PR2 golden pass, stops at the injection
-  /// window) — the `cache` half of BuildGoldenRun.
-  util::Status BuildCheckpointPass(uint64_t interval, CheckpointCache* cache);
-
-  /// Records the GoldenTrace by driving the fault-free workload through the
-  /// *experiment* run loops (RunLoop/RunLoopDetail) with boundary capture
-  /// active — the `trace` half of BuildGoldenRun. Using the experiment loops
-  /// guarantees boundary program points and the final outcome match what a
-  /// converging faulty run would reach, branch-order corner cases included.
-  util::Status BuildTracePass(uint64_t interval, GoldenTrace* trace);
-
-  /// Digests everything that can shape the rest of this experiment: the card
-  /// state (CPU + conditional link-noise RNG) plus the host-side per-
-  /// experiment accumulators (actuator CRC, iteration count, plant state).
-  util::Status HashTargetNow(cpu::StateHasher* hasher);
-
-  /// Whether the experiment that just finished injecting qualifies for
-  /// convergence pruning against the installed golden trace.
-  bool CanPruneExperiment() const;
-
-  /// Boundary action for the run loops when prune_next_check_ is reached:
-  /// capture (golden trace pass) or compare-and-maybe-converge (experiment).
-  /// Advances prune_next_check_ to the next interval multiple; may set
-  /// converged_ or clear prune_active_. Does not re-arm triggers.
-  util::Status AtBoundary();
-
   testcard::TestCard* card_;
 
-  // Cached workload.
-  env::WorkloadSpec workload_;
-  isa::AssembledProgram program_;
-  bool workload_ready_ = false;
-
-  std::unique_ptr<env::EnvironmentSimulator> environment_;
-  uint32_t input_addr_ = 0;
-  uint32_t output_addr_ = 0;
-  uint32_t loop_end_addr_ = 0;
-  uint32_t result_addr_ = 0;
-
   // Per-experiment bookkeeping.
-  int iterations_ = 0;
-  bool timed_out_ = false;
-  bool injection_done_ = false;
-  bool terminated_before_injection_ = false;
-  uint32_t activations_done_ = 0;
   uint64_t next_activation_ = 0;
-  util::Crc32 actuator_crc_;
-  std::vector<uint32_t> outputs_;
   std::map<std::string, util::BitVec> inject_images_;  ///< read-modify-write
   std::map<std::string, std::string> observe_images_;  ///< logged at the end
 
@@ -161,35 +103,8 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
   int reactivation_trigger_ = -1;
   int prune_trigger_ = -1;
 
-  // Convergence-pruning state for the current run phase. prune_active_ turns
-  // the boundary machinery on; converged_ means the rest of the run is
-  // synthesized from synth_state_ (ReadMemory/ReadScanChain/CollectState
-  // short-circuit). reactivation_armed_ mirrors the last ArmTriggers
-  // reactivation flag so boundary re-arms preserve it.
-  bool prune_active_ = false;
-  bool converged_ = false;
-  uint64_t prune_next_check_ = 0;
+  /// The last ArmTriggers reactivation flag, so boundary re-arms keep it.
   bool reactivation_armed_ = false;
-  LoggedState synth_state_;
-  GoldenTrace* capture_trace_ = nullptr;  ///< non-null during BuildTracePass
-
-  // First post-injection boundary whose state diverged from golden: the
-  // cross-experiment memo candidate, inserted with the experiment's final
-  // LoggedState in CollectState.
-  bool memo_pending_ = false;
-  uint64_t memo_instret_ = 0;
-  uint64_t memo_hash_ = 0;
-  std::vector<uint8_t> memo_blob_;
-
-  /// Plant-state buffer reused across boundary hashes.
-  std::vector<double> env_state_scratch_;
-
-  /// Workload the memory baseline was established for; empty = none yet.
-  std::string warm_ready_workload_;
-
-  /// Workload whose downloaded image was declared the shared golden set
-  /// (once per workload, at first LoadWorkload); empty = none yet.
-  std::string golden_image_workload_;
 
   /// Capture buffer reused across detail-mode scan-chain reads.
   util::BitVec detail_capture_;

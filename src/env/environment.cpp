@@ -67,4 +67,18 @@ bool CruiseControl::Failed() const {
          !std::isfinite(speed_);
 }
 
+util::Result<std::unique_ptr<EnvironmentSimulator>> MakeEnvironment(
+    const std::string& name) {
+  if (name.empty()) return std::unique_ptr<EnvironmentSimulator>();
+  if (name == "inverted_pendulum") {
+    return std::unique_ptr<EnvironmentSimulator>(
+        std::make_unique<InvertedPendulum>());
+  }
+  if (name == "cruise_control") {
+    return std::unique_ptr<EnvironmentSimulator>(
+        std::make_unique<CruiseControl>());
+  }
+  return util::InvalidArgument("unknown environment simulator " + name);
+}
+
 }  // namespace goofi::env

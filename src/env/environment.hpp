@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.hpp"
+
 namespace goofi::env {
 
 /// Q8.8 conversion helpers shared by plants and analysis code.
@@ -148,5 +150,12 @@ class CruiseControl final : public EnvironmentSimulator {
   double speed_ = 0.0;
   int steps_ = 0;
 };
+
+/// A fresh plant for the environment simulator named `name`, or null for an
+/// empty name (a control workload without a plant). Every consumer of a
+/// workload's `environment` field builds its plant here, so an unknown name
+/// fails the same way everywhere.
+util::Result<std::unique_ptr<EnvironmentSimulator>> MakeEnvironment(
+    const std::string& name);
 
 }  // namespace goofi::env

@@ -485,7 +485,6 @@ WorkloadSpec Control(const char* name, const char* description,
   spec.infinite_loop = true;
   spec.iteration_symbol = "loop_end";
   spec.input_symbol = "IOBASE";
-  spec.output_symbol = "IOBASE";  // actuators follow the sensor words
   spec.input_words = input_words;
   spec.output_words = output_words;
   spec.environment = environment;

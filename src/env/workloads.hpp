@@ -28,8 +28,9 @@ struct WorkloadSpec {
   /// Control workloads: run as an infinite loop.
   bool infinite_loop = false;
   std::string iteration_symbol;  ///< label executed once per loop iteration
-  std::string input_symbol;      ///< env sensor words (written by the host)
-  std::string output_symbol;     ///< env actuator words (read by the host)
+  /// Env sensor words (written by the host), followed directly by the
+  /// actuator words (read by the host).
+  std::string input_symbol;
   uint32_t input_words = 0;
   uint32_t output_words = 0;
   std::string environment;       ///< environment simulator name, if any

@@ -68,9 +68,9 @@ class TestCard {
   /// Runs the target until a debug event, halt, detection or cycle budget.
   virtual scan::DebugRunResult Run(uint64_t max_cycles) = 0;
 
-  /// Whether Run() (and golden-run fast-forwarding layered on top) drives
-  /// the target through the predecoded superblock fast path. Real hardware
-  /// runs at its own speed, so the base card reports false.
+  /// Whether Run() drives the target through the predecoded superblock fast
+  /// path. Real hardware runs at its own speed, so the base card reports
+  /// false.
   virtual bool use_fast_run() const { return false; }
 
   /// Executes exactly one instruction (detail mode logging).

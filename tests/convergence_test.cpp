@@ -151,11 +151,11 @@ RunResult RunCold(const CampaignData& campaign) {
 }
 
 /// Serial run with pruning enabled. `force` additionally engages warm-start
-/// fast-forward (the run-pruned shell command always forces it); `swifi_fast`
-/// lets the superblock fast path be switched off to test the slow-path
-/// boundary stops.
+/// fast-forward (the run-pruned shell command always forces it); `fast`
+/// lets the superblock fast path be switched off on either target, to test
+/// the stepped reference loops' boundary stops and checkpoint captures.
 RunResult RunPrunedSerial(const CampaignData& campaign, uint64_t interval,
-                          bool force = true, bool swifi_fast = true) {
+                          bool force = true, bool fast = true) {
   Session session(campaign);
   auto drive = [&](FaultInjectionAlgorithms& target) {
     target.SetCheckpointInterval(interval);
@@ -167,11 +167,12 @@ RunResult RunPrunedSerial(const CampaignData& campaign, uint64_t interval,
   };
   if (campaign.target_name == ThorRdTarget::kTargetName) {
     testcard::SimTestCard card;
+    card.set_use_fast_run(fast);
     ThorRdTarget target(&session.store, &card);
     return drive(target);
   }
   SwifiSimTarget target(&session.store);
-  target.set_use_fast_run(swifi_fast);
+  target.set_use_fast_run(fast);
   return drive(target);
 }
 
@@ -376,6 +377,11 @@ TEST(ConvergenceTest, ScifiRegfilePrunedMatchesColdAtEveryInterval) {
     SCOPED_TRACE("interval=" + std::to_string(interval));
     ExpectIdentical(cold, RunPrunedSerial(campaign, interval));
   }
+  // Fast path off: the debug unit's stepped loop drives the checkpoint
+  // pass, the trace pass and the experiments.
+  SCOPED_TRACE("stepped");
+  ExpectIdentical(cold, RunPrunedSerial(campaign, 64, /*force=*/true,
+                                        /*fast=*/false));
 }
 
 TEST(ConvergenceTest, ScifiPipelineCampaignActuallyPrunes) {
@@ -400,6 +406,27 @@ TEST(ConvergenceTest, ControlWorkloadPrunedMatchesCold) {
   for (uint64_t interval : {64ull, 4096ull}) {
     SCOPED_TRACE("interval=" + std::to_string(interval));
     ExpectIdentical(cold, RunPrunedSerial(campaign, interval));
+  }
+  SCOPED_TRACE("stepped");
+  ExpectIdentical(cold, RunPrunedSerial(campaign, 64, /*force=*/true,
+                                        /*fast=*/false));
+}
+
+TEST(ConvergenceTest, TimeoutAtBoundaryPrunedMatchesCold) {
+  // A campaign timeout shorter than the golden run, with a boundary at every
+  // instruction: each run times out on a step that also reaches a boundary.
+  // Boundary stops (checkpoint captures, digests, comparisons) must not move
+  // where a run times out.
+  CampaignData campaign = ThorScifiCampaign("cv_timeout");
+  campaign.timeout_cycles = 2000;
+  campaign.inject_max_instr = 500;
+  const RunResult cold = RunCold(campaign);
+  ASSERT_FALSE(cold.rows.empty());
+  EXPECT_TRUE(cold.rows.front().state.timed_out)
+      << "the reference run must hit the timeout";
+  for (bool fast : {true, false}) {
+    SCOPED_TRACE(fast ? "fast" : "stepped");
+    ExpectIdentical(cold, RunPrunedSerial(campaign, 1, /*force=*/true, fast));
   }
 }
 
@@ -447,7 +474,7 @@ TEST(ConvergenceTest, RuntimeSwifiSlowPathPrunedMatchesCold) {
   const CampaignData campaign = SwifiRuntimeCampaign("cv_swifi_slow");
   ExpectIdentical(RunCold(campaign),
                   RunPrunedSerial(campaign, 64, /*force=*/true,
-                                  /*swifi_fast=*/false));
+                                  /*fast=*/false));
 }
 
 TEST(ConvergenceTest, PreRuntimeSwifiPrunedMatchesCold) {

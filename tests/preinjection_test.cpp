@@ -143,6 +143,14 @@ TEST(LivenessTest, UnknownWorkloadFails) {
   EXPECT_FALSE(LivenessAnalyzer::Build("nope", cpu::CpuConfig()).ok());
 }
 
+TEST(LivenessTest, UnknownEnvironmentSimulatorFails) {
+  // The analyzer resolves a control workload's plant like the targets do: a
+  // timeline built without the plant exchange would be silently wrong.
+  env::WorkloadSpec spec = env::GetWorkload("pendulum_pd").ValueOrDie();
+  spec.environment = "no_such_plant";
+  EXPECT_FALSE(LivenessAnalyzer::BuildFromSpec(spec, cpu::CpuConfig()).ok());
+}
+
 TEST(LivenessTest, LiveRegistersAreAMinorityLateInTheRun) {
   // The paper's motivation: most (location, time) pairs are dead. For the
   // bubblesort workload past its sorting loops, few registers stay live.
