@@ -31,10 +31,10 @@ else
   echo "clang-tidy not installed; skipping lint stanza (gcc -Werror still ran)"
 fi
 
-echo "== tier-1: ThreadSanitizer pass (parallel runner + thread pool + checkpoints + convergence + equivalence + archive commits + COW golden sharing + static pruning) =="
+echo "== tier-1: ThreadSanitizer pass (parallel runner + thread pool + checkpoints + convergence + equivalence + archive commits + COW golden sharing + static pruning + reference-trace memo) =="
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j "$JOBS" --target thread_pool_test parallel_runner_test checkpoint_test convergence_test equivalence_test archive_test memory_cow_test static_analysis_test
+cmake --build "$TSAN_DIR" -j "$JOBS" --target thread_pool_test parallel_runner_test checkpoint_test convergence_test equivalence_test archive_test memory_cow_test static_analysis_test propagation_test
 "$TSAN_DIR"/tests/thread_pool_test
 "$TSAN_DIR"/tests/parallel_runner_test
 "$TSAN_DIR"/tests/checkpoint_test
@@ -43,11 +43,12 @@ cmake --build "$TSAN_DIR" -j "$JOBS" --target thread_pool_test parallel_runner_t
 "$TSAN_DIR"/tests/archive_test --gtest_filter='ArchiveRunnerTest.*'
 "$TSAN_DIR"/tests/memory_cow_test --gtest_filter='MemoryCowRunnerTest.*'
 "$TSAN_DIR"/tests/static_analysis_test --gtest_filter='RunStaticTest.*'
+"$TSAN_DIR"/tests/propagation_test
 
 echo "== tier-1: ASan pass (superblock fast-path differential fuzzer) =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=address
-cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test
+cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test core_types_test propagation_test analysis_test
 "$ASAN_DIR"/tests/cpu_fastpath_test
 
 echo "== tier-1: ASan pass (COW paged memory differential fuzzer) =="
@@ -67,6 +68,11 @@ echo "== tier-1: ASan pass (indexed-vs-scan SQL differential suite) =="
 
 echo "== tier-1: ASan pass (archive codec/snapshot/WAL-recovery suite) =="
 "$ASAN_DIR"/tests/archive_test
+
+echo "== tier-1: ASan pass (one-pass LoggedState parser fuzzer + analysis read path) =="
+"$ASAN_DIR"/tests/core_types_test --gtest_filter='*Fuzz*'
+"$ASAN_DIR"/tests/propagation_test
+"$ASAN_DIR"/tests/analysis_test
 
 echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer) =="
 UBSAN_DIR="${BUILD_DIR}-ubsan"

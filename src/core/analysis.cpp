@@ -145,13 +145,12 @@ util::Result<AnalysisReport> AnalyzeCampaign(const CampaignStore& store,
                                              const std::string& campaign_name) {
   auto reference = store.GetExperiment(CampaignStore::ReferenceName(campaign_name));
   if (!reference.ok()) return reference.status();
-  auto rows = store.ExperimentsOf(campaign_name);
+  auto rows = store.TopLevelRowsOf(campaign_name);
   if (!rows.ok()) return rows.status();
 
   AnalysisReport report;
   report.campaign = campaign_name;
   for (const CampaignStore::ExperimentRow& row : rows.value()) {
-    if (!row.parent_experiment.empty()) continue;  // detail rows
     if (row.experiment_name == reference.value().experiment_name) continue;
     Accumulate(&report, Classify(reference.value().state, row.state));
   }
@@ -162,12 +161,11 @@ util::Result<std::map<std::string, AnalysisReport>> AnalyzeByLocationGroup(
     const CampaignStore& store, const std::string& campaign_name) {
   auto reference = store.GetExperiment(CampaignStore::ReferenceName(campaign_name));
   if (!reference.ok()) return reference.status();
-  auto rows = store.ExperimentsOf(campaign_name);
+  auto rows = store.TopLevelRowsOf(campaign_name);
   if (!rows.ok()) return rows.status();
 
   std::map<std::string, AnalysisReport> by_group;
   for (const CampaignStore::ExperimentRow& row : rows.value()) {
-    if (!row.parent_experiment.empty()) continue;
     if (row.experiment_name == reference.value().experiment_name) continue;
     AnalysisReport& report = by_group[LocationGroupOf(row.experiment_data)];
     if (report.campaign.empty()) report.campaign = campaign_name;

@@ -68,7 +68,8 @@ struct AnalysisReport {
 };
 
 /// Classifies every experiment of a campaign against its reference run.
-/// Detail rows (parentExperiment set) are excluded.
+/// Reads only the campaign's top-level rows (CampaignStore::TopLevelRowsOf):
+/// detail rows (parentExperiment set) are neither classified nor parsed.
 util::Result<AnalysisReport> AnalyzeCampaign(const CampaignStore& store,
                                              const std::string& campaign_name);
 

@@ -59,6 +59,13 @@ Schema LoggedSystemStateSchema() {
                  {{"parentExperiment"}, "LoggedSystemState", {"experimentName"}}});
 }
 
+/// The stateVector column of a LoggedSystemState row ("" when NULL), viewed
+/// in place rather than copied.
+std::string_view StateVectorText(const Row& row) {
+  return row[4].is_null() ? std::string_view()
+                          : std::string_view(row[4].as_text());
+}
+
 }  // namespace
 
 CampaignStore::CampaignStore(db::Database* database) : database_(database) {
@@ -323,7 +330,7 @@ util::Result<CampaignStore::ExperimentRow> CampaignStore::GetExperiment(
   out.parent_experiment = row[1].is_null() ? "" : row[1].as_text();
   out.campaign_name = row[2].as_text();
   out.experiment_data = row[3].is_null() ? "" : row[3].as_text();
-  auto state = LoggedState::Deserialize(row[4].is_null() ? "" : row[4].as_text());
+  auto state = LoggedState::Deserialize(StateVectorText(row));
   if (!state.ok()) return state.status();
   out.state = std::move(state).value();
   return out;
@@ -342,8 +349,7 @@ CampaignStore::ExperimentQuery(const std::string& sql,
     out.parent_experiment = row[1].is_null() ? "" : row[1].as_text();
     out.campaign_name = row[2].as_text();
     out.experiment_data = row[3].is_null() ? "" : row[3].as_text();
-    auto state =
-        LoggedState::Deserialize(row[4].is_null() ? "" : row[4].as_text());
+    auto state = LoggedState::Deserialize(StateVectorText(row));
     if (!state.ok()) return state.status();
     out.state = std::move(state).value();
     rows.push_back(std::move(out));
@@ -363,11 +369,61 @@ CampaignStore::ExperimentsOf(const std::string& campaign_name) const {
 }
 
 util::Result<std::vector<CampaignStore::ExperimentRow>>
+CampaignStore::TopLevelRowsOf(const std::string& campaign_name) const {
+  // The campaign index probe yields every row of the campaign; the residual
+  // IS NULL filter runs on the stored rows, so detail rows are not copied.
+  return ExperimentQuery(
+      "SELECT experimentName, parentExperiment, campaignName, experimentData, "
+      "stateVector FROM LoggedSystemState "
+      "WHERE campaignName = ? AND parentExperiment IS NULL",
+      campaign_name);
+}
+
+util::Result<std::vector<CampaignStore::ExperimentRow>>
 CampaignStore::DetailRowsOf(const std::string& parent_experiment) const {
   return ExperimentQuery(
       "SELECT experimentName, parentExperiment, campaignName, experimentData, "
       "stateVector FROM LoggedSystemState WHERE parentExperiment = ?",
       parent_experiment);
+}
+
+util::Result<CampaignStore::Trace> CampaignStore::LoadTrace(
+    const std::string& rerun_name) const {
+  // Index probe on parentExperiment: fetches just this rerun's trace instead
+  // of deserializing every row of the campaign.
+  auto rows = DetailRowsOf(rerun_name);
+  if (!rows.ok()) return rows.status();
+  Trace trace;
+  for (ExperimentRow& row : rows.value()) {
+    trace.emplace(row.state.instret, std::move(row.state));
+  }
+  if (trace.empty()) {
+    return util::FailedPrecondition(
+        "no detail trace under " + rerun_name +
+        "; run RerunDetailed first (for the experiment and for the campaign "
+        "reference)");
+  }
+  return trace;
+}
+
+util::Result<std::shared_ptr<const CampaignStore::Trace>>
+CampaignStore::ReferenceTrace(const std::string& campaign_name) const {
+  // Any row insert, update or delete bumps the table's version, and Load or
+  // DDL the schema version, so an unchanged pair means unchanged rows.
+  const db::Table* table = database_->GetTable("LoggedSystemState");
+  const uint64_t schema_version = database_->schema_version();
+  const uint64_t table_version = table == nullptr ? 0 : table->version();
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  if (memo_.trace != nullptr && memo_.campaign == campaign_name &&
+      memo_.schema_version == schema_version &&
+      memo_.table_version == table_version) {
+    return memo_.trace;
+  }
+  auto trace = LoadTrace(ReferenceName(campaign_name) + "/detail");
+  if (!trace.ok()) return trace.status();
+  memo_ = {campaign_name, schema_version, table_version,
+           std::make_shared<const Trace>(std::move(trace).value())};
+  return memo_.trace;
 }
 
 }  // namespace goofi::core

@@ -11,6 +11,9 @@
 // (§2.3) — the embedded engine enforces them on insert and delete.
 #pragma once
 
+#include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 
 #include "core/types.hpp"
@@ -95,13 +98,33 @@ class CampaignStore {
   util::Status PutExperiments(const std::vector<ExperimentRow>& rows);
 
   util::Result<ExperimentRow> GetExperiment(const std::string& name) const;
-  /// All experiments of a campaign, in insertion order.
+  /// All rows of a campaign, detail rows included, in insertion order.
   util::Result<std::vector<ExperimentRow>> ExperimentsOf(
+      const std::string& campaign_name) const;
+  /// The campaign's rows without a parent (its reference run and
+  /// experiments), in insertion order. Detail rows are neither fetched nor
+  /// parsed, so the §3.4 analysis does not depend on them.
+  util::Result<std::vector<ExperimentRow>> TopLevelRowsOf(
       const std::string& campaign_name) const;
   /// All rows logged under `parent_experiment` (a detail-mode rerun's
   /// per-instruction trace), in insertion order.
   util::Result<std::vector<ExperimentRow>> DetailRowsOf(
       const std::string& parent_experiment) const;
+
+  /// A detail-mode re-run's trace (§3.3), keyed by retired instructions.
+  using Trace = std::map<uint64_t, LoggedState>;
+
+  /// The detail rows logged under `rerun_name` ("<experiment>/detail"),
+  /// keyed by instret. kFailedPrecondition when there are none.
+  util::Result<Trace> LoadTrace(const std::string& rerun_name) const;
+
+  /// LoadTrace of the campaign's reference re-run ("<campaign>/ref/detail"),
+  /// memoized: the store keeps one parsed trace and hands it out again while
+  /// Database::schema_version() and the LoggedSystemState table's version()
+  /// are unchanged. Errors are not memoized. Safe to call from several
+  /// threads as long as none of them mutates the database.
+  util::Result<std::shared_ptr<const Trace>> ReferenceTrace(
+      const std::string& campaign_name) const;
 
   /// Name used for a campaign's reference (fault-free) run.
   static std::string ReferenceName(const std::string& campaign_name) {
@@ -121,6 +144,17 @@ class CampaignStore {
   db::Database* database_;
   mutable db::StatementCache cache_;
   db::Archive* archive_ = nullptr;  ///< not owned
+
+  /// ReferenceTrace's memo: one campaign's trace and the table state it was
+  /// read from.
+  struct TraceMemo {
+    std::string campaign;
+    uint64_t schema_version = 0;
+    uint64_t table_version = 0;
+    std::shared_ptr<const Trace> trace;  ///< null while empty
+  };
+  mutable std::mutex memo_mutex_;
+  mutable TraceMemo memo_;  ///< guarded by memo_mutex_
 };
 
 }  // namespace goofi::core

@@ -1,8 +1,5 @@
 #include "core/propagation.hpp"
 
-#include <algorithm>
-#include <map>
-
 #include "util/strings.hpp"
 
 namespace goofi::core {
@@ -35,47 +32,25 @@ std::string PropagationReport::ToString() const {
   return out;
 }
 
-namespace {
-
-/// Loads the detail rows logged under `<rerun_name>` keyed by instret.
-util::Result<std::map<uint64_t, LoggedState>> LoadTrace(
-    const CampaignStore& store, const std::string& rerun_name) {
-  // Index probe on parentExperiment: fetches just this rerun's trace instead
-  // of deserializing every row of the campaign.
-  auto rows = store.DetailRowsOf(rerun_name);
-  if (!rows.ok()) return rows.status();
-  std::map<uint64_t, LoggedState> trace;
-  for (auto& row : rows.value()) {
-    trace.emplace(row.state.instret, std::move(row.state));
-  }
-  if (trace.empty()) {
-    return util::FailedPrecondition(
-        "no detail trace under " + rerun_name +
-        "; run RerunDetailed first (for the experiment and for the campaign "
-        "reference)");
-  }
-  return trace;
-}
-
-}  // namespace
-
 util::Result<PropagationReport> AnalyzeErrorPropagation(
     const CampaignStore& store, const std::string& experiment_name) {
   auto experiment = store.GetExperiment(experiment_name);
   if (!experiment.ok()) return experiment.status();
-  const std::string campaign = experiment.value().campaign_name;
-  const std::string reference_name = CampaignStore::ReferenceName(campaign);
 
-  auto faulty = LoadTrace(store, experiment_name + "/detail");
+  // Only the experiment's own trace is parsed per call; the reference trace
+  // is the same for every experiment of the campaign and comes from the
+  // store's memo.
+  auto faulty = store.LoadTrace(experiment_name + "/detail");
   if (!faulty.ok()) return faulty.status();
-  auto golden = LoadTrace(store, reference_name + "/detail");
-  if (!golden.ok()) return golden.status();
+  auto reference = store.ReferenceTrace(experiment.value().campaign_name);
+  if (!reference.ok()) return reference.status();
+  const CampaignStore::Trace& golden = *reference.value();
 
   PropagationReport report;
   int step = 0;
   for (const auto& [instret, state] : faulty.value()) {
-    const auto ref = golden.value().find(instret);
-    if (ref == golden.value().end()) {
+    const auto ref = golden.find(instret);
+    if (ref == golden.end()) {
       // The faulty run outlived (or fell outside) the reference trace.
       report.length_mismatch = true;
       break;
@@ -96,7 +71,7 @@ util::Result<PropagationReport> AnalyzeErrorPropagation(
       }
     }
   }
-  if (faulty.value().size() != golden.value().size()) {
+  if (faulty.value().size() != golden.size()) {
     report.length_mismatch = true;
   }
   return report;

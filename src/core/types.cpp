@@ -1,5 +1,7 @@
 #include "core/types.hpp"
 
+#include <algorithm>
+
 #include "util/strings.hpp"
 
 namespace goofi::core {
@@ -154,62 +156,83 @@ std::string LoggedState::Serialize() const {
   return out;
 }
 
-util::Result<LoggedState> LoggedState::Deserialize(const std::string& text) {
-  LoggedState state;
-  for (const std::string& pair : util::Split(text, ';')) {
-    if (pair.empty()) continue;
-    const size_t eq = pair.find('=');
-    if (eq == std::string::npos) {
-      return util::ParseError("bad LoggedState field: " + pair);
-    }
-    const std::string key = pair.substr(0, eq);
-    const std::string value = pair.substr(eq + 1);
-    auto as_int = [&]() -> util::Result<int64_t> {
-      const auto v = util::ParseInt(value);
-      if (!v) return util::ParseError("bad integer in LoggedState: " + pair);
-      return *v;
-    };
-    if (key == "halted" || key == "detected" || key == "timeout" ||
-        key == "envfail") {
-      auto v = as_int();
-      if (!v.ok()) return v.status();
-      const bool flag = v.value() != 0;
-      if (key == "halted") state.halted = flag;
-      if (key == "detected") state.detected = flag;
-      if (key == "timeout") state.timed_out = flag;
-      if (key == "envfail") state.env_failed = flag;
-    } else if (key == "edm") {
-      state.edm = value == "none" ? "" : value;
-    } else if (key == "code") {
-      auto v = as_int();
-      if (!v.ok()) return v.status();
-      state.edm_code = static_cast<int32_t>(v.value());
-    } else if (key == "cycles") {
-      auto v = as_int();
-      if (!v.ok()) return v.status();
-      state.cycles = static_cast<uint64_t>(v.value());
-    } else if (key == "instret") {
-      auto v = as_int();
-      if (!v.ok()) return v.status();
-      state.instret = static_cast<uint64_t>(v.value());
-    } else if (key == "iters") {
-      auto v = as_int();
-      if (!v.ok()) return v.status();
-      state.iterations = static_cast<int>(v.value());
-    } else if (key == "outputs") {
-      if (!value.empty()) {
-        for (const std::string& hex : util::Split(value, ',')) {
-          const auto v = util::ParseInt("0x" + hex);
-          if (!v) return util::ParseError("bad output word: " + hex);
-          state.outputs.push_back(static_cast<uint32_t>(*v));
-        }
-      }
-    } else if (util::StartsWith(key, "scan.")) {
-      state.scan_images[key.substr(5)] = value;
-    } else {
-      return util::ParseError("unknown LoggedState key: " + key);
-    }
+namespace {
+
+/// The integer-valued keys of the stateVector and where each value goes.
+struct IntegerField {
+  std::string_view key;
+  void (*store)(LoggedState& state, int64_t value);
+};
+
+constexpr IntegerField kIntegerFields[] = {
+    {"halted", [](LoggedState& s, int64_t v) { s.halted = v != 0; }},
+    {"detected", [](LoggedState& s, int64_t v) { s.detected = v != 0; }},
+    {"timeout", [](LoggedState& s, int64_t v) { s.timed_out = v != 0; }},
+    {"envfail", [](LoggedState& s, int64_t v) { s.env_failed = v != 0; }},
+    {"code",
+     [](LoggedState& s, int64_t v) { s.edm_code = static_cast<int32_t>(v); }},
+    {"cycles",
+     [](LoggedState& s, int64_t v) { s.cycles = static_cast<uint64_t>(v); }},
+    {"instret",
+     [](LoggedState& s, int64_t v) { s.instret = static_cast<uint64_t>(v); }},
+    {"iters",
+     [](LoggedState& s, int64_t v) { s.iterations = static_cast<int>(v); }},
+};
+
+/// Calls `fn` on each `sep`-separated field of `text`, empty fields included
+/// (util::Split's fields, without copying them). Stops at the first error.
+template <typename Fn>
+util::Status ForEachField(std::string_view text, char sep, Fn&& fn) {
+  for (size_t start = 0;;) {
+    const size_t end = std::min(text.find(sep, start), text.size());
+    GOOFI_RETURN_IF_ERROR(fn(text.substr(start, end - start)));
+    if (end == text.size()) return util::Status::Ok();
+    start = end + 1;
   }
+}
+
+}  // namespace
+
+// One pass over the text: fields are string_views into it, and only scan
+// images and the EDM name are copied out.
+util::Result<LoggedState> LoggedState::Deserialize(std::string_view text) {
+  LoggedState state;
+  const auto parse_pair = [&state](std::string_view pair) {
+    if (pair.empty()) return util::Status::Ok();
+    const size_t eq = pair.find('=');
+    if (eq == std::string_view::npos) {
+      return util::ParseError("bad LoggedState field: " + std::string(pair));
+    }
+    const std::string_view key = pair.substr(0, eq);
+    const std::string_view value = pair.substr(eq + 1);
+    for (const IntegerField& field : kIntegerFields) {
+      if (key != field.key) continue;
+      const auto v = util::ParseInt(value);
+      if (!v) {
+        return util::ParseError("bad integer in LoggedState: " +
+                                std::string(pair));
+      }
+      field.store(state, *v);
+      return util::Status::Ok();
+    }
+    if (key == "edm") {
+      state.edm = value == "none" ? std::string_view() : value;
+    } else if (key == "outputs") {
+      if (value.empty()) return util::Status::Ok();
+      return ForEachField(value, ',', [&state](std::string_view hex) {
+        const auto v = util::ParseInt("0x" + std::string(hex));
+        if (!v) return util::ParseError("bad output word: " + std::string(hex));
+        state.outputs.push_back(static_cast<uint32_t>(*v));
+        return util::Status::Ok();
+      });
+    } else if (key.starts_with("scan.")) {
+      state.scan_images[std::string(key.substr(5))] = value;
+    } else {
+      return util::ParseError("unknown LoggedState key: " + std::string(key));
+    }
+    return util::Status::Ok();
+  };
+  GOOFI_RETURN_IF_ERROR(ForEachField(text, ';', parse_pair));
   return state;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/bitvec.hpp"
@@ -141,7 +142,7 @@ struct LoggedState {
 
   /// Compact key=value serialization for the database TEXT column.
   std::string Serialize() const;
-  static util::Result<LoggedState> Deserialize(const std::string& text);
+  static util::Result<LoggedState> Deserialize(std::string_view text);
 };
 
 /// §3.4 classification of an experiment outcome.

@@ -86,6 +86,7 @@ util::Status Table::Insert(Row row) {
   rows_.push_back(std::move(row));
   live_.push_back(true);
   ++live_count_;
+  ++version_;
   if (!indexes_.empty()) AddToIndexes(rows_.size() - 1);
   if (observer_ != nullptr) observer_->OnInsert(*this, rows_.back());
   return util::Status::Ok();
@@ -151,6 +152,7 @@ size_t Table::DeleteWhere(const std::function<bool(const Row&)>& predicate) {
     ++deleted;
   }
   live_count_ -= deleted;
+  version_ += deleted;
   if (observer_ != nullptr && !removed.empty()) {
     observer_->OnDelete(*this, removed);
   }
@@ -197,6 +199,7 @@ util::Status Table::UpdateWhere(
     if (!indexes_.empty()) RemoveFromIndexes(slot);
     rows_[slot] = std::move(candidate);
     if (!indexes_.empty()) AddToIndexes(slot);
+    ++version_;
     ++count;
   }
   if (updated != nullptr) *updated = count;

@@ -101,6 +101,11 @@ class Table {
   /// Number of live rows.
   size_t size() const { return live_count_; }
 
+  /// Monotonic counter bumped by every row insert, update and delete. With
+  /// Database::schema_version() it tells a reader whether something it
+  /// derived from the rows earlier may be stale.
+  uint64_t version() const { return version_; }
+
   /// Inserts a row. Fails on type/NOT NULL mismatch or duplicate primary key.
   /// (Foreign keys are enforced one level up, by Database.)
   util::Status Insert(Row row);
@@ -194,6 +199,7 @@ class Table {
   std::vector<Row> rows_;
   std::vector<bool> live_;
   size_t live_count_ = 0;
+  uint64_t version_ = 0;
   std::unordered_map<Row, size_t, KeyHash, KeyEq> pk_index_;
   // unique_ptr for pointer stability: query plans cache SecondaryIndex*.
   std::vector<std::unique_ptr<SecondaryIndex>> indexes_;

@@ -87,20 +87,25 @@ util::Result<std::string> Shell::CmdList(
   }
   if (args[0] == "experiments") {
     if (args.size() < 2) return util::InvalidArgument("list experiments <campaign>");
-    auto rows = store_->ExperimentsOf(args[1]);
+    auto rows = store_->TopLevelRowsOf(args[1]);
     if (!rows.ok()) return rows.status();
-    int detail = 0;
     for (const auto& row : rows.value()) {
-      if (!row.parent_experiment.empty()) {
-        ++detail;
-        continue;
-      }
       out << util::Format("%-24s %s%s%s\n", row.experiment_name.c_str(),
                           row.state.detected ? "detected:" : "",
                           row.state.detected ? row.state.edm.c_str() : "",
                           row.state.halted ? "completed" : "");
     }
-    if (detail > 0) out << util::Format("(+ %d detail rows)\n", detail);
+    // Detail rows are counted, not fetched or parsed.
+    auto detail = store_->statement_cache().Execute(
+        *db_,
+        "SELECT COUNT(*) FROM LoggedSystemState "
+        "WHERE campaignName = ? AND parentExperiment IS NOT NULL",
+        {db::Value::Text(args[1])});
+    if (!detail.ok()) return detail.status();
+    const int64_t count = detail.value().rows.at(0).at(0).as_int();
+    if (count > 0) {
+      out << util::Format("(+ %lld detail rows)\n", static_cast<long long>(count));
+    }
     return out.str();
   }
   if (args[0] == "chains") {

@@ -94,8 +94,8 @@ std::optional<int64_t> ParseInt(std::string_view text) {
   if (start[0] == '0' && (start[1] == 'x' || start[1] == 'X')) base = 16;
   const unsigned long long raw = std::strtoull(start, &end, base);
   if (errno != 0 || end == start || *end != '\0') return std::nullopt;
-  const int64_t value = static_cast<int64_t>(raw);
-  return negative ? -value : value;
+  // Negated as unsigned: "-9223372036854775808" must not overflow int64_t.
+  return static_cast<int64_t>(negative ? 0 - raw : raw);
 }
 
 std::optional<double> ParseDouble(std::string_view text) {

@@ -176,6 +176,40 @@ TEST_F(AnalyzeCampaignTest, DetailRowsExcluded) {
   EXPECT_EQ(report.total, 1);
 }
 
+TEST_F(AnalyzeCampaignTest, MalformedDetailRowIsNeitherReadNorParsed) {
+  LoggedState detected = Reference();
+  detected.detected = true;
+  detected.edm = "illegal_opcode";
+  AddExperiment("c/e0", detected,
+                "faults=transient_bitflip,internal_core,3,core.ir,0,0,5,0");
+  AddExperiment("c/e1", Reference(),
+                "faults=transient_bitflip,internal_regfile,40,regfile.r1,0,0,5,0");
+  const std::string report = AnalyzeCampaign(store_, "c").ValueOrDie().ToString();
+  std::map<std::string, std::string> groups;
+  for (const auto& [group, r] : AnalyzeByLocationGroup(store_, "c").ValueOrDie()) {
+    groups[group] = r.ToString();
+  }
+
+  // A detail row whose stateVector no parser accepts, stored past
+  // LoggedState::Serialize.
+  ASSERT_TRUE(db_.Insert("LoggedSystemState",
+                         {db::Value::Text("c/e0/detail"), db::Value::Text("c/e0"),
+                          db::Value::Text("c"), db::Value::Text("detail_step"),
+                          db::Value::Text("halted=zz;wat")})
+                  .ok());
+  ASSERT_FALSE(store_.GetExperiment("c/e0/detail").ok());
+
+  const auto after = AnalyzeCampaign(store_, "c");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().ToString(), report);
+  const auto groups_after = AnalyzeByLocationGroup(store_, "c");
+  ASSERT_TRUE(groups_after.ok()) << groups_after.status().ToString();
+  ASSERT_EQ(groups_after.value().size(), groups.size());
+  for (const auto& [group, r] : groups_after.value()) {
+    EXPECT_EQ(r.ToString(), groups[group]) << group;
+  }
+}
+
 TEST_F(AnalyzeCampaignTest, MissingReferenceIsError) {
   EXPECT_FALSE(AnalyzeCampaign(store_, "nope").ok());
 }

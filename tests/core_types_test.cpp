@@ -2,7 +2,13 @@
 // logged-state serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+
 #include "core/types.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace goofi::core {
 namespace {
@@ -166,6 +172,253 @@ TEST_P(LoggedStateOutputsSweep, OutputsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, LoggedStateOutputsSweep,
                          ::testing::Values(0, 1, 2, 9, 64));
+
+// --- differential fuzz: one-pass parser against the split-based original ---
+
+// The split-based parser the one-pass LoggedState::Deserialize replaced,
+// kept verbatim (only renamed) as the reference for its grammar and errors.
+util::Result<LoggedState> ReferenceDeserialize(const std::string& text) {
+  LoggedState state;
+  for (const std::string& pair : util::Split(text, ';')) {
+    if (pair.empty()) continue;
+    const size_t eq = pair.find('=');
+    if (eq == std::string::npos) {
+      return util::ParseError("bad LoggedState field: " + pair);
+    }
+    const std::string key = pair.substr(0, eq);
+    const std::string value = pair.substr(eq + 1);
+    auto as_int = [&]() -> util::Result<int64_t> {
+      const auto v = util::ParseInt(value);
+      if (!v) return util::ParseError("bad integer in LoggedState: " + pair);
+      return *v;
+    };
+    if (key == "halted" || key == "detected" || key == "timeout" ||
+        key == "envfail") {
+      auto v = as_int();
+      if (!v.ok()) return v.status();
+      const bool flag = v.value() != 0;
+      if (key == "halted") state.halted = flag;
+      if (key == "detected") state.detected = flag;
+      if (key == "timeout") state.timed_out = flag;
+      if (key == "envfail") state.env_failed = flag;
+    } else if (key == "edm") {
+      state.edm = value == "none" ? "" : value;
+    } else if (key == "code") {
+      auto v = as_int();
+      if (!v.ok()) return v.status();
+      state.edm_code = static_cast<int32_t>(v.value());
+    } else if (key == "cycles") {
+      auto v = as_int();
+      if (!v.ok()) return v.status();
+      state.cycles = static_cast<uint64_t>(v.value());
+    } else if (key == "instret") {
+      auto v = as_int();
+      if (!v.ok()) return v.status();
+      state.instret = static_cast<uint64_t>(v.value());
+    } else if (key == "iters") {
+      auto v = as_int();
+      if (!v.ok()) return v.status();
+      state.iterations = static_cast<int>(v.value());
+    } else if (key == "outputs") {
+      if (!value.empty()) {
+        for (const std::string& hex : util::Split(value, ',')) {
+          const auto v = util::ParseInt("0x" + hex);
+          if (!v) return util::ParseError("bad output word: " + hex);
+          state.outputs.push_back(static_cast<uint32_t>(*v));
+        }
+      }
+    } else if (util::StartsWith(key, "scan.")) {
+      state.scan_images[key.substr(5)] = value;
+    } else {
+      return util::ParseError("unknown LoggedState key: " + key);
+    }
+  }
+  return state;
+}
+
+LoggedState RandomState(util::Rng& rng) {
+  static const char* const kEdms[] = {"", "illegal_opcode", "cache_parity_data",
+                                      "watchdog_timeout", "none", "a=b"};
+  static const char* const kChains[] = {"internal_core", "internal_regfile",
+                                        "boundary", "", "x.y"};
+  LoggedState state;
+  state.halted = rng.NextBool();
+  state.detected = rng.NextBool();
+  state.edm = kEdms[rng.NextBelow(std::size(kEdms))];
+  state.edm_code = static_cast<int32_t>(rng.Next());
+  state.timed_out = rng.NextBool();
+  state.env_failed = rng.NextBool();
+  state.cycles = rng.NextBool() ? rng.Next() : rng.NextBelow(100000);
+  state.instret = rng.NextBool() ? rng.Next() : rng.NextBelow(100000);
+  state.iterations = static_cast<int>(rng.Next());
+  for (uint64_t i = rng.NextBelow(5); i > 0; --i) {
+    state.outputs.push_back(static_cast<uint32_t>(rng.Next()));
+  }
+  for (uint64_t i = rng.NextBelow(4); i > 0; --i) {
+    std::string bits;
+    for (uint64_t b = rng.NextBelow(40); b > 0; --b) {
+      bits.push_back(rng.NextBool() ? '1' : '0');
+    }
+    state.scan_images[kChains[rng.NextBelow(std::size(kChains))]] = bits;
+  }
+  return state;
+}
+
+/// Position just after a random '=' (the start of a value), or a random
+/// position when the text has none.
+size_t ValueStart(util::Rng& rng, const std::string& text) {
+  std::vector<size_t> starts;
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '=') starts.push_back(i + 1);
+  }
+  if (starts.empty()) return rng.NextBelow(text.size() + 1);
+  return starts[rng.NextBelow(starts.size())];
+}
+
+/// One random edit covering the grammar's edges: truncation, separators,
+/// integer syntax (signs, spaces, hex, overflow) and odd keys.
+void Mutate(util::Rng& rng, std::string* text) {
+  static const char* const kSeparators[] = {";", "=", ","};
+  static const char* const kNumbers[] = {
+      "",     "-",     "+",       "--5",    "+-3",   "-+4",   " 7 ",   "\t9",
+      "- 8",  "1e3",   "0x",      "0x1F",   "0X1f",  "-0x10", "0x-1",  "00012",
+      "abc",  "ffffffff", "1ffffffff", "deadbeefdeadbeefd",
+      "18446744073709551615", "18446744073709551616", "99999999999999999999",
+      "-9223372036854775808", "9223372036854775808", "0xFFFFFFFFFFFFFFFF",
+      "0x10000000000000000"};
+  static const char* const kFields[] = {"wat=1;", "halt=1;", "=5;", "=;",
+                                        "scan.=0101;", "scan.=;", "edm=;",
+                                        "outputs=;", "outputs=,;", "scan.;",
+                                        "HALTED=1;", ";;"};
+  const size_t at = rng.NextBelow(text->size() + 1);
+  switch (rng.NextBelow(9)) {
+    case 0:  // truncation
+      text->resize(at);
+      break;
+    case 1:  // inserted separator
+      text->insert(at, kSeparators[rng.NextBelow(3)]);
+      break;
+    case 2: {  // deleted separator
+      std::vector<size_t> seps;
+      for (size_t i = 0; i < text->size(); ++i) {
+        if ((*text)[i] == ';' || (*text)[i] == '=' || (*text)[i] == ',') {
+          seps.push_back(i);
+        }
+      }
+      if (!seps.empty()) text->erase(seps[rng.NextBelow(seps.size())], 1);
+      break;
+    }
+    case 3: {  // sign, space or hex prefix at the start of a value
+      static const char* const kPrefixes[] = {"-", "+", " ", "\t", "0x", "0X",
+                                              "- ", "--"};
+      text->insert(ValueStart(rng, *text), kPrefixes[rng.NextBelow(8)]);
+      break;
+    }
+    case 4: {  // a value replaced by an odd number
+      const size_t start = ValueStart(rng, *text);
+      const size_t end = std::min(text->find_first_of(";,", start), text->size());
+      text->replace(start, end - start,
+                    kNumbers[rng.NextBelow(std::size(kNumbers))]);
+      break;
+    }
+    case 5: {  // a field duplicated elsewhere
+      const size_t start = text->rfind(';', at == 0 ? 0 : at - 1);
+      const size_t from = start == std::string::npos ? 0 : start + 1;
+      const size_t end = std::min(text->find(';', from), text->size());
+      const std::string field = text->substr(from, end - from) + ";";
+      text->insert(rng.NextBool() ? text->size() : 0, field);
+      break;
+    }
+    case 6:  // unknown, empty, case-changed or chain-less keys
+      text->insert(rng.NextBool() ? text->size() : 0,
+                   kFields[rng.NextBelow(std::size(kFields))]);
+      break;
+    case 7: {  // whitespace anywhere, trailing included
+      static const char* const kSpaces[] = {" ", "\t", "\n", "\r\n"};
+      text->insert(rng.NextBool() ? at : std::min(text->find(';', at), text->size()),
+                   kSpaces[rng.NextBelow(4)]);
+      break;
+    }
+    default: {  // a random character
+      static const char kAlphabet[] = "0123456789abcdefxX-+ ;=,.%@";
+      text->insert(at, 1, kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)]);
+      break;
+    }
+  }
+}
+
+/// Empty when both parsers agree on `text`; otherwise what differs.
+std::string ParserDifference(const std::string& text) {
+  const auto want = ReferenceDeserialize(text);
+  const auto got = LoggedState::Deserialize(text);
+  if (got.ok() != want.ok() || got.status().code() != want.status().code() ||
+      got.status().message() != want.status().message()) {
+    return "status " + got.status().ToString() + " vs " +
+           want.status().ToString() + " for [" + text + "]";
+  }
+  if (!want.ok()) return "";
+  const LoggedState& a = got.value();
+  const LoggedState& b = want.value();
+  const bool same = a.halted == b.halted && a.detected == b.detected &&
+                    a.edm == b.edm && a.edm_code == b.edm_code &&
+                    a.timed_out == b.timed_out && a.env_failed == b.env_failed &&
+                    a.cycles == b.cycles && a.instret == b.instret &&
+                    a.iterations == b.iterations && a.outputs == b.outputs &&
+                    a.scan_images == b.scan_images;
+  return same ? "" : "fields differ for [" + text + "]";
+}
+
+TEST(LoggedStateFuzzTest, OnePassParserMatchesSplitParser) {
+  util::Rng rng(0x10663D);
+  constexpr int kInputs = 120000;
+  int mismatches = 0;
+  int parsed = 0;
+  std::map<std::string, int> errors;  // by message prefix
+  for (int i = 0; i < kInputs; ++i) {
+    std::string text = RandomState(rng).Serialize();
+    // One input in eight is a well-formed serialization; the rest carry up
+    // to three edits.
+    if (i % 8 != 0) {
+      for (uint64_t edits = 1 + rng.NextBelow(3); edits > 0; --edits) {
+        Mutate(rng, &text);
+      }
+    }
+    const std::string difference = ParserDifference(text);
+    if (!difference.empty() && ++mismatches <= 5) ADD_FAILURE() << difference;
+    const auto result = ReferenceDeserialize(text);
+    if (result.ok()) {
+      ++parsed;
+    } else {
+      const std::string& message = result.status().message();
+      ++errors[message.substr(0, message.find(':'))];
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Both outcomes and every error kind must be well represented, or the
+  // comparison above proves little.
+  EXPECT_GT(parsed, kInputs / 5);
+  for (const char* kind : {"bad LoggedState field", "bad integer in LoggedState",
+                           "bad output word", "unknown LoggedState key"}) {
+    EXPECT_GT(errors[kind], kInputs / 100) << kind;
+  }
+}
+
+TEST(LoggedStateFuzzTest, IntegerEdgesMatchSplitParser) {
+  // Hand-picked integer spellings where strtoull's own whitespace and sign
+  // handling shows through ParseInt.
+  for (const char* value :
+       {"5", "-5", "+5", "--5", "-+5", "+-5", "++5", "- 5", "-  5", " 5 ",
+        "\t5\n", "0x10", "0X10", "-0x10", "0x", "0x-1", "- 0x5", "--0x5",
+        "18446744073709551615", "18446744073709551616", "-18446744073709551615",
+        "-9223372036854775808", "9223372036854775808", "", " ", "-", "+"}) {
+    for (const char* key : {"halted", "code", "cycles", "instret", "iters"}) {
+      const std::string text = std::string(key) + "=" + value + ";";
+      EXPECT_EQ(ParserDifference(text), "") << text;
+    }
+    const std::string output = std::string("outputs=1,") + value + ",2;";
+    EXPECT_EQ(ParserDifference(output), "") << output;
+  }
+}
 
 }  // namespace
 }  // namespace goofi::core

@@ -2,6 +2,11 @@
 // for the campaign-resume behaviour (Fig. 7 "restart").
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <thread>
+#include <tuple>
+
 #include "core/goofi.hpp"
 #include "db/database.hpp"
 #include "util/strings.hpp"
@@ -87,6 +92,215 @@ TEST_F(PropagationTest, RegisterFaultDivergesVisiblyWhenEffective) {
     return;
   }
   GTEST_SKIP() << "no escaped experiment in this campaign";
+}
+
+// --- the store's reference-trace memo ----------------------------------------
+
+// Propagation as computed before the store memoized the reference trace:
+// both traces loaded through DetailRowsOf on every call.
+util::Result<std::map<uint64_t, LoggedState>> UnmemoizedTrace(
+    const CampaignStore& store, const std::string& rerun_name) {
+  auto rows = store.DetailRowsOf(rerun_name);
+  if (!rows.ok()) return rows.status();
+  std::map<uint64_t, LoggedState> trace;
+  for (auto& row : rows.value()) {
+    trace.emplace(row.state.instret, std::move(row.state));
+  }
+  if (trace.empty()) return util::FailedPrecondition("no trace " + rerun_name);
+  return trace;
+}
+
+util::Result<PropagationReport> UnmemoizedPropagation(
+    const CampaignStore& store, const std::string& experiment_name) {
+  auto experiment = store.GetExperiment(experiment_name);
+  if (!experiment.ok()) return experiment.status();
+  const std::string reference_name =
+      CampaignStore::ReferenceName(experiment.value().campaign_name);
+  auto faulty = UnmemoizedTrace(store, experiment_name + "/detail");
+  if (!faulty.ok()) return faulty.status();
+  auto golden = UnmemoizedTrace(store, reference_name + "/detail");
+  if (!golden.ok()) return golden.status();
+
+  PropagationReport report;
+  int step = 0;
+  for (const auto& [instret, state] : faulty.value()) {
+    const auto ref = golden.value().find(instret);
+    if (ref == golden.value().end()) {
+      report.length_mismatch = true;
+      break;
+    }
+    ++step;
+    ++report.steps_compared;
+    if (state.scan_images != ref->second.scan_images) {
+      ++report.diverged_steps;
+      if (report.first_divergence_step == 0) {
+        report.first_divergence_step = step;
+        report.first_divergence_instr = instret;
+      }
+    }
+    if (state.detected && report.detection_step == 0) {
+      report.detection_step = step;
+      if (report.first_divergence_step != 0) {
+        report.detection_latency_steps = step - report.first_divergence_step;
+      }
+    }
+  }
+  if (faulty.value().size() != golden.value().size()) {
+    report.length_mismatch = true;
+  }
+  return report;
+}
+
+auto Fields(const PropagationReport& r) {
+  return std::make_tuple(r.steps_compared, r.first_divergence_step,
+                         r.first_divergence_instr, r.diverged_steps,
+                         r.detection_step, r.detection_latency_steps,
+                         r.length_mismatch);
+}
+
+class PropagationMemoTest : public PropagationTest {
+ protected:
+  static constexpr int kExperiments = 12;
+
+  static std::string Name(int i) { return util::Format("prop/e%04d", i); }
+
+  void RerunAll() {
+    for (int i = 0; i < kExperiments; ++i) {
+      ASSERT_TRUE(target_.RerunDetailed(Name(i)).ok()) << Name(i);
+    }
+  }
+
+  /// The memoized report for `name`, checked against the unmemoized one.
+  PropagationReport Checked(const std::string& name) {
+    const auto memoized = AnalyzeErrorPropagation(store_, name);
+    const auto fresh = UnmemoizedPropagation(store_, name);
+    EXPECT_TRUE(memoized.ok()) << name << ": " << memoized.status().ToString();
+    EXPECT_TRUE(fresh.ok()) << name << ": " << fresh.status().ToString();
+    if (!memoized.ok() || !fresh.ok()) return {};
+    EXPECT_EQ(Fields(memoized.value()), Fields(fresh.value())) << name;
+    return memoized.value();
+  }
+
+  util::Status Sql(const std::string& sql, const std::vector<db::Value>& params) {
+    return store_.statement_cache().Execute(db_, sql, params).status();
+  }
+
+  /// Rewrites the reference detail row at the instret of e0000's first
+  /// traced step so that step's comparison flips: equal images become
+  /// different and different ones equal.
+  void FlipReferenceStep() {
+    const auto faulty = store_.DetailRowsOf("prop/e0000/detail").ValueOrDie();
+    ASSERT_FALSE(faulty.empty());
+    const LoggedState& step = faulty.front().state;
+    for (const auto& row : store_.DetailRowsOf("prop/ref/detail").ValueOrDie()) {
+      if (row.state.instret != step.instret) continue;
+      LoggedState changed = row.state;
+      changed.scan_images = changed.scan_images == step.scan_images
+                                ? std::map<std::string, std::string>{{"x", "1"}}
+                                : step.scan_images;
+      ASSERT_TRUE(Sql("UPDATE LoggedSystemState SET stateVector = ? "
+                      "WHERE experimentName = ?",
+                      {db::Value::Text(changed.Serialize()),
+                       db::Value::Text(row.experiment_name)})
+                      .ok());
+      return;
+    }
+    FAIL() << "no reference step at instret " << step.instret;
+  }
+};
+
+TEST_F(PropagationMemoTest, MemoizedReportsMatchUnmemoizedAlgorithm) {
+  RerunAll();
+  // Twice over: the first pass fills the memo, the second reuses it.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < kExperiments; ++i) Checked(Name(i));
+  }
+}
+
+TEST_F(PropagationMemoTest, FailuresAreNotMemoized) {
+  CampaignData late = store_.GetCampaign("prop").ValueOrDie();
+  late.name = "late";
+  ASSERT_TRUE(store_.PutCampaign(late).ok());
+  ASSERT_TRUE(target_.FaultInjectorScifi("late").ok());
+  ASSERT_TRUE(target_.RerunDetailed("late/e0000").ok());
+  ASSERT_TRUE(target_.RerunDetailed("prop/e0000").ok());
+  Checked("prop/e0000");  // the memo now holds prop's trace
+
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const auto missing = AnalyzeErrorPropagation(store_, "late/e0000");
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.status().code(), util::StatusCode::kFailedPrecondition);
+  }
+  ASSERT_TRUE(target_.RerunDetailed("late/ref").ok());
+  Checked("late/e0000");
+  Checked("prop/e0000");
+}
+
+TEST_F(PropagationMemoTest, SqlUpdateOfReferenceRowInvalidates) {
+  ASSERT_TRUE(target_.RerunDetailed("prop/e0000").ok());
+  const PropagationReport before = Checked("prop/e0000");
+  FlipReferenceStep();
+  const PropagationReport after = Checked("prop/e0000");
+  EXPECT_NE(after.diverged_steps, before.diverged_steps);
+}
+
+TEST_F(PropagationMemoTest, DeletedReferenceTraceFailsPrecondition) {
+  ASSERT_TRUE(target_.RerunDetailed("prop/e0000").ok());
+  Checked("prop/e0000");
+  ASSERT_TRUE(Sql("DELETE FROM LoggedSystemState WHERE parentExperiment = ?",
+                  {db::Value::Text("prop/ref/detail")})
+                  .ok());
+  const auto report = AnalyzeErrorPropagation(store_, "prop/e0000");
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), util::StatusCode::kFailedPrecondition);
+}
+
+TEST_F(PropagationMemoTest, LoadOfEarlierSaveInvalidates) {
+  ASSERT_TRUE(target_.RerunDetailed("prop/e0000").ok());
+  const PropagationReport saved = Checked("prop/e0000");
+  const std::string path = testing::TempDir() + "propagation_memo.db";
+  ASSERT_TRUE(db_.Save(path).ok());
+  FlipReferenceStep();
+  const PropagationReport changed = Checked("prop/e0000");
+  ASSERT_NE(changed.diverged_steps, saved.diverged_steps);
+  const uint64_t memo_version = db_.GetTable("LoggedSystemState")->version();
+
+  ASSERT_TRUE(db_.Load(path).ok());
+  std::remove(path.c_str());
+  ASSERT_TRUE(store_.EnsureSchema().ok());
+  // Load rebuilds the table row by row, so one more insert brings its
+  // version() back to the memo's: only the schema version differs now.
+  ASSERT_TRUE(store_.PutExperiment("prop/extra", "", "prop", "", LoggedState()).ok());
+  ASSERT_EQ(db_.GetTable("LoggedSystemState")->version(), memo_version);
+  const PropagationReport loaded = Checked("prop/e0000");
+  EXPECT_EQ(Fields(loaded), Fields(saved));
+}
+
+TEST_F(PropagationMemoTest, ConcurrentCallsOnOneConstStoreMatchSerial) {
+  RerunAll();
+  std::vector<PropagationReport> serial;
+  for (int i = 0; i < kExperiments; ++i) serial.push_back(Checked(Name(i)));
+
+  // A second store over the same database starts with an empty memo, so the
+  // threads race to fill it.
+  const CampaignStore shared(&db_);
+  constexpr int kThreads = 4;
+  std::vector<util::Result<PropagationReport>> results(
+      kExperiments, util::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &results, t] {
+      for (int i = t; i < kExperiments; i += kThreads) {
+        results[i] = AnalyzeErrorPropagation(shared, Name(i));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int i = 0; i < kExperiments; ++i) {
+    ASSERT_TRUE(results[i].ok()) << Name(i) << ": "
+                                 << results[i].status().ToString();
+    EXPECT_EQ(Fields(results[i].value()), Fields(serial[i])) << Name(i);
+  }
 }
 
 // --- campaign resume (Fig. 7: pause/restart) ---------------------------------

@@ -9,6 +9,7 @@
 #include "db/database.hpp"
 #include "testcard/testcard.hpp"
 #include "tool/shell.hpp"
+#include "util/strings.hpp"
 
 namespace goofi::tool {
 namespace {
@@ -303,6 +304,24 @@ TEST_F(ShellTest, RerunDetailAndPropagationWorkflow) {
   MustRun("rerun-detail hunt/ref");
   const std::string report = MustRun("propagation hunt/e0002");
   EXPECT_NE(report.find("steps compared"), std::string::npos);
+}
+
+TEST_F(ShellTest, ListExperimentsCountsDetailRowsAfterRerunDetail) {
+  MustRun(
+      "campaign set lx workload=fibonacci locations=internal_regfile "
+      "experiments=3 window=1:60 timeout=50000");
+  MustRun("run lx");
+  MustRun("rerun-detail lx/e0001");
+  // The re-run's own row plus one row per traced instruction under it.
+  const size_t detail = 1 + store_.DetailRowsOf("lx/e0001/detail").ValueOrDie().size();
+  const std::vector<std::string> lines =
+      util::Split(MustRun("list experiments lx"), '\n');
+  ASSERT_EQ(lines.size(), 6u);  // four rows, the count, and "" after the last \n
+  const char* const top_level[] = {"lx/ref ", "lx/e0000 ", "lx/e0001 ", "lx/e0002 "};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(util::StartsWith(lines[i], top_level[i])) << lines[i];
+  }
+  EXPECT_EQ(lines[4], util::Format("(+ %zu detail rows)", detail));
 }
 
 TEST_F(ShellTest, PropagationWithoutTracesFailsCleanly) {

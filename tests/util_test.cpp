@@ -325,6 +325,8 @@ TEST(StringsTest, ParseIntDecimalHexNegative) {
   EXPECT_EQ(ParseInt("0x1F"), 31);
   EXPECT_EQ(ParseInt("-0x10"), -16);
   EXPECT_EQ(ParseInt("  8 "), 8);
+  EXPECT_EQ(ParseInt("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(ParseInt("18446744073709551615"), -1);
   EXPECT_FALSE(ParseInt("").has_value());
   EXPECT_FALSE(ParseInt("12abc").has_value());
   EXPECT_FALSE(ParseInt("abc").has_value());
