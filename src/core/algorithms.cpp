@@ -241,13 +241,10 @@ util::Status FaultInjectionAlgorithms::LogExperiment(
     const std::string& experiment_name, const std::string& parent) {
   auto rows = BuildRecords(experiment_name, parent);
   if (!rows.ok()) return rows.status();
-  for (const CampaignStore::ExperimentRow& row : rows.value()) {
-    GOOFI_RETURN_IF_ERROR(store_->PutExperiment(row.experiment_name,
-                                                row.parent_experiment,
-                                                row.campaign_name,
-                                                row.experiment_data, row.state));
-  }
-  return util::Status::Ok();
+  // One batch: the main row and its detail rows are one WAL group commit, so
+  // a killed run leaves whole experiments only and resume, which skips every
+  // experiment whose main row exists, never keeps a partial one.
+  return store_->PutExperiments(rows.value());
 }
 
 util::Status FaultInjectionAlgorithms::MakeReferenceRun(ExperimentBody body) {

@@ -381,7 +381,8 @@ class FaultInjectionAlgorithms {
   util::Result<std::vector<CampaignStore::ExperimentRow>> BuildRecords(
       const std::string& experiment_name, const std::string& parent);
 
-  /// Logs the just-finished experiment (and detail rows, if any).
+  /// Logs the just-finished experiment and its detail rows, if any, as one
+  /// all-or-nothing PutExperiments batch.
   util::Status LogExperiment(const std::string& experiment_name,
                              const std::string& parent);
 

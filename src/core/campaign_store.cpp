@@ -306,17 +306,8 @@ util::Status CampaignStore::PutExperiment(const std::string& experiment_name,
                                           const std::string& campaign_name,
                                           const std::string& experiment_data,
                                           const LoggedState& state) {
-  // Bound prepared statement: the INSERT is parsed once per store lifetime
-  // even though the serial driver calls this once per experiment.
-  auto result = cache_.Execute(
-      *database_, "INSERT INTO LoggedSystemState VALUES (?, ?, ?, ?, ?)",
-      {Value::Text(experiment_name),
-       parent_experiment.empty() ? Value::Null() : Value::Text(parent_experiment),
-       Value::Text(campaign_name), Value::Text(experiment_data),
-       Value::Text(state.Serialize())});
-  GOOFI_RETURN_IF_ERROR(result.status());
-  if (archive_ != nullptr) return archive_->Commit();
-  return util::Status::Ok();
+  return PutExperiments({{experiment_name, parent_experiment, campaign_name,
+                          experiment_data, state}});
 }
 
 util::Result<CampaignStore::ExperimentRow> CampaignStore::GetExperiment(

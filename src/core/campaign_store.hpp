@@ -77,6 +77,7 @@ class CampaignStore {
                               const std::string& merged_name);
 
   // --- LoggedSystemState ---------------------------------------------------
+  /// One-row PutExperiments.
   util::Status PutExperiment(const std::string& experiment_name,
                              const std::string& parent_experiment,
                              const std::string& campaign_name,

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "util/crc32.hpp"
 #include "util/log.hpp"
@@ -401,11 +400,8 @@ util::Status WriteSnapshotFile(const Database& db, const std::string& path,
 }
 
 util::Result<LoadedSnapshot> ReadSnapshotFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::IoError("cannot open " + path);
-  std::ostringstream stream;
-  stream << in.rdbuf();
-  std::string content = stream.str();
+  std::string content;
+  if (!ReadWholeFile(path, &content)) return util::IoError("cannot open " + path);
 
   LoadedSnapshot loaded;
   if (!content.empty() &&

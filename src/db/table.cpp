@@ -93,9 +93,14 @@ util::Status Table::Insert(Row row) {
 }
 
 void Table::Reserve(size_t total_slots) {
-  rows_.reserve(total_slots);
-  live_.reserve(total_slots);
-  if (!schema_.primary_key_indices().empty()) pk_index_.reserve(total_slots);
+  // Grow geometrically: batch inserts and WAL batch replay call this once per
+  // batch, and with one-row batches an exact reserve would reallocate the
+  // rows and rehash the primary-key index on every insert.
+  if (total_slots <= rows_.capacity()) return;
+  const size_t target = std::max(total_slots, 2 * rows_.capacity());
+  rows_.reserve(target);
+  live_.reserve(target);
+  if (!schema_.primary_key_indices().empty()) pk_index_.reserve(target);
 }
 
 std::optional<size_t> Table::FindByPrimaryKey(const Row& key) const {

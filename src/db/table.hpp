@@ -110,8 +110,10 @@ class Table {
   /// (Foreign keys are enforced one level up, by Database.)
   util::Status Insert(Row row);
 
-  /// Pre-sizes the row storage (and PK index) for `total_slots` slots; used
-  /// by batch inserts and snapshot loading.
+  /// Pre-sizes the row storage (and PK index) for at least `total_slots`
+  /// slots; used by batch inserts, WAL replay and snapshot loading. Growth is
+  /// at least twice the current capacity, so repeated small reserves
+  /// reallocate only O(log n) times.
   void Reserve(size_t total_slots);
 
   /// Attaches (or with nullptr detaches) the mutation observer. At most one

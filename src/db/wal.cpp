@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 
 #include "db/database.hpp"
 #include "util/crc32.hpp"
@@ -412,20 +411,26 @@ util::Status Wal::WriteFreshHeader(uint64_t epoch) {
   return util::Status::Ok();
 }
 
+bool ReadWholeFile(const std::string& path, std::string* out) {
+  out->clear();
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return false;
+  const std::streamoff size = in.tellg();
+  if (size < 0) return false;
+  in.seekg(0);
+  out->resize(static_cast<size_t>(size));
+  in.read(out->data(), size);
+  out->resize(static_cast<size_t>(in.gcount()));
+  return true;
+}
+
 util::Result<Wal::OpenResult> Wal::Open(const std::string& path, uint64_t epoch,
                                         Database* db) {
   path_ = path;
   OpenResult result;
 
   std::string content;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      content = buf.str();
-    }
-  }
+  (void)ReadWholeFile(path_, &content);  // a missing WAL reads as empty
 
   bool fresh = content.empty();
   if (!fresh) {

@@ -115,6 +115,12 @@ enum class WalOp : uint8_t {
 /// first written, and replay order preserves referential consistency).
 util::Status ApplyWalRecord(Database* db, WalOp op, PackedReader* r);
 
+/// Reads the whole file at `path` into `*out` with one allocation of the
+/// file's size, so recovering a large archive holds one copy of each file
+/// rather than a growing stream buffer plus a copy of it. False when the
+/// file cannot be opened.
+bool ReadWholeFile(const std::string& path, std::string* out);
+
 class Wal {
  public:
   struct OpenResult {

@@ -1,5 +1,6 @@
 #include "scan/tap.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace goofi::scan {
@@ -152,16 +153,31 @@ void TapController::ShiftDataInto(const util::BitVec& out,
                                   util::BitVec* captured) {
   assert(state_ == TapState::kRunTestIdle);
   const uint32_t length = handler_->DrLength(instruction_);
-  assert(out.empty() || out.size() == length);
   // Run-Test/Idle -> Select-DR -> Capture-DR -> Shift-DR.
   Clock(true, false);
   Clock(false, false);
   Clock(false, false);
   captured->ResizeZero(length);
-  for (uint32_t i = 0; i < length; ++i) {
-    const bool tms = (i == length - 1);
-    const bool tdi = out.empty() ? false : out.Get(i);
-    captured->Set(i, Clock(tms, tdi));
+  if (length > 0) {
+    // Capture-DR left shift_pos_ at 0. The first length-1 clocks have TMS=0,
+    // so the FSM stays in Shift-DR and clock i only swaps TDI bit i for TDO
+    // bit i of the stage (zero past the stage's end). Move those bits as
+    // words, and count every clock.
+    assert(state_ == TapState::kShiftDr && shift_pos_ == 0);
+    const uint32_t bulk = length - 1;
+    const size_t live = std::min<size_t>(bulk, dr_shift_.size());
+    for (size_t i = 0; i < live; i += 64) {
+      const size_t bits = std::min<size_t>(64, live - i);
+      const uint64_t tdi =
+          i < out.size() ? out.ExtractWord(i, std::min(bits, out.size() - i))
+                         : 0;
+      captured->DepositWord(i, dr_shift_.ExtractWord(i, bits), bits);
+      dr_shift_.DepositWord(i, tdi, bits);
+    }
+    shift_pos_ = static_cast<uint32_t>(live);
+    tck_count_ += bulk;
+    // The last bit is shifted on the transition out of Shift-DR (TMS=1).
+    captured->Set(bulk, Clock(true, bulk < out.size() && out.Get(bulk)));
   }
   // Exit1-DR -> Update-DR -> Run-Test/Idle.
   Clock(true, false);

@@ -5,9 +5,8 @@
 // IEEE standard for boundary scan" (paper §3.1) is modelled here: the
 // canonical 16-state TAP FSM driven by TMS on each TCK, an instruction
 // register, and a data-register stage selected by the current instruction.
-// The test card (src/testcard) drives this controller bit-by-bit exactly the
-// way a hardware probe would; higher GOOFI layers never touch TMS/TDI
-// directly.
+// The test card (src/testcard) drives this controller the way a hardware
+// probe would; higher GOOFI layers never touch TMS/TDI directly.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +86,11 @@ class TapController {
 
   /// Navigates through DR scan, shifting `out` in while capturing the
   /// previous register contents; returns the captured (shifted-out) bits.
-  /// Length is taken from the current instruction's register.
+  /// Length is taken from the current instruction's register; TDI is 0 past
+  /// the end of `out` (an empty `out` shifts zeros, and a noisy link can
+  /// select a longer chain than the image the host sends). The first
+  /// length-1 bits move as words rather than one Clock each; TDO, the
+  /// register, the FSM and tck_count() end exactly as with per-bit clocking.
   util::BitVec ShiftData(const util::BitVec& out);
 
   /// Like ShiftData but writes the captured bits into `*captured` (resized

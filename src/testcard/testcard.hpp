@@ -5,8 +5,8 @@
 // method in FaultInjectionAlgorithms (Fig. 2) initializes exactly this
 // object. `TestCard` is the interface the TargetSystemInterface classes
 // program against; `SimTestCard` binds it to the simulated TRD32 target,
-// routing every scan access through the TAP controller bit-by-bit and
-// accounting link time the way a real probe would.
+// routing every scan access through the TAP controller and accounting link
+// time per TCK the way a real probe would.
 #pragma once
 
 #include <memory>

@@ -5,6 +5,13 @@
 
 namespace goofi::util {
 
+namespace {
+/// The low `bits` bits set; bits <= 64 (a shift by 64 would be UB).
+uint64_t LowMask(size_t bits) {
+  return bits == 64 ? ~0ULL : (1ULL << bits) - 1;
+}
+}  // namespace
+
 bool BitVec::Get(size_t i) const {
   assert(i < size_);
   return (words_[i / 64] >> (i % 64)) & 1u;
@@ -34,7 +41,7 @@ void BitVec::PushBack(bool value) {
 void BitVec::AppendWord(uint64_t value, size_t bits) {
   assert(bits <= 64);
   if (bits == 0) return;
-  if (bits < 64) value &= (1ULL << bits) - 1;
+  value &= LowMask(bits);
   const size_t bit_off = size_ % 64;
   size_ += bits;
   words_.resize((size_ + 63) / 64, 0);
@@ -44,20 +51,34 @@ void BitVec::AppendWord(uint64_t value, size_t bits) {
   }
 }
 
+// A field of at most 64 bits spans at most two words: the low part sits at
+// `shift` in word `offset / 64`, and when shift + bits > 64 the remaining
+// high part sits at bit 0 of the next word.
+
 uint64_t BitVec::ExtractWord(size_t offset, size_t bits) const {
   assert(bits <= 64);
   assert(offset + bits <= size_);
-  uint64_t out = 0;
-  for (size_t b = 0; b < bits; ++b) {
-    if (Get(offset + b)) out |= 1ULL << b;
-  }
-  return out;
+  if (bits == 0) return 0;
+  const size_t word = offset / 64;
+  const size_t shift = offset % 64;
+  uint64_t out = words_[word] >> shift;
+  if (shift + bits > 64) out |= words_[word + 1] << (64 - shift);
+  return out & LowMask(bits);
 }
 
 void BitVec::DepositWord(size_t offset, uint64_t value, size_t bits) {
   assert(bits <= 64);
   assert(offset + bits <= size_);
-  for (size_t b = 0; b < bits; ++b) Set(offset + b, (value >> b) & 1u);
+  if (bits == 0) return;
+  const uint64_t mask = LowMask(bits);
+  value &= mask;
+  const size_t word = offset / 64;
+  const size_t shift = offset % 64;
+  words_[word] = (words_[word] & ~(mask << shift)) | (value << shift);
+  if (shift + bits > 64) {
+    const size_t spill = 64 - shift;  // in 1..63 here
+    words_[word + 1] = (words_[word + 1] & ~(mask >> spill)) | (value >> spill);
+  }
 }
 
 size_t BitVec::PopCount() const {

@@ -659,6 +659,111 @@ core::CampaignData SmallCampaign(int num_experiments = 8) {
   return campaign;
 }
 
+/// Three SCIFI experiments late in bubblesort, so in detail mode each one
+/// logs dozens of detail rows after its main row.
+core::CampaignData ThorDetailCampaign(core::LogMode log_mode) {
+  core::CampaignData campaign;
+  campaign.name = "arch_thor";
+  campaign.target_name = core::ThorRdTarget::kTargetName;
+  campaign.technique = core::Technique::kScifi;
+  campaign.num_experiments = 3;
+  campaign.workload = "bubblesort";
+  campaign.locations = {{"internal_regfile", ""}};
+  campaign.inject_min_instr = 2250;
+  campaign.inject_max_instr = 2300;
+  campaign.log_mode = log_mode;
+  return campaign;
+}
+
+/// A serial Thor target bound to a store over `db`.
+struct ThorSession {
+  explicit ThorSession(Database* db) : store(db), target(&store, &card) {}
+  core::CampaignStore store;
+  testcard::SimTestCard card;
+  core::ThorRdTarget target;
+};
+
+/// The detail re-runs of a campaign's reference run and experiments, in the
+/// order a §2.3 analysis session makes them.
+std::vector<std::string> RerunNames(const core::CampaignData& campaign) {
+  std::vector<std::string> names = {
+      core::CampaignStore::ReferenceName(campaign.name)};
+  for (int i = 0; i < campaign.num_experiments; ++i) {
+    names.push_back(core::CampaignStore::ExperimentName(campaign.name, i));
+  }
+  return names;
+}
+
+/// Re-runs each of `names` in detail mode unless its "/detail" row exists,
+/// so the same call resumes an interrupted sequence of re-runs.
+void RerunMissing(ThorSession* session, const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
+    if (session->store.GetExperiment(name + "/detail").ok()) continue;
+    ASSERT_TRUE(session->target.RerunDetailed(name).ok()) << name;
+  }
+}
+
+/// The campaign (and with `reruns`, every detail re-run) with no archive.
+std::string SerialReferenceDump(const core::CampaignData& campaign,
+                                bool reruns) {
+  Database db;
+  ThorSession session(&db);
+  EXPECT_TRUE(session.store
+                  .PutTargetSystem(core::ThorRdTarget::DescribeTarget(
+                      session.card, core::ThorRdTarget::kTargetName))
+                  .ok());
+  EXPECT_TRUE(session.store.PutCampaign(campaign).ok());
+  EXPECT_TRUE(session.target.RunCampaign(campaign.name).ok());
+  if (reruns) RerunMissing(&session, RerunNames(campaign));
+  return Dump(db);
+}
+
+/// Dump equality without printing megabytes of dump on failure.
+testing::AssertionResult SameDump(const std::string& actual,
+                                  const std::string& expected) {
+  if (actual == expected) return testing::AssertionSuccess();
+  size_t at = 0;
+  while (at < actual.size() && at < expected.size() && actual[at] == expected[at]) {
+    ++at;
+  }
+  return testing::AssertionFailure()
+         << "dumps differ at byte " << at << " (sizes " << actual.size()
+         << " vs " << expected.size() << ")";
+}
+
+/// Records the durable WAL size after each committed experiment.
+class WalSizeMonitor : public core::ProgressMonitor {
+ public:
+  explicit WalSizeMonitor(const Archive* archive) : archive_(archive) {}
+  bool OnExperiment(int, int, const core::LoggedState&) override {
+    sizes.push_back(archive_->stats().wal_bytes);
+    return true;
+  }
+  std::vector<uint64_t> sizes;
+
+ private:
+  const Archive* archive_;
+};
+
+/// Offsets of the WAL record frames (<u32 len LE> <u32 crc> <payload>) that
+/// start at or after `from`, plus the end of the file.
+std::vector<uint64_t> RecordBoundaries(const std::string& wal, uint64_t from) {
+  std::vector<uint64_t> boundaries;
+  uint64_t offset = from;
+  while (offset + 8 <= wal.size()) {
+    boundaries.push_back(offset);
+    uint32_t length = 0;
+    for (int i = 0; i < 4; ++i) {
+      length |= static_cast<uint32_t>(static_cast<uint8_t>(wal[offset + i]))
+                << (8 * i);
+    }
+    offset += 8 + length;
+  }
+  EXPECT_EQ(offset, wal.size()) << "frames must tile the WAL";
+  boundaries.push_back(wal.size());
+  return boundaries;
+}
+
 class ArchiveRunnerTest : public testing::Test {
  protected:
   void TearDown() override {
@@ -666,6 +771,87 @@ class ArchiveRunnerTest : public testing::Test {
     std::remove((path_ + ".wal").c_str());
     std::remove((path_ + ".tmp").c_str());
   }
+
+  /// Runs the campaign serially into a fresh archive at path_, then (with
+  /// `reruns`) every detail re-run. Returns the durable WAL size before the
+  /// last experiment (or, with `reruns`, before the last re-run) was logged.
+  uint64_t RunArchived(const core::CampaignData& campaign, bool reruns,
+                       ArchiveOptions options = {}) {
+    Database db;
+    ThorSession session(&db);
+    EXPECT_TRUE(session.store
+                    .PutTargetSystem(core::ThorRdTarget::DescribeTarget(
+                        session.card, core::ThorRdTarget::kTargetName))
+                    .ok());
+    EXPECT_TRUE(session.store.PutCampaign(campaign).ok());
+    auto archive = Archive::Open(&db, path_, options);
+    EXPECT_TRUE(archive.ok()) << archive.status().ToString();
+    if (!archive.ok()) return 0;
+    session.store.AttachArchive(archive.value().get());
+    WalSizeMonitor monitor(archive.value().get());
+    session.target.SetProgressMonitor(&monitor);
+    EXPECT_TRUE(session.target.RunCampaign(campaign.name).ok());
+    EXPECT_EQ(monitor.sizes.size(), static_cast<size_t>(campaign.num_experiments));
+    uint64_t last_start = monitor.sizes.size() >= 2
+                              ? monitor.sizes[monitor.sizes.size() - 2]
+                              : 0;
+    if (reruns) {
+      std::vector<std::string> names = RerunNames(campaign);
+      const std::string last = names.back();
+      names.pop_back();
+      RerunMissing(&session, names);
+      last_start = archive.value()->stats().wal_bytes;
+      RerunMissing(&session, {last});
+    }
+    session.store.AttachArchive(nullptr);
+    EXPECT_TRUE(archive.value()->Close().ok());
+    return last_start;
+  }
+
+  /// Recovers the archive at path_ and runs the campaign again (and with
+  /// `reruns`, the missing re-runs); returns the resulting dump.
+  std::string Resume(const core::CampaignData& campaign, bool reruns,
+                     core::FaultInjectionAlgorithms::Stats* stats = nullptr,
+                     ArchiveOptions options = {}) {
+    Database db;
+    auto archive = Archive::Open(&db, path_, options);
+    EXPECT_TRUE(archive.ok()) << archive.status().ToString();
+    if (!archive.ok()) return "";
+    ThorSession session(&db);
+    session.store.AttachArchive(archive.value().get());
+    EXPECT_TRUE(session.target.RunCampaign(campaign.name).ok());
+    if (stats != nullptr) *stats = session.target.stats();
+    if (reruns) RerunMissing(&session, RerunNames(campaign));
+    std::string dump = Dump(db);
+    session.store.AttachArchive(nullptr);
+    EXPECT_TRUE(archive.value()->Close().ok());
+    return dump;
+  }
+
+  /// Tears the WAL at every record boundary from `from` on and checks that
+  /// each recovery resumes to `reference`. Returns the boundaries.
+  std::vector<uint64_t> SweepBoundaries(const core::CampaignData& campaign,
+                                        bool reruns, uint64_t from,
+                                        const std::string& reference,
+                                        ArchiveOptions options) {
+    const std::string wal_path = path_ + ".wal";
+    const std::string snapshot = FileBytes(path_);
+    const std::string wal = FileBytes(wal_path);
+    const std::vector<uint64_t> boundaries = RecordBoundaries(wal, from);
+    for (const uint64_t boundary : boundaries) {
+      WriteBytes(path_, snapshot);
+      WriteBytes(wal_path, wal.substr(0, boundary));
+      const testing::AssertionResult same =
+          SameDump(Resume(campaign, reruns, nullptr, options), reference);
+      if (!same) {
+        ADD_FAILURE() << same.message() << "; WAL torn at byte " << boundary
+                      << " of " << wal.size();
+        break;
+      }
+    }
+    return boundaries;
+  }
+
   std::string path_ = TempPath("runner.db");
 };
 
@@ -797,6 +983,59 @@ TEST_F(ArchiveRunnerTest, PreparedStatementsSurviveRecovery) {
   // 8 experiments + the reference run's row.
   EXPECT_EQ(after.value().rows[0][0].as_int(), 9);
   ASSERT_TRUE(archive.value()->Close().ok());
+}
+
+// --- serial drivers: one experiment per WAL group commit ---------------------
+
+TEST_F(ArchiveRunnerTest, KilledSerialDetailRunResumesToIdenticalBytes) {
+  const core::CampaignData campaign = ThorDetailCampaign(core::LogMode::kDetail);
+  const std::string reference = SerialReferenceDump(campaign, false);
+  RunArchived(campaign, false);
+
+  // Kill mid-append: tear the last WAL record. It holds the last
+  // experiment's main row and all its detail rows, so recovery drops the
+  // whole experiment and the resumed run executes it again.
+  const std::string wal_path = path_ + ".wal";
+  fs::resize_file(wal_path, fs::file_size(wal_path) - 3);
+  core::FaultInjectionAlgorithms::Stats stats;
+  EXPECT_TRUE(SameDump(Resume(campaign, false, &stats), reference));
+  EXPECT_EQ(stats.experiments_resumed, 2);
+  EXPECT_EQ(stats.experiments_run, 1);
+}
+
+TEST_F(ArchiveRunnerTest, SerialWalTornAtEveryBoundaryOfLastExperimentResumes) {
+  const core::CampaignData campaign = ThorDetailCampaign(core::LogMode::kDetail);
+  const std::string reference = SerialReferenceDump(campaign, false);
+  // No folds, so every record since the initial snapshot stays in the WAL.
+  ArchiveOptions options;
+  options.auto_checkpoint = false;
+  const uint64_t last_start = RunArchived(campaign, false, options);
+  ASSERT_GT(last_start, 0u);
+  const std::vector<uint64_t> boundaries =
+      SweepBoundaries(campaign, false, last_start, reference, options);
+  EXPECT_EQ(boundaries.size(), 2u)
+      << "the last experiment must be exactly one WAL record";
+}
+
+TEST_F(ArchiveRunnerTest, KilledDetailRerunsResumeToIdenticalBytes) {
+  const core::CampaignData campaign = ThorDetailCampaign(core::LogMode::kNormal);
+  const std::string reference = SerialReferenceDump(campaign, true);
+  RunArchived(campaign, true);
+  const std::string wal_path = path_ + ".wal";
+  fs::resize_file(wal_path, fs::file_size(wal_path) - 3);
+  EXPECT_TRUE(SameDump(Resume(campaign, true), reference));
+}
+
+TEST_F(ArchiveRunnerTest, WalTornAtEveryBoundaryOfLastRerunResumes) {
+  const core::CampaignData campaign = ThorDetailCampaign(core::LogMode::kNormal);
+  const std::string reference = SerialReferenceDump(campaign, true);
+  ArchiveOptions options;
+  options.auto_checkpoint = false;
+  const uint64_t last_start = RunArchived(campaign, true, options);
+  const std::vector<uint64_t> boundaries =
+      SweepBoundaries(campaign, true, last_start, reference, options);
+  EXPECT_EQ(boundaries.size(), 2u)
+      << "the last re-run must be exactly one WAL record";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "db/database.hpp"
+#include "db/wal.hpp"
 
 namespace goofi::db {
 namespace {
@@ -267,6 +268,62 @@ TEST(DatabaseTest, TableNamesCaseInsensitive) {
   EXPECT_TRUE(db.HasTable("mytable"));
   EXPECT_NE(db.GetTable("MYTABLE"), nullptr);
   EXPECT_FALSE(db.CreateTable(Schema("mytable", {{"a", ValueType::kInt, false}})).ok());
+}
+
+// --- amortized Table::Reserve ----------------------------------------------------
+
+Schema KeyValueSchema() {
+  return Schema("t", {{"k", ValueType::kInt, true}, {"v", ValueType::kText, false}},
+                {"k"});
+}
+
+/// Feeds `rows` one-row batches through `insert` and counts how often the
+/// table's slot capacity changes on the way.
+template <typename InsertOne>
+int CapacityChanges(const Table& table, int rows, InsertOne insert) {
+  int changes = 0;
+  size_t capacity = table.slots().capacity();
+  for (int i = 0; i < rows; ++i) {
+    insert(i);
+    if (table.slots().capacity() != capacity) {
+      ++changes;
+      capacity = table.slots().capacity();
+    }
+  }
+  return changes;
+}
+
+// Geometric growth from one slot reaches 4096 in 13 steps; an exact reserve
+// per batch would change the capacity on every one of the 4096 batches.
+constexpr int kOneRowBatches = 4096;
+constexpr int kMaxCapacityChanges = 2 * 13;
+
+TEST(TableReserveTest, OneRowInsertBatchesGrowCapacityGeometrically) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable(KeyValueSchema()).ok());
+  const Table& table = *db.GetTable("t");
+  const int changes = CapacityChanges(table, kOneRowBatches, [&db](int i) {
+    ASSERT_TRUE(db.InsertBatch("t", {{Value::Int(i), Value::Text("row")}}).ok());
+  });
+  EXPECT_EQ(table.size(), static_cast<size_t>(kOneRowBatches));
+  EXPECT_LE(changes, kMaxCapacityChanges);
+}
+
+TEST(TableReserveTest, OneRowBatchReplayGrowsCapacityGeometrically) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable(KeyValueSchema()).ok());
+  const Table& table = *db.GetTable("t");
+  const int changes = CapacityChanges(table, kOneRowBatches, [&db](int i) {
+    std::string body;
+    PackedWriter w(&body);
+    w.Str("t");
+    w.Varint(1);
+    w.RowData({Value::Int(i), Value::Text("row")});
+    PackedReader r(body);
+    ASSERT_TRUE(ApplyWalRecord(&db, WalOp::kInsertBatch, &r).ok());
+  });
+  EXPECT_EQ(table.size(), static_cast<size_t>(kOneRowBatches));
+  EXPECT_LE(changes, kMaxCapacityChanges);
 }
 
 // --- persistence ----------------------------------------------------------------

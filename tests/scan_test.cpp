@@ -1,11 +1,15 @@
 // Tests for the IEEE 1149.1 TAP controller, scan chains and the debug unit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "cpu/cpu.hpp"
 #include "isa/assembler.hpp"
 #include "scan/chain.hpp"
 #include "scan/debug.hpp"
 #include "scan/tap.hpp"
+#include "util/rng.hpp"
 
 namespace goofi::scan {
 namespace {
@@ -208,6 +212,174 @@ TEST_F(ChainTest, CacheChainCoversAllLineFields) {
   const ScanChain* chain = chains_.Find("internal_icache");
   // 64 lines x (valid + tag + data + parity).
   EXPECT_EQ(chain->cells().size(), 64u * 4u);
+}
+
+// --- word-parallel ShiftDataInto vs. one Clock per bit -----------------------
+
+/// ShiftDataInto as a JTAG probe clocks it: navigation, then one Clock per
+/// register bit with TMS=1 on the last (TDI 0 past the end of `out`), then
+/// Update-DR. The oracle for the word-parallel shift.
+util::BitVec BitLoopShiftData(TapController* tap, uint32_t length,
+                              const util::BitVec& out) {
+  tap->Clock(true, false);
+  tap->Clock(false, false);
+  tap->Clock(false, false);
+  util::BitVec captured(length);
+  for (uint32_t i = 0; i < length; ++i) {
+    const bool tms = (i == length - 1);
+    const bool tdi = i < out.size() && out.Get(i);
+    captured.Set(i, tap->Clock(tms, tdi));
+  }
+  tap->Clock(true, false);
+  tap->Clock(false, false);
+  return captured;
+}
+
+void ExpectSameTap(const TapController& actual, const TapController& expected) {
+  const TapController::Snapshot a = actual.SaveSnapshot();
+  const TapController::Snapshot e = expected.SaveSnapshot();
+  EXPECT_EQ(a.state, e.state);
+  EXPECT_EQ(a.instruction, e.instruction);
+  EXPECT_EQ(a.ir_shift, e.ir_shift);
+  EXPECT_EQ(a.dr_shift, e.dr_shift);
+  EXPECT_EQ(a.shift_pos, e.shift_pos);
+  EXPECT_EQ(a.tck_count, e.tck_count);
+}
+
+util::BitVec RandomBits(size_t size, util::Rng* rng) {
+  util::BitVec bits(size);
+  for (size_t i = 0; i < size; i += 64) {
+    const size_t n = std::min<size_t>(64, size - i);
+    bits.DepositWord(i, rng->Next(), n);
+  }
+  return bits;
+}
+
+/// A data register held as a bit vector. Its capture length may differ from
+/// the length DrLength reports, which a handler is free to do.
+class VectorDr : public TapController::DrHandler {
+ public:
+  VectorDr(uint32_t length, util::BitVec value)
+      : length_(length), value_(std::move(value)) {}
+  uint32_t DrLength(TapInstruction) override { return length_; }
+  util::BitVec CaptureDr(TapInstruction) override { return value_; }
+  void UpdateDr(TapInstruction, const util::BitVec& image) override {
+    value_ = image;
+    ++updates_;
+  }
+  const util::BitVec& value() const { return value_; }
+  int updates() const { return updates_; }
+
+ private:
+  uint32_t length_;
+  util::BitVec value_;
+  int updates_ = 0;
+};
+
+TEST(TapWordShiftTest, MatchesBitLoopForRegisterLengths) {
+  util::Rng rng(0x7A95);
+  // {DrLength, capture length}: equal lengths around the word size, plus a
+  // stage shorter and one longer than the register the TAP shifts.
+  const std::pair<uint32_t, uint32_t> kShapes[] = {
+      {1, 1}, {63, 63}, {64, 64}, {65, 65}, {512, 512},
+      {100, 70}, {70, 100}, {130, 1}, {1, 130}};
+  for (const auto& [length, stage] : kShapes) {
+    SCOPED_TRACE("length " + std::to_string(length) + " stage " +
+                 std::to_string(stage));
+    const util::BitVec initial = RandomBits(stage, &rng);
+    VectorDr word_dr(length, initial);
+    VectorDr loop_dr(length, initial);
+    TapController word_tap(&word_dr);
+    TapController loop_tap(&loop_dr);
+    word_tap.Reset();
+    loop_tap.Reset();
+    word_tap.LoadInstruction(TapInstruction::kIntest);
+    loop_tap.LoadInstruction(TapInstruction::kIntest);
+    // A reused capture buffer that starts larger and dirty. TDI: random,
+    // zeros (an empty `out`), images shorter and longer than the register
+    // (TDI is 0 past their end), then random again.
+    util::BitVec captured = RandomBits(length + 77, &rng);
+    const util::BitVec kZeros;
+    for (const util::BitVec& out :
+         {RandomBits(length, &rng), kZeros, RandomBits(length / 2 + 1, &rng),
+          RandomBits(length + 70, &rng), RandomBits(length, &rng)}) {
+      word_tap.ShiftDataInto(out, &captured);
+      const util::BitVec expected = BitLoopShiftData(&loop_tap, length, out);
+      EXPECT_EQ(captured, expected);
+      ExpectSameTap(word_tap, loop_tap);
+      EXPECT_EQ(word_dr.value(), loop_dr.value());
+      EXPECT_EQ(word_dr.updates(), loop_dr.updates());
+    }
+  }
+}
+
+/// INTEST on one chain of a CPU's default layout.
+class ChainDr : public TapController::DrHandler {
+ public:
+  explicit ChainDr(const ScanChain* chain) : chain_(chain) {}
+  uint32_t DrLength(TapInstruction) override { return chain_->length_bits(); }
+  util::BitVec CaptureDr(TapInstruction) override { return chain_->Capture(); }
+  void UpdateDr(TapInstruction, const util::BitVec& image) override {
+    chain_->Update(image);
+  }
+
+ private:
+  const ScanChain* chain_;
+};
+
+/// A CPU with its own registry and default chains.
+struct ChainRig {
+  ChainRig()
+      : registry(cpu.BuildStateRegistry()),
+        chains(ScanChainSet::BuildDefault(registry)) {}
+  cpu::Cpu cpu;
+  cpu::StateRegistry registry;
+  ScanChainSet chains;
+};
+
+TEST(TapWordShiftTest, MatchesBitLoopOnEveryDefaultChain) {
+  util::Rng rng(0xC4A1);
+  ChainRig word_rig;
+  ChainRig loop_rig;
+  ASSERT_EQ(word_rig.chains.chains().size(), 5u);
+  for (size_t c = 0; c < word_rig.chains.chains().size(); ++c) {
+    const ScanChain& word_chain = word_rig.chains.chains()[c];
+    const ScanChain& loop_chain = loop_rig.chains.chains()[c];
+    SCOPED_TRACE(word_chain.name());
+    // Same random contents on both CPUs (read-only cells keep theirs).
+    const util::BitVec seed_image = RandomBits(word_chain.length_bits(), &rng);
+    word_chain.Update(seed_image);
+    loop_chain.Update(seed_image);
+    ChainDr word_dr(&word_chain);
+    ChainDr loop_dr(&loop_chain);
+    TapController word_tap(&word_dr);
+    TapController loop_tap(&loop_dr);
+    word_tap.Reset();
+    loop_tap.Reset();
+    word_tap.LoadInstruction(TapInstruction::kIntest);
+    loop_tap.LoadInstruction(TapInstruction::kIntest);
+    // A restoring read (zeros in, then the image back) and a write.
+    util::BitVec captured;
+    word_tap.ShiftDataInto(util::BitVec(word_chain.length_bits()), &captured);
+    const util::BitVec image = BitLoopShiftData(
+        &loop_tap, loop_chain.length_bits(),
+        util::BitVec(loop_chain.length_bits()));
+    EXPECT_EQ(captured, image);
+    const util::BitVec restore = captured;
+    word_tap.ShiftDataInto(restore, &captured);
+    EXPECT_EQ(captured,
+              BitLoopShiftData(&loop_tap, loop_chain.length_bits(), image));
+    const util::BitVec write = RandomBits(word_chain.length_bits(), &rng);
+    word_tap.ShiftDataInto(write, &captured);
+    EXPECT_EQ(captured,
+              BitLoopShiftData(&loop_tap, loop_chain.length_bits(), write));
+    ExpectSameTap(word_tap, loop_tap);
+    for (size_t k = 0; k < word_rig.chains.chains().size(); ++k) {
+      EXPECT_EQ(word_rig.chains.chains()[k].Capture(),
+                loop_rig.chains.chains()[k].Capture())
+          << "chain " << word_rig.chains.chains()[k].name();
+    }
+  }
 }
 
 // --- debug unit / triggers --------------------------------------------------

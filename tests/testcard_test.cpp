@@ -2,6 +2,12 @@
 // all scan access through the TAP controller.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "cpu/state_hash.hpp"
+#include "env/workloads.hpp"
 #include "isa/assembler.hpp"
 #include "testcard/testcard.hpp"
 
@@ -176,6 +182,241 @@ TEST(TestCardNoiseTest, CleanLinkIsExact) {
   for (int r = 1; r < 16; ++r) {
     EXPECT_EQ(image.ExtractWord(static_cast<size_t>(r) * 32, 32), 0x0F0F0F0Fu);
   }
+}
+
+// --- word-parallel scan link vs. one Clock per bit ---------------------------
+
+/// SimTestCard's scan reads with every data-register bit clocked through
+/// TapController::Clock: SCAN_N chain select, INTEST, the card's
+/// data-register semantics (decode-cache flush on internal_icache updates)
+/// and its link-noise draws. It drives another card's CPU, so both sides
+/// start from the same target state. The oracle for the card's word shifts.
+class BitLoopLink : private scan::TapController::DrHandler {
+ public:
+  /// `extra_us`: the op overheads the card has accounted so far.
+  BitLoopLink(cpu::Cpu* cpu, const LinkConfig& link, double extra_us)
+      : cpu_(cpu),
+        registry_(cpu->BuildStateRegistry()),
+        chains_(scan::ScanChainSet::BuildDefault(registry_)),
+        tap_(this),
+        link_(link),
+        noise_(link.noise_seed),
+        extra_us_(extra_us) {
+    tap_.Reset();  // as SimTestCard::Init
+  }
+
+  util::BitVec Read(const std::string& chain, bool restore) {
+    const int index = chains_.IndexOf(chain);
+    extra_us_ += link_.op_overhead_us;
+    tap_.LoadInstruction(scan::TapInstruction::kScanN);
+    util::BitVec select(SelectBits());
+    select.DepositWord(0, static_cast<uint32_t>(index), select.size());
+    Shift(select);
+    tap_.LoadInstruction(scan::TapInstruction::kIntest);
+    const util::BitVec image = Shift(
+        util::BitVec(chains_.chains()[static_cast<size_t>(index)].length_bits()));
+    if (restore) Shift(image);
+    return image;
+  }
+
+  double link_time_us() const {
+    return extra_us_ + static_cast<double>(tap_.tck_count()) / link_.tck_mhz;
+  }
+  const scan::TapController& tap() const { return tap_; }
+  const util::Rng& noise() const { return noise_; }
+  uint32_t chain_select() const { return chain_select_; }
+
+ private:
+  uint32_t SelectBits() const {
+    uint32_t bits = 1;
+    while ((1u << bits) < chains_.chains().size()) ++bits;
+    return bits;
+  }
+
+  const scan::ScanChain* SelectedChain() const {
+    return chain_select_ < chains_.chains().size()
+               ? &chains_.chains()[chain_select_]
+               : nullptr;
+  }
+
+  util::BitVec Shift(const util::BitVec& out) {
+    util::BitVec tdi = out;
+    if (link_.bit_error_rate > 0.0) {
+      for (size_t i = 0; i < tdi.size(); ++i) {
+        if (noise_.NextBool(link_.bit_error_rate)) tdi.Flip(i);
+      }
+    }
+    tap_.Clock(true, false);
+    tap_.Clock(false, false);
+    tap_.Clock(false, false);
+    const uint32_t length = DrLength(tap_.instruction());
+    util::BitVec captured(length);
+    for (uint32_t i = 0; i < length; ++i) {
+      captured.Set(i, tap_.Clock(i == length - 1, i < tdi.size() && tdi.Get(i)));
+    }
+    tap_.Clock(true, false);
+    tap_.Clock(false, false);
+    if (link_.bit_error_rate > 0.0) {
+      for (size_t i = 0; i < captured.size(); ++i) {
+        if (noise_.NextBool(link_.bit_error_rate)) captured.Flip(i);
+      }
+    }
+    return captured;
+  }
+
+  // Only SCAN_N and INTEST are ever selected here.
+  uint32_t DrLength(scan::TapInstruction instruction) override {
+    if (instruction == scan::TapInstruction::kScanN) return SelectBits();
+    const scan::ScanChain* chain = SelectedChain();
+    return chain != nullptr ? chain->length_bits() : 1;
+  }
+  util::BitVec CaptureDr(scan::TapInstruction instruction) override {
+    if (instruction == scan::TapInstruction::kScanN) {
+      util::BitVec select(SelectBits());
+      select.DepositWord(0, chain_select_, select.size());
+      return select;
+    }
+    const scan::ScanChain* chain = SelectedChain();
+    return chain != nullptr ? chain->Capture() : util::BitVec(1);
+  }
+  void UpdateDr(scan::TapInstruction instruction,
+                const util::BitVec& value) override {
+    if (instruction == scan::TapInstruction::kScanN) {
+      chain_select_ = static_cast<uint32_t>(value.ExtractWord(0, value.size()));
+      return;
+    }
+    const scan::ScanChain* chain = SelectedChain();
+    if (chain == nullptr) return;
+    chain->Update(value);
+    if (chain->name() == "internal_icache") {
+      cpu_->decode_cache().InvalidateAll();
+    }
+  }
+
+  cpu::Cpu* cpu_;
+  cpu::StateRegistry registry_;
+  scan::ScanChainSet chains_;
+  scan::TapController tap_;
+  LinkConfig link_;
+  util::Rng noise_;
+  uint32_t chain_select_ = 0;
+  double extra_us_;
+};
+
+/// Every byte of CPU execution state (the CpuSnapshot fields, memory as its
+/// canonical delta).
+std::vector<uint8_t> CpuStateBytes(cpu::Cpu* cpu) {
+  cpu::StateHasher hasher(/*capture=*/true);
+  cpu->HashExecutionState(&hasher);
+  return hasher.TakeBlob();
+}
+
+/// A card under test and a second card whose CPU the per-bit link drives,
+/// both booted into bubblesort and run partway, so registers, caches and
+/// the decode cache hold live state.
+class WordLinkTest : public ::testing::Test {
+ protected:
+  void Boot(const LinkConfig& link) {
+    reference_.reset();
+    card_ = std::make_unique<SimTestCard>(cpu::CpuConfig(), link);
+    reference_card_ = std::make_unique<SimTestCard>(cpu::CpuConfig(), link);
+    const auto spec = env::GetWorkload("bubblesort").ValueOrDie();
+    const auto program = isa::Assemble(spec.source).ValueOrDie();
+    for (SimTestCard* card : {card_.get(), reference_card_.get()}) {
+      ASSERT_TRUE(card->Init().ok());
+      ASSERT_TRUE(card->LoadWorkload(program).ok());
+      ASSERT_TRUE(card->ResetTarget().ok());
+      card->Run(1500);
+    }
+    reference_ = std::make_unique<BitLoopLink>(
+        &reference_card_->mutable_cpu(), link,
+        reference_card_->SaveSnapshot().ValueOrDie().extra_us);
+  }
+
+  /// One read on each side, then every observable compared.
+  void ReadBoth(const std::string& chain, bool restore) {
+    SCOPED_TRACE(chain + (restore ? " restoring" : " destructive"));
+    const util::BitVec image = card_->ReadScanChain(chain, restore).ValueOrDie();
+    EXPECT_EQ(image, reference_->Read(chain, restore));
+    EXPECT_EQ(card_->link_time_us(), reference_->link_time_us());
+    ExpectSameState();
+  }
+
+  void ExpectSameState() {
+    EXPECT_EQ(CpuStateBytes(&card_->mutable_cpu()),
+              CpuStateBytes(&reference_card_->mutable_cpu()));
+    const cpu::DecodeCache::Stats& a = card_->cpu().decode_cache().stats();
+    const cpu::DecodeCache::Stats& b =
+        reference_card_->cpu().decode_cache().stats();
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.flushes, b.flushes);
+    const CardSnapshot snapshot = card_->SaveSnapshot().ValueOrDie();
+    const scan::TapController::Snapshot expected = reference_->tap().SaveSnapshot();
+    EXPECT_EQ(snapshot.tap.state, expected.state);
+    EXPECT_EQ(snapshot.tap.instruction, expected.instruction);
+    EXPECT_EQ(snapshot.tap.ir_shift, expected.ir_shift);
+    EXPECT_EQ(snapshot.tap.dr_shift, expected.dr_shift);
+    EXPECT_EQ(snapshot.tap.shift_pos, expected.shift_pos);
+    EXPECT_EQ(snapshot.tap.tck_count, expected.tck_count);
+    EXPECT_EQ(snapshot.chain_select, reference_->chain_select());
+    const util::Rng::State noise = snapshot.noise.GetState();
+    const util::Rng::State expected_noise = reference_->noise().GetState();
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(noise.s[i], expected_noise.s[i]);
+  }
+
+  std::unique_ptr<SimTestCard> card_;
+  std::unique_ptr<SimTestCard> reference_card_;
+  std::unique_ptr<BitLoopLink> reference_;
+};
+
+TEST_F(WordLinkTest, RestoringReadsOfEveryChainMatchBitLoop) {
+  Boot(LinkConfig());
+  for (const scan::ScanChain& chain : card_->chains().chains()) {
+    ReadBoth(chain.name(), /*restore=*/true);
+  }
+  // The targets go on identically: same state after the reads, including
+  // the decode cache the internal_icache update flushed.
+  card_->Run(3000);
+  reference_card_->Run(3000);
+  ExpectSameState();
+}
+
+TEST_F(WordLinkTest, DestructiveReadsOfEveryChainMatchBitLoop) {
+  const SimTestCard layout;
+  std::vector<std::string> names;
+  for (const scan::ScanChain& chain : layout.chains().chains()) {
+    names.push_back(chain.name());
+  }
+  ASSERT_EQ(names.size(), 5u);
+  for (const std::string& name : names) {
+    Boot(LinkConfig());  // each read zeroes its chain: start fresh
+    ReadBoth(name, /*restore=*/false);
+  }
+}
+
+constexpr int kNoisyRounds = 20;
+
+TEST_F(WordLinkTest, NoisyLinkDrawsTheSameNoiseSequence) {
+  LinkConfig link;
+  link.bit_error_rate = 0.01;
+  Boot(link);
+  // Noise also flips SCAN_N select bits, so some reads shift another chain
+  // than the one asked for. When that chain is longer than the image the
+  // card sends, TDI past the image's end is 0.
+  const std::vector<scan::ScanChain>& chains = card_->chains().chains();
+  int longer_chain_reads = 0;
+  for (int round = 0; round < kNoisyRounds; ++round) {
+    for (const scan::ScanChain& chain : chains) {
+      ReadBoth(chain.name(), /*restore=*/round % 2 == 0);
+      const uint32_t select = reference_->chain_select();
+      if (select < chains.size() &&
+          chains[select].length_bits() > chain.length_bits()) {
+        ++longer_chain_reads;
+      }
+    }
+  }
+  EXPECT_GT(longer_chain_reads, 0);
 }
 
 }  // namespace

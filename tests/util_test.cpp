@@ -280,6 +280,56 @@ TEST(BitVecTest, ToHexWholeWords) {
   EXPECT_EQ(bits.ToHex(), "0x000000001234abcd");
 }
 
+// Per-bit ExtractWord/DepositWord, the oracle for the shift-and-mask forms.
+uint64_t BitLoopExtractWord(const BitVec& v, size_t offset, size_t bits) {
+  uint64_t out = 0;
+  for (size_t b = 0; b < bits; ++b) {
+    if (v.Get(offset + b)) out |= 1ULL << b;
+  }
+  return out;
+}
+
+void BitLoopDepositWord(BitVec* v, size_t offset, uint64_t value, size_t bits) {
+  for (size_t b = 0; b < bits; ++b) v->Set(offset + b, (value >> b) & 1u);
+}
+
+TEST(BitVecTest, WordAccessMatchesBitLoopForEveryField) {
+  // Every (offset, bits) field of a 3-word vector, bits 0..64 included, so
+  // fields start and end on and across both word boundaries. 190 bits leaves
+  // unused high bits in the last word, which must stay zero for operator==.
+  Rng rng(0x5EEDB175);
+  for (const size_t size : {size_t{192}, size_t{190}}) {
+    BitVec zeros(size);
+    BitVec ones(size);
+    BitVec noise(size);
+    for (size_t i = 0; i < size; ++i) {
+      ones.Set(i, true);
+      noise.Set(i, (rng.Next() & 1u) != 0);
+    }
+    for (const BitVec* base : {&zeros, &ones, &noise}) {
+      for (size_t bits = 0; bits <= 64; ++bits) {
+        for (size_t offset = 0; offset + bits <= size; ++offset) {
+          SCOPED_TRACE("size " + std::to_string(size) + " offset " +
+                       std::to_string(offset) + " bits " + std::to_string(bits));
+          ASSERT_EQ(base->ExtractWord(offset, bits),
+                    BitLoopExtractWord(*base, offset, bits));
+          // Bits of `value` above `bits` must be ignored.
+          const uint64_t value = rng.Next();
+          BitVec deposited = *base;
+          BitVec expected = *base;
+          deposited.DepositWord(offset, value, bits);
+          BitLoopDepositWord(&expected, offset, value, bits);
+          ASSERT_EQ(deposited, expected);
+          for (const size_t diff : deposited.DiffBits(*base)) {
+            ASSERT_GE(diff, offset);
+            ASSERT_LT(diff, offset + bits) << "neighbouring bit changed";
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- strings -------------------------------------------------------------------
 
 TEST(StringsTest, SplitPreservesEmptyFields) {
