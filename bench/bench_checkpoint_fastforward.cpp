@@ -165,9 +165,9 @@ void Main(int argc, char** argv) {
   if (!session.target.PrepareCampaign(campaign).ok()) std::abort();
   for (uint64_t interval : intervals) {
     core::CheckpointCache cache(interval);
-    if (auto st = session.target.BuildCheckpoints(interval, &cache);
+    if (auto st = session.target.BuildGoldenRun(interval, &cache, nullptr);
         !st.ok()) {
-      std::fprintf(stderr, "BuildCheckpoints(%llu): %s\n",
+      std::fprintf(stderr, "BuildGoldenRun(%llu): %s\n",
                    static_cast<unsigned long long>(interval),
                    st.ToString().c_str());
       std::abort();

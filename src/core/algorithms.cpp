@@ -1,15 +1,9 @@
 #include "core/algorithms.hpp"
 
-#include "util/log.hpp"
+#include "core/parallel_runner.hpp"
 #include "util/strings.hpp"
 
 namespace goofi::core {
-
-namespace {
-std::string ExperimentName(const std::string& campaign, int index) {
-  return CampaignStore::ExperimentName(campaign, index);
-}
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Per-technique experiment bodies: the block sequences of paper Fig. 2.
@@ -237,23 +231,6 @@ std::string FaultInjectionAlgorithms::ExperimentData(
          ";faults=" + util::Join(fault_texts, "|");
 }
 
-util::Status FaultInjectionAlgorithms::LogExperiment(
-    const std::string& experiment_name, const std::string& parent) {
-  auto rows = BuildRecords(experiment_name, parent);
-  if (!rows.ok()) return rows.status();
-  // One batch: the main row and its detail rows are one WAL group commit, so
-  // a killed run leaves whole experiments only and resume, which skips every
-  // experiment whose main row exists, never keeps a partial one.
-  return store_->PutExperiments(rows.value());
-}
-
-util::Status FaultInjectionAlgorithms::MakeReferenceRun(ExperimentBody body) {
-  faults_.clear();
-  detail_log_.clear();
-  GOOFI_RETURN_IF_ERROR((this->*body)());
-  return LogExperiment(CampaignStore::ReferenceName(campaign_.name), "");
-}
-
 util::Status FaultInjectionAlgorithms::PrepareCampaign(
     const CampaignData& campaign) {
   campaign_ = campaign;
@@ -295,7 +272,7 @@ FaultInjectionAlgorithms::ExecuteExperiment(int index) {
     name = CampaignStore::ReferenceName(campaign_.name);
   } else {
     GOOFI_RETURN_IF_ERROR(GenerateFaults(fault_space_, index));
-    name = ExperimentName(campaign_.name, index);
+    name = CampaignStore::ExperimentName(campaign_.name, index);
   }
   GOOFI_RETURN_IF_ERROR(RunBody(body));
   return BuildRecords(name, "");
@@ -320,7 +297,8 @@ FaultInjectionAlgorithms::ExecutePlanned(int index,
   detail_log_.clear();
   faults_ = std::move(faults);
   GOOFI_RETURN_IF_ERROR(RunBody(body));
-  return BuildRecords(ExperimentName(campaign_.name, index), "");
+  return BuildRecords(CampaignStore::ExperimentName(campaign_.name, index),
+                      "");
 }
 
 FaultInjectionAlgorithms::ExperimentBody
@@ -336,74 +314,45 @@ FaultInjectionAlgorithms::BodyForTechnique(Technique technique) {
   return &FaultInjectionAlgorithms::ScifiExperiment;
 }
 
-util::Status FaultInjectionAlgorithms::DriveCampaign(
-    const std::string& campaign_name, ExperimentBody body) {
+util::Status FaultInjectionAlgorithms::RunCampaign(
+    const std::string& campaign_name) {
   // readCampaignData(campaignNr) — Fig. 2.
   auto campaign = store_->GetCampaign(campaign_name);
   if (!campaign.ok()) return campaign.status();
   GOOFI_RETURN_IF_ERROR(PrepareCampaign(campaign.value()));
+  // makeReferenceRun() and the experiment loop — Fig. 2. A campaign that was
+  // paused or stopped can be restarted (the progress window of Fig. 7 offers
+  // exactly that): rows already in LoggedSystemState are kept and their
+  // experiments skipped.
+  return RunCampaignInline(store_, campaign_, this, monitor_, &stats_);
+}
 
-  // makeReferenceRun() — Fig. 2. A campaign that was paused or stopped can
-  // be restarted (the progress window of Fig. 7 offers exactly that): rows
-  // already in LoggedSystemState are kept and their experiments skipped.
-  if (!store_->GetExperiment(CampaignStore::ReferenceName(campaign_.name)).ok()) {
-    GOOFI_RETURN_IF_ERROR(MakeReferenceRun(body));
+util::Status FaultInjectionAlgorithms::RunCampaignOf(
+    Technique technique, const std::string& campaign_name) {
+  auto campaign = store_->GetCampaign(campaign_name);
+  if (!campaign.ok()) return campaign.status();
+  if (campaign.value().technique != technique) {
+    return util::InvalidArgument(
+        "campaign " + campaign_name + " uses technique " +
+        TechniqueName(campaign.value().technique) + ", not " +
+        TechniqueName(technique));
   }
-
-  for (int i = 0; i < campaign_.num_experiments; ++i) {
-    if (store_->GetExperiment(ExperimentName(campaign_.name, i)).ok()) {
-      ++stats_.experiments_resumed;
-      continue;
-    }
-    GOOFI_RETURN_IF_ERROR(GenerateFaults(fault_space_, i));
-    detail_log_.clear();
-    GOOFI_RETURN_IF_ERROR(RunBody(body));
-    GOOFI_RETURN_IF_ERROR(LogExperiment(ExperimentName(campaign_.name, i), ""));
-    ++stats_.experiments_run;
-    if (monitor_ != nullptr) {
-      auto last = store_->GetExperiment(ExperimentName(campaign_.name, i));
-      if (!monitor_->OnExperiment(i + 1, campaign_.num_experiments,
-                                  last.ok() ? last.value().state : LoggedState{})) {
-        util::Log::Info("campaign " + campaign_name + " ended by user after " +
-                        std::to_string(i + 1) + " experiments");
-        break;
-      }
-    }
-  }
-  return util::Status::Ok();
+  return RunCampaign(campaign_name);
 }
 
 util::Status FaultInjectionAlgorithms::FaultInjectorScifi(
     const std::string& campaign_name) {
-  return DriveCampaign(campaign_name,
-                       &FaultInjectionAlgorithms::ScifiExperiment);
+  return RunCampaignOf(Technique::kScifi, campaign_name);
 }
 
 util::Status FaultInjectionAlgorithms::FaultInjectorSwifiPreRuntime(
     const std::string& campaign_name) {
-  return DriveCampaign(campaign_name,
-                       &FaultInjectionAlgorithms::SwifiPreRuntimeExperiment);
+  return RunCampaignOf(Technique::kSwifiPreRuntime, campaign_name);
 }
 
 util::Status FaultInjectionAlgorithms::FaultInjectorSwifiRuntime(
     const std::string& campaign_name) {
-  return DriveCampaign(campaign_name,
-                       &FaultInjectionAlgorithms::SwifiRuntimeExperiment);
-}
-
-util::Status FaultInjectionAlgorithms::RunCampaign(
-    const std::string& campaign_name) {
-  auto campaign = store_->GetCampaign(campaign_name);
-  if (!campaign.ok()) return campaign.status();
-  switch (campaign.value().technique) {
-    case Technique::kScifi:
-      return FaultInjectorScifi(campaign_name);
-    case Technique::kSwifiPreRuntime:
-      return FaultInjectorSwifiPreRuntime(campaign_name);
-    case Technique::kSwifiRuntime:
-      return FaultInjectorSwifiRuntime(campaign_name);
-  }
-  return util::Internal("bad technique");
+  return RunCampaignOf(Technique::kSwifiRuntime, campaign_name);
 }
 
 util::Status FaultInjectionAlgorithms::RerunDetailed(
@@ -430,8 +379,12 @@ util::Status FaultInjectionAlgorithms::RerunDetailed(
 
   detail_log_.clear();
   GOOFI_RETURN_IF_ERROR((this->*BodyForTechnique(campaign_.technique))());
-  // Log the re-run with parentExperiment = the original experiment (§2.3).
-  return LogExperiment(experiment_name + "/detail", experiment_name);
+  // Log the re-run with parentExperiment = the original experiment (§2.3),
+  // its main row and detail rows as one all-or-nothing batch: one WAL group
+  // commit, so a killed sequence of re-runs leaves whole re-runs only.
+  auto rows = BuildRecords(experiment_name + "/detail", experiment_name);
+  if (!rows.ok()) return rows.status();
+  return store_->PutExperiments(rows.value());
 }
 
 }  // namespace goofi::core

@@ -83,8 +83,14 @@ class FaultInjectionAlgorithms {
   }
 
   // --- campaign drivers (concrete, Fig. 2) --------------------------------
+  //
+  // Each driver prepares this target for the campaign and runs the one
+  // campaign loop of core/parallel_runner inline on it: the reference run,
+  // then every experiment not yet logged, each committed as one
+  // PutExperiments before the progress monitor sees it.
 
-  /// Scan-chain implemented fault injection.
+  /// Scan-chain implemented fault injection. Rejects a campaign whose stored
+  /// technique is another, as do the two SWIFI drivers.
   util::Status FaultInjectorScifi(const std::string& campaign_name);
 
   /// Pre-runtime software-implemented fault injection: the program/data
@@ -94,7 +100,7 @@ class FaultInjectionAlgorithms {
   /// Runtime SWIFI: stop at a breakpoint and corrupt memory (extension).
   util::Status FaultInjectorSwifiRuntime(const std::string& campaign_name);
 
-  /// Dispatches on the campaign's stored technique.
+  /// Runs the campaign with its stored technique.
   util::Status RunCampaign(const std::string& campaign_name);
 
   /// Re-runs a logged experiment with the same faults in detail mode,
@@ -112,12 +118,11 @@ class FaultInjectionAlgorithms {
   };
   const Stats& stats() const { return stats_; }
 
-  // --- experiment-level API (used by core::ParallelCampaignRunner) ---------
+  // --- experiment-level API (used by the campaign loop) ----------------------
   //
-  // The campaign drivers above load the campaign, run every experiment and
-  // commit each result to the store. The parallel runner instead prepares N
-  // worker-owned targets once and pulls uncommitted experiment records off
-  // them, so commits can be ordered and batched centrally.
+  // The campaign loop (core/parallel_runner) prepares its targets once and
+  // pulls uncommitted experiment records off them, so commits are ordered
+  // and batched centrally.
 
   /// Binds this target to `campaign` and enumerates its fault space. Resets
   /// stats(). Does not touch the store.
@@ -172,7 +177,6 @@ class FaultInjectionAlgorithms {
   void SetCheckpointInterval(uint64_t interval) {
     checkpoint_interval_ = interval;
   }
-  uint64_t checkpoint_interval() const { return checkpoint_interval_; }
 
   /// Forces warm-start even for campaigns whose faults may inject before the
   /// first checkpoint interval. By default warm-start engages only when
@@ -184,9 +188,6 @@ class FaultInjectionAlgorithms {
   /// PrepareCampaign resets any installed cache, so install after preparing.
   void SetCheckpointCache(std::shared_ptr<const CheckpointCache> cache) {
     checkpoint_cache_ = std::move(cache);
-  }
-  const std::shared_ptr<const CheckpointCache>& checkpoint_cache() const {
-    return checkpoint_cache_;
   }
 
   /// Experiments that started from a checkpoint instead of from reset.
@@ -201,16 +202,9 @@ class FaultInjectionAlgorithms {
   /// Whether this target implements BuildGoldenRun/RestoreCheckpoint.
   virtual bool SupportsCheckpoints() const { return false; }
 
-  /// Runs the prepared campaign's fault-free workload once, adding a
-  /// snapshot to `cache` at instruction 0 and every `interval` retired
-  /// instructions until termination. Requires PrepareCampaign.
-  util::Status BuildCheckpoints(uint64_t interval, CheckpointCache* cache) {
-    return BuildGoldenRun(interval, cache, nullptr);
-  }
-
-  /// Golden-run builder behind BuildCheckpoints: runs the prepared
-  /// campaign's fault-free workload, filling whichever products are
-  /// non-null — `cache` with full-state snapshots every `interval` retired
+  /// Golden-run builder: runs the prepared campaign's fault-free workload
+  /// once, filling whichever products are non-null — `cache` with
+  /// full-state snapshots at instruction 0 and every `interval` retired
   /// instructions up to the injection window, and `trace` with a
   /// convergence-pruning record (per-boundary state digests at every
   /// multiple of `interval` until termination, the golden final LoggedState,
@@ -248,7 +242,6 @@ class FaultInjectionAlgorithms {
 
   /// Master switch; off by default. Set before PrepareCampaign.
   void SetConvergencePruning(bool enabled) { convergence_pruning_ = enabled; }
-  bool convergence_pruning() const { return convergence_pruning_; }
 
   /// Installs a prebuilt golden trace (shared read-only across parallel
   /// workers). PrepareCampaign resets any installed trace, so install after
@@ -256,18 +249,12 @@ class FaultInjectionAlgorithms {
   void SetGoldenTrace(std::shared_ptr<const GoldenTrace> trace) {
     golden_trace_ = std::move(trace);
   }
-  const std::shared_ptr<const GoldenTrace>& golden_trace() const {
-    return golden_trace_;
-  }
 
   /// Installs a cross-experiment suffix memo (shared mutable, thread-safe).
   /// PrepareCampaign creates a private one when pruning is on and none is
   /// installed afterwards.
   void SetConvergenceMemo(std::shared_ptr<ConvergenceMemo> memo) {
     convergence_memo_ = std::move(memo);
-  }
-  const std::shared_ptr<ConvergenceMemo>& convergence_memo() const {
-    return convergence_memo_;
   }
 
   /// Ensures the worker-local prerequisites for hashing against an installed
@@ -366,11 +353,9 @@ class FaultInjectionAlgorithms {
 
   static ExperimentBody BodyForTechnique(Technique technique);
 
-  util::Status DriveCampaign(const std::string& campaign_name,
-                             ExperimentBody body);
-
-  /// Runs the fault-free reference execution and logs it.
-  util::Status MakeReferenceRun(ExperimentBody body);
+  /// A Fig. 2 driver: RunCampaign for a campaign of `technique` only.
+  util::Status RunCampaignOf(Technique technique,
+                             const std::string& campaign_name);
 
   /// Draws `faults_` for experiment `index` from the campaign's fault space.
   util::Status GenerateFaults(const std::vector<FaultCandidate>& space,
@@ -380,11 +365,6 @@ class FaultInjectionAlgorithms {
   /// row plus one row per detail-mode entry. Clears the detail log.
   util::Result<std::vector<CampaignStore::ExperimentRow>> BuildRecords(
       const std::string& experiment_name, const std::string& parent);
-
-  /// Logs the just-finished experiment and its detail rows, if any, as one
-  /// all-or-nothing PutExperiments batch.
-  util::Status LogExperiment(const std::string& experiment_name,
-                             const std::string& parent);
 
   std::vector<FaultCandidate> fault_space_;
 

@@ -19,237 +19,32 @@ namespace goofi::core {
 
 namespace {
 
-/// One dispatched experiment's outcome, filled by a worker and consumed by
-/// the committer in pending order.
+using Rows = std::vector<CampaignStore::ExperimentRow>;
+
+/// Rows per ordered commit of a threaded run. An inline run commits every
+/// experiment on its own.
+constexpr size_t kBatchRows = 64;
+
+/// One unit's outcome: its representative's rows, filled by the thread that
+/// executed it and consumed by the committer in experiment order.
 struct Slot {
   bool done = false;
   util::Status status;
-  std::vector<CampaignStore::ExperimentRow> rows;
-  int skipped_dead = 0;  ///< liveness-filter skips charged to this experiment
+  Rows rows;
+  int skipped_dead = 0;  ///< liveness-filter skips of the execution
 };
 
-}  // namespace
-
-ParallelCampaignRunner::ParallelCampaignRunner(CampaignStore* store,
-                                               TargetFactory factory,
-                                               int num_workers)
-    : store_(store),
-      factory_(std::move(factory)),
-      num_workers_(num_workers > 0 ? num_workers
-                                   : util::ThreadPool::DefaultWorkers()) {}
-
-void ParallelCampaignRunner::SetCommitBatchRows(int rows) {
-  batch_rows_ = std::max(1, rows);
-}
-
-util::Status ParallelCampaignRunner::Run(const std::string& campaign_name) {
-  stats_ = FaultInjectionAlgorithms::Stats{};
-  warm_starts_ = 0;
-  prune_stats_ = ConvergenceStats{};
-  dedup_stats_ = EquivalenceStats{};
-  memory_usage_ = cpu::MemoryUsageAggregator::Totals{};
-  auto campaign_or = store_->GetCampaign(campaign_name);
-  if (!campaign_or.ok()) return campaign_or.status();
-  const CampaignData campaign = std::move(campaign_or).value();
-
-  // With a durable archive attached, align its WAL group commits with our
-  // ordered result batches: buffer records across each batch and flush once
-  // per PutExperiments instead of once per row.
-  std::optional<db::Archive::GroupCommitScope> wal_group;
-  if (store_->archive() != nullptr) wal_group.emplace(store_->archive());
-
-  // Resume semantics (Fig. 7 restart): experiments already in the database
-  // are skipped before dispatch, exactly like the serial driver.
-  const bool need_reference =
-      !store_->GetExperiment(CampaignStore::ReferenceName(campaign.name)).ok();
-  std::vector<int> pending;
-  pending.reserve(static_cast<size_t>(std::max(0, campaign.num_experiments)));
-  for (int i = 0; i < campaign.num_experiments; ++i) {
-    if (store_->GetExperiment(CampaignStore::ExperimentName(campaign.name, i))
-            .ok()) {
-      ++stats_.experiments_resumed;
-    } else {
-      pending.push_back(i);
-    }
-  }
-
-  const int workers = std::max(
-      1, std::min(num_workers_, static_cast<int>(std::max<size_t>(
-                                    1, pending.size()))));
-  workers_used_ = workers;
-
-  // Build the worker-owned target stacks up front; a factory or fault-space
-  // error surfaces here before any thread starts. Dedup adds one extra
-  // target for the committer thread (fault-list planning, detail-cap
-  // fallback executions, spot checks).
-  const int target_count = equivalence_classing_ ? workers + 1 : workers;
-  std::vector<std::unique_ptr<FaultInjectionAlgorithms>> targets;
-  targets.reserve(static_cast<size_t>(target_count));
-  for (int w = 0; w < target_count; ++w) {
-    std::unique_ptr<FaultInjectionAlgorithms> target = factory_();
-    if (target == nullptr) {
-      return util::Internal("parallel runner: target factory returned null");
-    }
-    if (liveness_filter_) target->SetLivenessFilter(liveness_filter_);
-    // Suppress the per-target auto-build: a shared cache (below) replaces N
-    // redundant golden runs with one.
-    target->SetCheckpointInterval(0);
-    GOOFI_RETURN_IF_ERROR(target->PrepareCampaign(campaign));
-    targets.push_back(std::move(target));
-  }
-
-  // Build the golden run once, on the committer thread, and share its
-  // products read-only across all workers; the same decision as the serial
-  // driver's.
-  std::shared_ptr<const CheckpointCache> cache;
-  std::shared_ptr<const GoldenTrace> trace;
-  GOOFI_RETURN_IF_ERROR(targets[0]->BuildGoldenProducts(
-      checkpoint_interval_, force_warm_start_, convergence_pruning_, &cache,
-      &trace));
-  if (cache != nullptr) {
-    for (auto& target : targets) target->SetCheckpointCache(cache);
-  }
-  if (trace != nullptr) {
-    // One memo for the whole run: a suffix outcome memoized by any worker
-    // prunes matching experiments on every worker (single-writer inserts
-    // under the memo's lock, shared lock-guarded lookups).
-    auto memo = std::make_shared<ConvergenceMemo>();
-    for (auto& target : targets) {
-      target->SetConvergencePruning(true);
-      target->SetGoldenTrace(trace);
-      target->SetConvergenceMemo(memo);
-      // Each worker needs its own memory baseline for canonical hashing.
-      GOOFI_RETURN_IF_ERROR(target->PrepareGoldenBaseline());
-    }
-  }
-
-  // The reference run commits before any experiment row, matching serial
-  // insertion order. Its final state doubles as the golden endpoint for the
-  // equivalence classer (injection past it provably never happens).
-  LoggedState reference_state;
-  if (need_reference) {
-    auto rows = targets[0]->ExecuteExperiment(-1);
-    if (!rows.ok()) return rows.status();
-    reference_state = rows.value().front().state;
-    GOOFI_RETURN_IF_ERROR(store_->PutExperiments(rows.value()));
-  } else if (equivalence_classing_) {
-    auto reference =
-        store_->GetExperiment(CampaignStore::ReferenceName(campaign.name));
-    if (!reference.ok()) return reference.status();
-    reference_state = std::move(reference).value().state;
-  }
-  if (pending.empty()) return util::Status::Ok();
-
-  if (equivalence_classing_) {
-    return RunDeduped(campaign, pending, targets, reference_state);
-  }
-
-  // Dispatch: workers pull pending positions off a shared cursor; results
-  // land in per-position slots the committer drains in order.
-  std::vector<Slot> slots(pending.size());
-  std::atomic<size_t> cursor{0};
-  std::atomic<bool> cancel{false};
-  std::mutex mutex;
-  std::condition_variable slot_ready;
-
-  auto worker_main = [&](int w) {
-    FaultInjectionAlgorithms& target = *targets[static_cast<size_t>(w)];
-    for (;;) {
-      if (cancel.load(std::memory_order_relaxed)) return;
-      const size_t pos = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (pos >= pending.size()) return;
-      const int dead_before = target.stats().injections_skipped_dead;
-      auto rows = target.ExecuteExperiment(pending[pos]);
-      Slot slot;
-      slot.done = true;
-      if (rows.ok()) {
-        slot.rows = std::move(rows).value();
-      } else {
-        slot.status = rows.status();
-      }
-      slot.skipped_dead =
-          target.stats().injections_skipped_dead - dead_before;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        slots[pos] = std::move(slot);
-      }
-      slot_ready.notify_one();
-    }
-  };
-
-  util::ThreadPool pool(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool.Submit([&worker_main, w]() { worker_main(w); });
-  }
-
-  // Single-writer committer: strictly ordered, batched commits; progress
-  // callbacks (and early stop) ride this thread.
-  std::vector<CampaignStore::ExperimentRow> batch;
-  batch.reserve(static_cast<size_t>(batch_rows_));
-  util::Status error = util::Status::Ok();
-  auto flush = [&]() {
-    if (batch.empty()) return util::Status::Ok();
-    util::Status st = store_->PutExperiments(batch);
-    batch.clear();
-    return st;
-  };
-  for (size_t pos = 0; pos < pending.size() && error.ok(); ++pos) {
-    Slot slot;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      slot_ready.wait(lock, [&]() { return slots[pos].done; });
-      slot = std::move(slots[pos]);
-    }
-    if (!slot.status.ok()) {
-      error = slot.status;
-      break;
-    }
-    const LoggedState last_state = slot.rows.front().state;
-    for (CampaignStore::ExperimentRow& row : slot.rows) {
-      batch.push_back(std::move(row));
-    }
-    ++stats_.experiments_run;
-    stats_.injections_skipped_dead += slot.skipped_dead;
-    if (static_cast<int>(batch.size()) >= batch_rows_) {
-      error = flush();
-      if (!error.ok()) break;
-    }
-    if (monitor_ != nullptr &&
-        !monitor_->OnExperiment(pending[pos] + 1, campaign.num_experiments,
-                                last_state)) {
-      util::Log::Info("campaign " + campaign_name + " ended by user after " +
-                      std::to_string(pending[pos] + 1) + " experiments");
-      break;  // early stop: later experiments are cancelled and discarded
-    }
-  }
-
-  cancel.store(true, std::memory_order_relaxed);
-  pool.Shutdown();
-
-  cpu::MemoryUsageAggregator memory_usage;
-  for (const auto& target : targets) {
-    warm_starts_ += target->warm_starts();
-    prune_stats_ += target->prune_stats();
-    if (const cpu::Memory* memory = target->TargetMemory()) {
-      memory_usage.Add(*memory);
-    }
-  }
-  memory_usage_ = memory_usage.totals();
-
-  // Commit what completed in order before reporting any error — the same
-  // prefix a serial run that failed at this experiment would have logged.
-  const util::Status flush_status = flush();
-  if (!error.ok()) return error;
-  return flush_status;
-}
-
-namespace {
+/// The equivalence-classing inputs of a run.
+struct Classing {
+  const LivenessAnalyzer* timeline = nullptr;
+  const StaticAnalysis* static_analysis = nullptr;
+  int spot_check_every = 0;
+};
 
 /// Digest of a full result-row set for spot-check comparison: name, parent,
 /// campaign, data and serialized state of every row, order-sensitive. The
 /// capture blob makes equal hashes mean equal rows.
-void HashRows(const std::vector<CampaignStore::ExperimentRow>& rows,
-              cpu::StateHasher* hasher) {
+void HashRows(const Rows& rows, cpu::StateHasher* hasher) {
   hasher->U64(rows.size());
   for (const CampaignStore::ExperimentRow& row : rows) {
     hasher->Str(row.experiment_name);
@@ -260,8 +55,7 @@ void HashRows(const std::vector<CampaignStore::ExperimentRow>& rows,
   }
 }
 
-bool RowsIdentical(const std::vector<CampaignStore::ExperimentRow>& a,
-                   const std::vector<CampaignStore::ExperimentRow>& b) {
+bool RowsIdentical(const Rows& a, const Rows& b) {
   cpu::StateHasher hash_a(/*capture=*/true);
   cpu::StateHasher hash_b(/*capture=*/true);
   HashRows(a, &hash_a);
@@ -269,205 +63,372 @@ bool RowsIdentical(const std::vector<CampaignStore::ExperimentRow>& a,
   return hash_a.hash() == hash_b.hash() && hash_a.blob() == hash_b.blob();
 }
 
-}  // namespace
-
-util::Status ParallelCampaignRunner::RunDeduped(
-    const CampaignData& campaign, const std::vector<int>& pending,
-    std::vector<std::unique_ptr<FaultInjectionAlgorithms>>& targets,
-    const LoggedState& reference_state) {
-  const int workers = workers_used_;
-  FaultInjectionAlgorithms& spare = *targets.back();
-
-  // Plan every pending fault list on the committer's target: the same RNG
-  // stream and liveness-filter retries as execution, so the lists are
-  // exactly what a plain run would draw. Filter skips are recorded per
-  // experiment and charged when it commits, keeping Stats equal to serial.
-  std::vector<std::vector<FaultInstance>> plans(pending.size());
-  std::vector<int> plan_skips(pending.size(), 0);
-  for (size_t pos = 0; pos < pending.size(); ++pos) {
-    const int dead_before = spare.stats().injections_skipped_dead;
-    auto faults = spare.PlanFaults(pending[pos]);
-    if (!faults.ok()) return faults.status();
-    plan_skips[pos] = spare.stats().injections_skipped_dead - dead_before;
-    plans[pos] = std::move(faults).value();
+/// The dispatch-and-commit loop of one campaign run (see the header).
+class CampaignLoop {
+ public:
+  /// Reads which experiments are already logged (Fig. 7 restart).
+  CampaignLoop(CampaignStore* store, const CampaignData& campaign,
+               ProgressMonitor* monitor)
+      : store_(store), campaign_(campaign), monitor_(monitor) {
+    need_reference_ =
+        !store_->GetExperiment(CampaignStore::ReferenceName(campaign_.name))
+             .ok();
+    for (int i = 0; i < campaign_.num_experiments; ++i) {
+      if (store_->GetExperiment(CampaignStore::ExperimentName(campaign_.name, i))
+              .ok()) {
+        ++stats_.experiments_resumed;
+      } else {
+        pending_.push_back(i);
+      }
+    }
   }
 
-  EquivalenceClasser::Config config;
-  config.technique = campaign.technique;
-  config.fault_model = campaign.fault_model;
-  config.faults_per_experiment = campaign.faults_per_experiment;
-  config.has_golden_end = true;
-  config.golden_end_instret = reference_state.instret;
-  config.static_analysis = equivalence_static_.get();
-  EquivalenceClasser classer(equivalence_timeline_.get(), config);
-  for (size_t pos = 0; pos < pending.size(); ++pos) {
-    classer.Add(static_cast<int>(pos), plans[pos]);
-  }
-  const std::vector<EquivalenceClasser::Class>& classes = classer.classes();
-  dedup_stats_.classes_formed = classer.multi_member_classes();
+  size_t pending() const { return pending_.size(); }
+  const FaultInjectionAlgorithms::Stats& stats() const { return stats_; }
+  const EquivalenceStats& dedup_stats() const { return dedup_; }
 
-  // Dispatch: one slot per class; workers pull class ids off the cursor
-  // (classes are ordered by first member, so the committer drains them
-  // nearly in order) and execute only the representative.
-  std::vector<Slot> slots(classes.size());
+  /// Runs the reference run (unless logged) and every pending experiment on
+  /// the prepared `targets`: inline with one, one thread each with more.
+  /// `committer` plans fault lists, re-executes members of detail-capped
+  /// classes and runs the spot checks; it is only used with `classing`.
+  util::Status Run(const std::vector<FaultInjectionAlgorithms*>& targets,
+                   FaultInjectionAlgorithms* committer,
+                   const Classing* classing);
+
+ private:
+  util::Status Classify(const Classing& classing,
+                        const LoggedState& reference_state);
+  size_t UnitOf(size_t pos) const {
+    return classer_ ? classer_->class_of(pos) : pos;
+  }
+  Slot Execute(FaultInjectionAlgorithms& target, size_t unit);
+  /// A representative whose detail log hit the row cap has no usable suffix
+  /// to synthesize members from.
+  bool Capped(size_t unit) const {
+    return classer_->classes()[unit].suffix_filtered &&
+           slots_[unit].rows.size() - 1 >=
+               FaultInjectionAlgorithms::kMaxDetailRows;
+  }
+  util::Result<Rows> RowsAt(size_t pos, size_t unit);
+  util::Status SpotCheck(int every);
+
+  CampaignStore* store_;
+  const CampaignData& campaign_;
+  ProgressMonitor* monitor_;
+  bool need_reference_ = false;
+  std::vector<int> pending_;
+  FaultInjectionAlgorithms* committer_ = nullptr;
+  /// Unset: the trivial partition, unit u is pending position u.
+  std::optional<EquivalenceClasser> classer_;
+  std::vector<std::vector<FaultInstance>> plans_;
+  std::vector<int> plan_skips_;
+  std::vector<Slot> slots_;  ///< one per unit
+  FaultInjectionAlgorithms::Stats stats_;
+  EquivalenceStats dedup_;
+};
+
+util::Status CampaignLoop::Run(
+    const std::vector<FaultInjectionAlgorithms*>& targets,
+    FaultInjectionAlgorithms* committer, const Classing* classing) {
+  committer_ = committer;
+  // With a durable archive attached, WAL group commits follow our commits:
+  // records buffer until each PutExperiments and flush once there.
+  std::optional<db::Archive::GroupCommitScope> wal_group;
+  if (store_->archive() != nullptr) wal_group.emplace(store_->archive());
+
+  // The reference run commits before any experiment row, matching serial
+  // insertion order. Its final state doubles as the golden endpoint for the
+  // equivalence classer (injection past it provably never happens).
+  LoggedState reference_state;
+  if (need_reference_) {
+    auto rows = targets[0]->ExecuteExperiment(-1);
+    if (!rows.ok()) return rows.status();
+    if (classing != nullptr) reference_state = rows.value().front().state;
+    GOOFI_RETURN_IF_ERROR(store_->PutExperiments(rows.value()));
+  } else if (classing != nullptr) {
+    auto reference =
+        store_->GetExperiment(CampaignStore::ReferenceName(campaign_.name));
+    if (!reference.ok()) return reference.status();
+    reference_state = std::move(reference).value().state;
+  }
+  if (pending_.empty()) return util::Status::Ok();
+  if (classing != nullptr) {
+    GOOFI_RETURN_IF_ERROR(Classify(*classing, reference_state));
+  }
+  slots_.resize(classer_ ? classer_->classes().size() : pending_.size());
+
+  // Dispatch: with more than one target, each worker thread pulls units off
+  // a shared cursor and parks the results in per-unit slots.
+  const bool threaded = targets.size() > 1;
   std::atomic<size_t> cursor{0};
   std::atomic<bool> cancel{false};
   std::mutex mutex;
   std::condition_variable slot_ready;
-
-  auto worker_main = [&](int w) {
-    FaultInjectionAlgorithms& target = *targets[static_cast<size_t>(w)];
-    for (;;) {
-      if (cancel.load(std::memory_order_relaxed)) return;
-      const size_t cid = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (cid >= classes.size()) return;
-      const int rep = classes[cid].representative;
-      auto rows = target.ExecutePlanned(pending[static_cast<size_t>(rep)],
-                                        plans[static_cast<size_t>(rep)]);
-      Slot slot;
-      slot.done = true;
-      if (rows.ok()) {
-        slot.rows = std::move(rows).value();
-      } else {
-        slot.status = rows.status();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        slots[cid] = std::move(slot);
-      }
-      slot_ready.notify_one();
+  std::optional<util::ThreadPool> pool;
+  if (threaded) {
+    pool.emplace(static_cast<int>(targets.size()));
+    for (FaultInjectionAlgorithms* target : targets) {
+      pool->Submit([&, target]() {
+        while (!cancel.load(std::memory_order_relaxed)) {
+          const size_t unit = cursor.fetch_add(1, std::memory_order_relaxed);
+          if (unit >= slots_.size()) return;
+          Slot slot = Execute(*target, unit);
+          {
+            std::lock_guard<std::mutex> lock(mutex);
+            slots_[unit] = std::move(slot);
+          }
+          slot_ready.notify_one();
+        }
+      });
     }
-  };
-
-  util::ThreadPool pool(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool.Submit([&worker_main, w]() { worker_main(w); });
   }
 
-  // Single-writer committer, strictly in pending order like the plain path.
-  // Representatives commit their own rows (copied — later members still
-  // synthesize from them); members commit rewritten rows. A representative
-  // whose detail log hit the row cap has no usable suffix, so its members
-  // fall back to live execution on the committer's target.
-  std::vector<CampaignStore::ExperimentRow> batch;
-  batch.reserve(static_cast<size_t>(batch_rows_));
-  util::Status error = util::Status::Ok();
-  bool early_stop = false;
+  // Single-writer committer, strictly in experiment order; progress
+  // callbacks (and early stop) ride this thread. Inline, each experiment is
+  // its own commit before the monitor sees it; threaded, ~64 rows are.
+  const size_t batch_rows = threaded ? kBatchRows : 1;
+  Rows batch;
+  util::Status error;
+  bool stopped = false;
   auto flush = [&]() {
     if (batch.empty()) return util::Status::Ok();
-    util::Status st = store_->PutExperiments(batch);
+    util::Status status = store_->PutExperiments(batch);
     batch.clear();
-    return st;
+    return status;
   };
-  for (size_t pos = 0; pos < pending.size() && error.ok(); ++pos) {
-    const size_t cid = classer.class_of(pos);
-    {
+  for (size_t pos = 0; pos < pending_.size(); ++pos) {
+    const size_t unit = UnitOf(pos);
+    if (threaded) {
       std::unique_lock<std::mutex> lock(mutex);
-      slot_ready.wait(lock, [&]() { return slots[cid].done; });
+      slot_ready.wait(lock, [&]() { return slots_[unit].done; });
+    } else if (!slots_[unit].done) {
+      slots_[unit] = Execute(*targets[0], unit);
     }
-    // Past the wait, the worker is done with this slot: reads are safe
-    // without the lock, and the rows stay put for later members.
-    if (!slots[cid].status.ok()) {
-      error = slots[cid].status;
+    // Past this point no worker touches the slot again.
+    auto rows = RowsAt(pos, unit);
+    if (!rows.ok()) {
+      error = rows.status();
       break;
     }
-    const EquivalenceClasser::Class& cls = classes[cid];
-    const bool rep_capped =
-        cls.suffix_filtered &&
-        slots[cid].rows.size() - 1 >= FaultInjectionAlgorithms::kMaxDetailRows;
-    std::vector<CampaignStore::ExperimentRow> rows;
-    if (static_cast<int>(pos) == cls.representative) {
-      if (cls.members.size() == 1) {
-        rows = std::move(slots[cid].rows);
-      } else {
-        rows = slots[cid].rows;
-      }
-    } else if (rep_capped) {
-      auto executed = spare.ExecutePlanned(pending[pos], plans[pos]);
-      if (!executed.ok()) {
-        error = executed.status();
-        break;
-      }
-      rows = std::move(executed).value();
-    } else {
-      rows = SynthesizeMemberRows(slots[cid].rows, campaign,
-                                  pending[pos], plans[pos],
-                                  cls.suffix_filtered);
-      ++dedup_stats_.experiments_synthesized;
-      if (cls.static_no_effect) ++dedup_stats_.static_synthesized;
-    }
-    const LoggedState last_state = rows.front().state;
-    for (CampaignStore::ExperimentRow& row : rows) {
+    LoggedState last_state;
+    if (monitor_ != nullptr) last_state = rows.value().front().state;
+    for (CampaignStore::ExperimentRow& row : rows.value()) {
       batch.push_back(std::move(row));
     }
     ++stats_.experiments_run;
-    stats_.injections_skipped_dead += plan_skips[pos];
-    if (static_cast<int>(batch.size()) >= batch_rows_) {
+    stats_.injections_skipped_dead +=
+        classer_ ? plan_skips_[pos] : slots_[unit].skipped_dead;
+    if (batch.size() >= batch_rows) {
       error = flush();
       if (!error.ok()) break;
     }
     if (monitor_ != nullptr &&
-        !monitor_->OnExperiment(pending[pos] + 1, campaign.num_experiments,
+        !monitor_->OnExperiment(pending_[pos] + 1, campaign_.num_experiments,
                                 last_state)) {
-      util::Log::Info("campaign " + campaign.name + " ended by user after " +
-                      std::to_string(pending[pos] + 1) + " experiments");
-      early_stop = true;
+      util::Log::Info("campaign " + campaign_.name + " ended by user after " +
+                      std::to_string(pending_[pos] + 1) + " experiments");
+      stopped = true;  // later experiments are cancelled and discarded
       break;
     }
   }
-
   cancel.store(true, std::memory_order_relaxed);
-  pool.Shutdown();
+  if (pool) pool->Shutdown();
 
-  // Spot checks (the collision/logic backstop): re-execute one synthesized
-  // member of every n-th multi-member class and require its rows to be
-  // byte-identical to the synthesis. Skipped after an error or early stop —
-  // the classes past the stop never committed.
-  if (error.ok() && !early_stop && spot_check_every_ > 0) {
-    int64_t eligible = 0;
-    for (size_t cid = 0; cid < classes.size() && error.ok(); ++cid) {
-      const EquivalenceClasser::Class& cls = classes[cid];
-      if (cls.members.size() < 2) continue;
-      const bool rep_capped =
-          cls.suffix_filtered &&
-          slots[cid].rows.size() - 1 >=
-              FaultInjectionAlgorithms::kMaxDetailRows;
-      if (rep_capped) continue;  // members ran live; nothing synthesized
-      if ((eligible++ % spot_check_every_) != 0) continue;
-      int member = -1;
-      for (int m : cls.members) {
-        if (m != cls.representative) {
-          member = m;
-          break;
-        }
-      }
-      if (member < 0) continue;
-      ++dedup_stats_.spot_checks_run;
-      auto actual = spare.ExecutePlanned(pending[static_cast<size_t>(member)],
-                                         plans[static_cast<size_t>(member)]);
-      if (!actual.ok()) {
-        error = actual.status();
-        break;
-      }
-      const std::vector<CampaignStore::ExperimentRow> expected =
-          SynthesizeMemberRows(slots[cid].rows, campaign,
-                               pending[static_cast<size_t>(member)],
-                               plans[static_cast<size_t>(member)],
-                               cls.suffix_filtered);
-      if (!RowsIdentical(expected, actual.value())) {
-        error = util::Internal(
-            "equivalence spot check failed: synthesized rows for " +
-            CampaignStore::ExperimentName(
-                campaign.name, pending[static_cast<size_t>(member)]) +
-            " differ from a live re-execution");
-        break;
-      }
-      ++dedup_stats_.spot_checks_passed;
-    }
+  // Skipped after an error or early stop: classes past the stop never
+  // committed.
+  if (classer_ && error.ok() && !stopped) {
+    error = SpotCheck(classing->spot_check_every);
+  }
+  // Commit what completed in order before reporting any error — the same
+  // prefix a serial run that failed at this experiment would have logged.
+  const util::Status flushed = flush();
+  return error.ok() ? flushed : error;
+}
+
+util::Status CampaignLoop::Classify(const Classing& classing,
+                                    const LoggedState& reference_state) {
+  // Plan every pending fault list on the committer's target: the same RNG
+  // stream and liveness-filter retries as execution, so the lists are
+  // exactly what a plain run would draw. Filter skips are recorded per
+  // experiment and charged when it commits, keeping Stats equal to serial.
+  plans_.resize(pending_.size());
+  plan_skips_.resize(pending_.size());
+  for (size_t pos = 0; pos < pending_.size(); ++pos) {
+    const int dead_before = committer_->stats().injections_skipped_dead;
+    auto faults = committer_->PlanFaults(pending_[pos]);
+    if (!faults.ok()) return faults.status();
+    plan_skips_[pos] =
+        committer_->stats().injections_skipped_dead - dead_before;
+    plans_[pos] = std::move(faults).value();
   }
 
+  EquivalenceClasser::Config config;
+  config.technique = campaign_.technique;
+  config.fault_model = campaign_.fault_model;
+  config.faults_per_experiment = campaign_.faults_per_experiment;
+  config.has_golden_end = true;
+  config.golden_end_instret = reference_state.instret;
+  config.static_analysis = classing.static_analysis;
+  classer_.emplace(classing.timeline, config);
+  for (size_t pos = 0; pos < pending_.size(); ++pos) {
+    classer_->Add(static_cast<int>(pos), plans_[pos]);
+  }
+  dedup_.classes_formed = classer_->multi_member_classes();
+  return util::Status::Ok();
+}
+
+Slot CampaignLoop::Execute(FaultInjectionAlgorithms& target, size_t unit) {
+  const int dead_before = target.stats().injections_skipped_dead;
+  util::Result<Rows> rows =
+      classer_ ? target.ExecutePlanned(
+                     pending_[classer_->classes()[unit].representative],
+                     plans_[classer_->classes()[unit].representative])
+               : target.ExecuteExperiment(pending_[unit]);
+  Slot slot;
+  slot.done = true;
+  if (rows.ok()) {
+    slot.rows = std::move(rows).value();
+  } else {
+    slot.status = rows.status();
+  }
+  slot.skipped_dead = target.stats().injections_skipped_dead - dead_before;
+  return slot;
+}
+
+util::Result<Rows> CampaignLoop::RowsAt(size_t pos, size_t unit) {
+  Slot& slot = slots_[unit];
+  if (!slot.status.ok()) return slot.status;
+  if (!classer_) return std::move(slot.rows);
+  const EquivalenceClasser::Class& cls = classer_->classes()[unit];
+  if (cls.members.size() == 1) return std::move(slot.rows);
+  // The representative's rows are copied: later members synthesize from
+  // them. Members of a capped class execute live on the committer's target.
+  if (static_cast<int>(pos) == cls.representative) return slot.rows;
+  if (Capped(unit)) return committer_->ExecutePlanned(pending_[pos], plans_[pos]);
+  ++dedup_.experiments_synthesized;
+  if (cls.static_no_effect) ++dedup_.static_synthesized;
+  return SynthesizeMemberRows(slot.rows, campaign_, pending_[pos], plans_[pos],
+                              cls.suffix_filtered);
+}
+
+util::Status CampaignLoop::SpotCheck(int every) {
+  // The collision/logic backstop: re-execute one synthesized member of
+  // every n-th multi-member class and require its rows to be byte-identical
+  // to the synthesis.
+  if (every <= 0) return util::Status::Ok();
+  int64_t eligible = 0;
+  const std::vector<EquivalenceClasser::Class>& classes = classer_->classes();
+  for (size_t unit = 0; unit < classes.size(); ++unit) {
+    const EquivalenceClasser::Class& cls = classes[unit];
+    // Members of a capped class ran live; nothing was synthesized.
+    if (cls.members.size() < 2 || Capped(unit)) continue;
+    if ((eligible++ % every) != 0) continue;
+    const size_t member = static_cast<size_t>(
+        cls.members[0] != cls.representative ? cls.members[0]
+                                             : cls.members[1]);
+    ++dedup_.spot_checks_run;
+    auto actual = committer_->ExecutePlanned(pending_[member], plans_[member]);
+    if (!actual.ok()) return actual.status();
+    const Rows expected =
+        SynthesizeMemberRows(slots_[unit].rows, campaign_, pending_[member],
+                             plans_[member], cls.suffix_filtered);
+    if (!RowsIdentical(expected, actual.value())) {
+      return util::Internal(
+          "equivalence spot check failed: synthesized rows for " +
+          CampaignStore::ExperimentName(campaign_.name, pending_[member]) +
+          " differ from a live re-execution");
+    }
+    ++dedup_.spot_checks_passed;
+  }
+  return util::Status::Ok();
+}
+
+}  // namespace
+
+util::Status RunCampaignInline(CampaignStore* store,
+                               const CampaignData& campaign,
+                               FaultInjectionAlgorithms* target,
+                               ProgressMonitor* monitor,
+                               FaultInjectionAlgorithms::Stats* stats) {
+  CampaignLoop loop(store, campaign, monitor);
+  const util::Status status = loop.Run({target}, target, nullptr);
+  *stats = loop.stats();
+  return status;
+}
+
+ParallelCampaignRunner::ParallelCampaignRunner(CampaignStore* store,
+                                               TargetFactory factory,
+                                               int num_workers)
+    : store_(store),
+      factory_(std::move(factory)),
+      num_workers_(num_workers > 0 ? num_workers
+                                   : util::ThreadPool::DefaultWorkers()) {}
+
+util::Status ParallelCampaignRunner::Run(const std::string& campaign_name) {
+  stats_ = FaultInjectionAlgorithms::Stats{};
+  warm_starts_ = 0;
+  prune_stats_ = ConvergenceStats{};
+  dedup_stats_ = EquivalenceStats{};
+  memory_usage_ = cpu::MemoryUsageAggregator::Totals{};
+  auto campaign_or = store_->GetCampaign(campaign_name);
+  if (!campaign_or.ok()) return campaign_or.status();
+  const CampaignData campaign = std::move(campaign_or).value();
+  CampaignLoop loop(store_, campaign, monitor_);
+
+  // Build the target stacks up front; a factory or fault-space error
+  // surfaces here before any thread starts. A threaded run under classing
+  // gets one more target for the committer thread.
+  workers_used_ = static_cast<int>(std::clamp<size_t>(
+      loop.pending(), 1, static_cast<size_t>(num_workers_)));
+  const bool threaded = workers_used_ > 1;
+  const int target_count =
+      workers_used_ + (threaded && equivalence_classing_ ? 1 : 0);
+  std::vector<std::unique_ptr<FaultInjectionAlgorithms>> owned;
+  for (int w = 0; w < target_count; ++w) {
+    std::unique_ptr<FaultInjectionAlgorithms> target = factory_();
+    if (target == nullptr) {
+      return util::Internal("parallel runner: target factory returned null");
+    }
+    if (liveness_filter_) target->SetLivenessFilter(liveness_filter_);
+    // Suppress the per-target auto-build: a shared cache (below) replaces N
+    // redundant golden runs with one.
+    target->SetCheckpointInterval(0);
+    GOOFI_RETURN_IF_ERROR(target->PrepareCampaign(campaign));
+    owned.push_back(std::move(target));
+  }
+
+  // Build the golden run once, on the committer thread, and share its
+  // products read-only across all targets; the same decision as the serial
+  // driver's.
+  std::shared_ptr<const CheckpointCache> cache;
+  std::shared_ptr<const GoldenTrace> trace;
+  GOOFI_RETURN_IF_ERROR(owned[0]->BuildGoldenProducts(
+      checkpoint_interval_, force_warm_start_, convergence_pruning_, &cache,
+      &trace));
+  // One memo for the whole run: a suffix outcome memoized by any worker
+  // prunes matching experiments on every worker (single-writer inserts
+  // under the memo's lock, shared lock-guarded lookups).
+  auto memo = trace != nullptr ? std::make_shared<ConvergenceMemo>() : nullptr;
+  for (auto& target : owned) {
+    if (cache != nullptr) target->SetCheckpointCache(cache);
+    if (trace == nullptr) continue;
+    target->SetConvergencePruning(true);
+    target->SetGoldenTrace(trace);
+    target->SetConvergenceMemo(memo);
+    // Each target needs its own memory baseline for canonical hashing.
+    GOOFI_RETURN_IF_ERROR(target->PrepareGoldenBaseline());
+  }
+
+  std::vector<FaultInjectionAlgorithms*> targets;
+  for (int w = 0; w < workers_used_; ++w) targets.push_back(owned[w].get());
+  const Classing classing{equivalence_timeline_.get(),
+                          equivalence_static_.get(), spot_check_every_};
+  const util::Status status = loop.Run(
+      targets, owned.back().get(), equivalence_classing_ ? &classing : nullptr);
+  stats_ = loop.stats();
+  dedup_stats_ = loop.dedup_stats();
   cpu::MemoryUsageAggregator memory_usage;
-  for (const auto& target : targets) {
+  for (const auto& target : owned) {
     warm_starts_ += target->warm_starts();
     prune_stats_ += target->prune_stats();
     if (const cpu::Memory* memory = target->TargetMemory()) {
@@ -475,10 +436,7 @@ util::Status ParallelCampaignRunner::RunDeduped(
     }
   }
   memory_usage_ = memory_usage.totals();
-
-  const util::Status flush_status = flush();
-  if (!error.ok()) return error;
-  return flush_status;
+  return status;
 }
 
 ParallelCampaignRunner::TargetFactory MakeSimThorFactory(

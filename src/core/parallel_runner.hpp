@@ -1,25 +1,36 @@
-// ParallelCampaignRunner: shards a campaign's experiments across worker
-// threads, each owning a private simulated target stack, with deterministic
-// replay — the database contents of a parallel run are byte-identical to a
-// serial FaultInjectionAlgorithms::RunCampaign of the same campaign.
+// The one campaign loop, and ParallelCampaignRunner on top of it.
 //
-// Why this is safe: every experiment already derives its RNG stream from
+// Every campaign run goes through one dispatch-and-commit loop
+// (parallel_runner.cpp). The Fig. 2 drivers of FaultInjectionAlgorithms run
+// it inline on their own target; ParallelCampaignRunner::Run runs it on
+// targets built by a factory. The loop partitions the pending experiments
+// into units, executes one representative per unit and commits every
+// experiment's rows strictly in experiment order, so any run leaves the
+// database byte-identical to a cold serial run of the same campaign. A plain
+// run is the trivial partition: each experiment is its own unit, executed
+// with ExecuteExperiment and no planning ahead. Equivalence classing
+// supplies real classes, whose representatives run with ExecutePlanned and
+// whose other members are synthesized at commit.
+//
+// Why sharding is safe: every experiment derives its RNG stream from
 // (campaign seed, experiment index) alone (core/algorithms.cpp), and every
 // experiment body starts by re-initializing the test card and re-downloading
 // the workload, so experiments are independent of execution order and of the
-// target instance they run on. The runner exploits exactly that:
+// target instance they run on. The loop exploits exactly that:
 //
-//   - N workers, each with its own target built by a TargetFactory (TRD32
-//     CPU + scan logic + test card + TargetSystemInterface) — no simulator
-//     state is shared between threads;
-//   - a shared atomic cursor hands out pending experiment indices;
-//   - results flow to a single committer (the thread that called Run),
-//     which commits them to CampaignStore strictly in experiment order and
-//     in batches (CampaignStore::PutExperiments), and invokes the
-//     ProgressMonitor in order — monitors need no thread-safety;
-//   - resume semantics match the serial driver: experiments already logged
-//     are skipped before dispatch;
-//   - early stop (monitor returns false) cancels outstanding shards; the
+//   - one target (every serial driver, and a runner whose worker count
+//     resolves to 1): no thread starts. The calling thread executes each
+//     unit when its first experiment comes up, commits every experiment as
+//     its own CampaignStore::PutExperiments (one WAL group commit) before the
+//     ProgressMonitor sees it, and keeps no rows after their commit, so a
+//     killed run leaves whole experiments only;
+//   - N targets: one worker thread per target pulls units off a shared
+//     atomic cursor; the calling thread commits their results strictly in
+//     experiment order in ~64-row batches, and invokes the ProgressMonitor in
+//     order — monitors need no thread-safety;
+//   - resume (Fig. 7 restart): experiments already logged are skipped
+//     before dispatch;
+//   - early stop (monitor returns false) cancels outstanding units; the
 //     speculative results of later experiments are discarded, so the
 //     database again matches a serially-stopped run.
 #pragma once
@@ -34,15 +45,26 @@
 
 namespace goofi::core {
 
+/// Runs `campaign` on `target` alone, on the calling thread: the path of
+/// FaultInjectionAlgorithms::RunCampaign and the Fig. 2 drivers. `target`
+/// must be prepared for `campaign` (PrepareCampaign), with whatever golden
+/// products it built for itself. `stats` receives the run's counters.
+util::Status RunCampaignInline(CampaignStore* store,
+                               const CampaignData& campaign,
+                               FaultInjectionAlgorithms* target,
+                               ProgressMonitor* monitor,
+                               FaultInjectionAlgorithms::Stats* stats);
+
 class ParallelCampaignRunner {
  public:
-  /// Builds one worker's private target stack. Called once per worker on the
-  /// committer thread; the produced target is driven by exactly one worker.
+  /// Builds one worker's private target stack. Called on the committer
+  /// thread; the produced target is driven by exactly one thread.
   using TargetFactory =
       std::function<std::unique_ptr<FaultInjectionAlgorithms>()>;
 
   /// `num_workers` <= 0 selects ThreadPool::DefaultWorkers(). The worker
-  /// count is additionally capped by the number of pending experiments.
+  /// count is additionally capped by the number of pending experiments; a
+  /// count of 1 runs inline, without threads.
   ParallelCampaignRunner(CampaignStore* store, TargetFactory factory,
                          int num_workers = 0);
 
@@ -58,10 +80,6 @@ class ParallelCampaignRunner {
     liveness_filter_ = std::move(filter);
   }
 
-  /// Number of database rows buffered before a batched commit. Commit order
-  /// is unaffected; this only trades commit overhead against buffering.
-  void SetCommitBatchRows(int rows);
-
   /// Checkpoint fast-forward: when the target supports it, the committer
   /// thread builds one golden-run CheckpointCache during preparation and
   /// shares it read-only across all workers, so each experiment warm-starts
@@ -69,7 +87,6 @@ class ParallelCampaignRunner {
   void SetCheckpointInterval(uint64_t interval) {
     checkpoint_interval_ = interval;
   }
-  uint64_t checkpoint_interval() const { return checkpoint_interval_; }
 
   /// Engages warm-start even when some faults may inject before the first
   /// checkpoint (see FaultInjectionAlgorithms::SetForceWarmStart).
@@ -88,7 +105,6 @@ class ParallelCampaignRunner {
   /// matching boundary with their remaining rows synthesized — byte-identical
   /// to a full run.
   void SetConvergencePruning(bool enabled) { convergence_pruning_ = enabled; }
-  bool convergence_pruning() const { return convergence_pruning_; }
 
   /// Convergence counters of the most recent Run, summed over all workers
   /// (like warm_starts(), outside stats() so pruned and unpruned runs
@@ -97,14 +113,13 @@ class ParallelCampaignRunner {
 
   /// Fault-list equivalence classing (core/equivalence): when enabled, the
   /// committer thread plans every pending experiment's fault list up front,
-  /// partitions the experiments into provably-equivalent classes, dispatches
-  /// one representative per class to the workers and synthesizes the
-  /// remaining members' rows at commit time. Commit order is unchanged, so
-  /// the database stays byte-identical to the undeduplicated run. Eligibility
-  /// mirrors pruning: transient single-flip experiments only; everything
-  /// else stays a singleton class and runs normally.
+  /// partitions the experiments into provably-equivalent classes, executes
+  /// one representative per class and synthesizes the remaining members'
+  /// rows at commit time. Commit order is unchanged, so the database stays
+  /// byte-identical to the undeduplicated run. Eligibility mirrors pruning:
+  /// transient single-flip experiments only; everything else stays a
+  /// singleton class and runs normally.
   void SetEquivalenceClassing(bool enabled) { equivalence_classing_ = enabled; }
-  bool equivalence_classing() const { return equivalence_classing_; }
 
   /// Access timeline for window-based classes, shared read-only across the
   /// run. Optional: without it only past-end and pre-runtime-SWIFI classes
@@ -124,8 +139,8 @@ class ParallelCampaignRunner {
   }
 
   /// Spot-check sampling: every n-th multi-member class re-executes one
-  /// synthesized member on the committer's private target after the commit
-  /// loop and verifies StateHasher blob equality of the full row set — the
+  /// synthesized member on the committer's target after the commit loop and
+  /// verifies StateHasher blob equality of the full row set — the
   /// collision/logic backstop. A mismatch fails the Run. 0 disables.
   void SetSpotCheckEvery(int every) { spot_check_every_ = every; }
 
@@ -151,27 +166,15 @@ class ParallelCampaignRunner {
   /// run's Stats equal the serial driver's.
   const FaultInjectionAlgorithms::Stats& stats() const { return stats_; }
 
-  /// The configured worker count (the ceiling; a Run spawns at most one
-  /// worker per pending experiment).
-  int num_workers() const { return num_workers_; }
-
-  /// Workers the most recent Run actually spawned; 0 before any Run.
+  /// Workers the most recent Run actually used (1: it ran inline); 0 before
+  /// any Run.
   int workers_used() const { return workers_used_; }
 
  private:
-  /// The dedup dispatch path: one work unit per equivalence class, member
-  /// rows synthesized in commit order. `targets` holds one extra target (the
-  /// committer's own) past the worker-owned ones.
-  util::Status RunDeduped(
-      const CampaignData& campaign, const std::vector<int>& pending,
-      std::vector<std::unique_ptr<FaultInjectionAlgorithms>>& targets,
-      const LoggedState& reference_state);
-
   CampaignStore* store_;
   TargetFactory factory_;
   int num_workers_;
   int workers_used_ = 0;
-  int batch_rows_ = 64;
   uint64_t checkpoint_interval_ =
       FaultInjectionAlgorithms::kDefaultCheckpointInterval;
   bool force_warm_start_ = false;

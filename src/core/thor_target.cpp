@@ -134,6 +134,14 @@ util::Status ThorRdTarget::RunLoop(bool stop_at_breakpoint) {
     if (result.fired_trigger == iteration_trigger_ && iteration_trigger_ >= 0) {
       GOOFI_RETURN_IF_ERROR(ServiceIteration());
       if (iterations_ >= campaign_.max_iterations) return util::Status::Ok();
+      // The debug unit reports only the first armed trigger, so an injection
+      // breakpoint reached on this same step is hidden behind the iteration
+      // trigger. Stop here, after the servicing, as SwifiSimTarget does;
+      // resuming would inject one retirement late.
+      if (stop_at_breakpoint && breakpoint_trigger_ >= 0 &&
+          card_->cpu().instructions_retired() >= faults_.front().inject_instr) {
+        return util::Status::Ok();
+      }
       continue;
     }
     if (stop_at_breakpoint && result.fired_trigger == breakpoint_trigger_ &&

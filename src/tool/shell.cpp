@@ -304,191 +304,58 @@ util::Result<std::string> Shell::CmdRun(const std::vector<std::string>& args) {
   if (args.size() != 1) return util::InvalidArgument("run <campaign>");
   auto target = FindTargetFor(args[0]);
   if (!target.ok()) return target.status();
-  GOOFI_RETURN_IF_ERROR(target.value().algorithms->RunCampaign(args[0]));
-  const auto& stats = target.value().algorithms->stats();
-  last_run_ = LastRun{};
-  last_run_.valid = true;
-  last_run_.campaign = args[0];
-  last_run_.mode = "run";
-  last_run_.stats = stats;
-  last_run_.warm_starts = target.value().algorithms->warm_starts();
-  last_run_.prune = target.value().algorithms->prune_stats();
+  core::FaultInjectionAlgorithms& algorithms = *target.value().algorithms;
+  GOOFI_RETURN_IF_ERROR(algorithms.RunCampaign(args[0]));
   cpu::MemoryUsageAggregator memory_usage;
-  if (const cpu::Memory* memory = target.value().algorithms->TargetMemory()) {
+  if (const cpu::Memory* memory = algorithms.TargetMemory()) {
     memory_usage.Add(*memory);
   }
-  last_run_.memory = memory_usage.totals();
+  last_run_ = LastRun{true, args[0], "run", algorithms.stats(),
+                      algorithms.warm_starts(), algorithms.prune_stats(), {},
+                      memory_usage.totals()};
   return util::Format("campaign %s: %d experiments run, %d resumed\n",
-                      args[0].c_str(), stats.experiments_run,
-                      stats.experiments_resumed);
+                      args[0].c_str(), algorithms.stats().experiments_run,
+                      algorithms.stats().experiments_resumed);
 }
 
-util::Result<std::string> Shell::CmdRunParallel(
-    const std::vector<std::string>& args) {
-  if (args.empty() || args.size() > 2) {
-    return util::InvalidArgument("run-parallel <campaign> [workers]");
-  }
-  int workers = 0;  // 0 = hardware concurrency
-  if (args.size() == 2) {
-    const auto parsed = util::ParseInt(args[1]);
-    if (!parsed || *parsed < 1) {
-      return util::InvalidArgument("workers must be a positive number");
-    }
-    workers = static_cast<int>(*parsed);
-  }
-  auto target = FindTargetFor(args[0]);
-  if (!target.ok()) return target.status();
-  if (!target.value().factory) {
-    return util::FailedPrecondition(
-        "target of campaign " + args[0] +
-        " was registered without a parallel target factory");
-  }
-  core::ParallelCampaignRunner runner(store_, target.value().factory, workers);
-  GOOFI_RETURN_IF_ERROR(runner.Run(args[0]));
-  const auto& stats = runner.stats();
-  last_run_ = LastRun{};
-  last_run_.valid = true;
-  last_run_.campaign = args[0];
-  last_run_.mode = "run-parallel";
-  last_run_.stats = stats;
-  last_run_.warm_starts = runner.warm_starts();
-  last_run_.prune = runner.prune_stats();
-  last_run_.memory = runner.memory_usage();
-  return util::Format(
-      "campaign %s: %d experiments run on %d workers, %d resumed\n",
-      args[0].c_str(), stats.experiments_run, runner.workers_used(),
-      stats.experiments_resumed);
-}
+/// One runner command: `<command> <campaign> [workers]`, plus `[interval]`
+/// where `interval` is set. The summary line reports the counters of the
+/// reducers the preset engages.
+struct Shell::RunPreset {
+  enum Classes { kNone, kTimeline, kStatic };
+  const char* command;
+  int default_workers;  ///< 0: ThreadPool::DefaultWorkers()
+  bool warm;            ///< force warm start from golden-run checkpoints
+  bool interval;        ///< takes [interval] and reports warm starts
+  bool pruned;          ///< golden-trace convergence pruning
+  Classes classes;      ///< equivalence classing and its class source
+};
 
-util::Result<std::string> Shell::CmdRunWarm(
-    const std::vector<std::string>& args) {
-  return RunWarmOrPruned(args, /*pruned=*/false);
-}
+const Shell::RunPreset Shell::kRunPresets[] = {
+    // Sharded across worker-owned target stacks, ordered commits.
+    {"run-parallel", 0, false, false, false, RunPreset::kNone},
+    // One golden run builds the snapshot cache; each experiment warm-starts
+    // from the nearest checkpoint before its injection time.
+    {"run-warm", 1, true, true, false, RunPreset::kNone},
+    // run-warm plus convergence pruning: experiments whose state rejoins the
+    // golden trajectory at a boundary stop there, the rest synthesized.
+    {"run-pruned", 1, true, true, true, RunPreset::kNone},
+    // run-pruned plus equivalence classing over a fault-free access
+    // timeline: flips in one access window execute once.
+    {"run-dedup", 1, true, false, true, RunPreset::kTimeline},
+    // run-pruned plus the static no-effect classes alone: flips into
+    // statically never-accessed registers or never-read words; no pre-run.
+    {"run-static", 1, true, false, true, RunPreset::kStatic},
+};
 
-util::Result<std::string> Shell::CmdRunPruned(
-    const std::vector<std::string>& args) {
-  return RunWarmOrPruned(args, /*pruned=*/true);
-}
-
-util::Result<std::string> Shell::CmdRunDedup(
-    const std::vector<std::string>& args) {
-  if (args.empty() || args.size() > 2) {
-    return util::InvalidArgument("run-dedup <campaign> [workers]");
+util::Result<std::string> Shell::CmdRunPreset(
+    const RunPreset& preset, const std::vector<std::string>& args) {
+  if (args.empty() || args.size() > (preset.interval ? 3u : 2u)) {
+    return util::InvalidArgument(std::string(preset.command) +
+                                 " <campaign> [workers]" +
+                                 (preset.interval ? " [interval]" : ""));
   }
-  int workers = 1;
-  if (args.size() == 2) {
-    const auto parsed = util::ParseInt(args[1]);
-    if (!parsed || *parsed < 1) {
-      return util::InvalidArgument("workers must be a positive number");
-    }
-    workers = static_cast<int>(*parsed);
-  }
-  auto target = FindTargetFor(args[0]);
-  if (!target.ok()) return target.status();
-  if (!target.value().factory) {
-    return util::FailedPrecondition(
-        "target of campaign " + args[0] +
-        " was registered without a parallel target factory");
-  }
-  auto campaign = store_->GetCampaign(args[0]);
-  if (!campaign.ok()) return campaign.status();
-  core::ParallelCampaignRunner runner(store_, target.value().factory, workers);
-  runner.SetForceWarmStart(true);
-  runner.SetConvergencePruning(true);
-  runner.SetEquivalenceClassing(true);
-  // The access timeline for window-based classes: a fault-free run of the
-  // campaign's workload on the target's configuration, memoized across
-  // campaigns. Bound by the campaign's own termination conditions so the
-  // timeline covers the whole golden run.
-  auto timeline = liveness_cache_.Get(
-      campaign.value().workload, target.value().config,
-      std::max<uint64_t>(200000, campaign.value().timeout_cycles),
-      campaign.value().max_iterations);
-  if (!timeline.ok()) return timeline.status();
-  runner.SetEquivalenceTimeline(timeline.value());
-  GOOFI_RETURN_IF_ERROR(runner.Run(args[0]));
-  const auto& stats = runner.stats();
-  last_run_ = LastRun{};
-  last_run_.valid = true;
-  last_run_.campaign = args[0];
-  last_run_.mode = "run-dedup";
-  last_run_.stats = stats;
-  last_run_.warm_starts = runner.warm_starts();
-  last_run_.prune = runner.prune_stats();
-  last_run_.dedup = runner.dedup_stats();
-  last_run_.memory = runner.memory_usage();
-  return util::Format(
-      "campaign %s: %d experiments run on %d workers (%lld classes, "
-      "%lld synthesized, %lld pruned), %d resumed\n",
-      args[0].c_str(), stats.experiments_run, runner.workers_used(),
-      static_cast<long long>(runner.dedup_stats().classes_formed),
-      static_cast<long long>(runner.dedup_stats().experiments_synthesized),
-      static_cast<long long>(runner.prune_stats().pruned_total()),
-      stats.experiments_resumed);
-}
-
-util::Result<std::string> Shell::CmdRunStatic(
-    const std::vector<std::string>& args) {
-  if (args.empty() || args.size() > 2) {
-    return util::InvalidArgument("run-static <campaign> [workers]");
-  }
-  int workers = 1;
-  if (args.size() == 2) {
-    const auto parsed = util::ParseInt(args[1]);
-    if (!parsed || *parsed < 1) {
-      return util::InvalidArgument("workers must be a positive number");
-    }
-    workers = static_cast<int>(*parsed);
-  }
-  auto target = FindTargetFor(args[0]);
-  if (!target.ok()) return target.status();
-  if (!target.value().factory) {
-    return util::FailedPrecondition(
-        "target of campaign " + args[0] +
-        " was registered without a parallel target factory");
-  }
-  auto campaign = store_->GetCampaign(args[0]);
-  if (!campaign.ok()) return campaign.status();
-  core::ParallelCampaignRunner runner(store_, target.value().factory, workers);
-  runner.SetForceWarmStart(true);
-  runner.SetConvergencePruning(true);
-  runner.SetEquivalenceClassing(true);
-  // Unlike run-dedup, no fault-free pre-run happens here: the only class
-  // source beyond the always-available past-end/pre-runtime keys is the
-  // static workload analysis, built from the program text alone.
-  auto analysis = static_cache_.Get(campaign.value().workload);
-  if (!analysis.ok()) return analysis.status();
-  runner.SetStaticAnalysis(analysis.value());
-  GOOFI_RETURN_IF_ERROR(runner.Run(args[0]));
-  const auto& stats = runner.stats();
-  last_run_ = LastRun{};
-  last_run_.valid = true;
-  last_run_.campaign = args[0];
-  last_run_.mode = "run-static";
-  last_run_.stats = stats;
-  last_run_.warm_starts = runner.warm_starts();
-  last_run_.prune = runner.prune_stats();
-  last_run_.dedup = runner.dedup_stats();
-  last_run_.memory = runner.memory_usage();
-  return util::Format(
-      "campaign %s: %d experiments run on %d workers (%lld classes, "
-      "%lld synthesized, %lld static no-effect, %lld pruned), %d resumed\n",
-      args[0].c_str(), stats.experiments_run, runner.workers_used(),
-      static_cast<long long>(runner.dedup_stats().classes_formed),
-      static_cast<long long>(runner.dedup_stats().experiments_synthesized),
-      static_cast<long long>(runner.dedup_stats().static_synthesized),
-      static_cast<long long>(runner.prune_stats().pruned_total()),
-      stats.experiments_resumed);
-}
-
-util::Result<std::string> Shell::RunWarmOrPruned(
-    const std::vector<std::string>& args, bool pruned) {
-  if (args.empty() || args.size() > 3) {
-    return util::InvalidArgument(pruned
-                                     ? "run-pruned <campaign> [workers] [interval]"
-                                     : "run-warm <campaign> [workers] [interval]");
-  }
-  int workers = 1;
+  int workers = preset.default_workers;
   if (args.size() >= 2) {
     const auto parsed = util::ParseInt(args[1]);
     if (!parsed || *parsed < 1) {
@@ -513,33 +380,65 @@ util::Result<std::string> Shell::RunWarmOrPruned(
   }
   core::ParallelCampaignRunner runner(store_, target.value().factory, workers);
   runner.SetCheckpointInterval(interval);
-  runner.SetForceWarmStart(true);
-  runner.SetConvergencePruning(pruned);
-  GOOFI_RETURN_IF_ERROR(runner.Run(args[0]));
-  const auto& stats = runner.stats();
-  last_run_ = LastRun{};
-  last_run_.valid = true;
-  last_run_.campaign = args[0];
-  last_run_.mode = pruned ? "run-pruned" : "run-warm";
-  last_run_.stats = stats;
-  last_run_.warm_starts = runner.warm_starts();
-  last_run_.prune = runner.prune_stats();
-  last_run_.memory = runner.memory_usage();
-  if (pruned) {
-    return util::Format(
-        "campaign %s: %d experiments run on %d workers (%d warm starts, "
-        "%lld pruned, interval %llu), %d resumed\n",
-        args[0].c_str(), stats.experiments_run, runner.workers_used(),
-        runner.warm_starts(),
-        static_cast<long long>(runner.prune_stats().pruned_total()),
-        static_cast<unsigned long long>(interval), stats.experiments_resumed);
+  runner.SetForceWarmStart(preset.warm);
+  runner.SetConvergencePruning(preset.pruned);
+  if (preset.classes != RunPreset::kNone) {
+    auto campaign = store_->GetCampaign(args[0]);
+    if (!campaign.ok()) return campaign.status();
+    runner.SetEquivalenceClassing(true);
+    if (preset.classes == RunPreset::kTimeline) {
+      // A fault-free run of the campaign's workload on the target's
+      // configuration, memoized across campaigns, bound by the campaign's
+      // own termination conditions so it covers the whole golden run.
+      auto timeline = liveness_cache_.Get(
+          campaign.value().workload, target.value().config,
+          std::max<uint64_t>(200000, campaign.value().timeout_cycles),
+          campaign.value().max_iterations);
+      if (!timeline.ok()) return timeline.status();
+      runner.SetEquivalenceTimeline(timeline.value());
+    } else {
+      // Built from the program text alone.
+      auto analysis = static_cache_.Get(campaign.value().workload);
+      if (!analysis.ok()) return analysis.status();
+      runner.SetStaticAnalysis(analysis.value());
+    }
   }
-  return util::Format(
-      "campaign %s: %d experiments run on %d workers (%d warm starts, "
-      "interval %llu), %d resumed\n",
-      args[0].c_str(), stats.experiments_run, runner.workers_used(),
-      runner.warm_starts(), static_cast<unsigned long long>(interval),
-      stats.experiments_resumed);
+  GOOFI_RETURN_IF_ERROR(runner.Run(args[0]));
+  const core::FaultInjectionAlgorithms::Stats& stats = runner.stats();
+  last_run_ = LastRun{true, args[0], preset.command, stats,
+                      runner.warm_starts(), runner.prune_stats(),
+                      runner.dedup_stats(), runner.memory_usage()};
+
+  std::vector<std::string> counters;
+  const core::EquivalenceStats& dedup = runner.dedup_stats();
+  if (preset.classes != RunPreset::kNone) {
+    counters.push_back(util::Format(
+        "%lld classes", static_cast<long long>(dedup.classes_formed)));
+    counters.push_back(util::Format(
+        "%lld synthesized", static_cast<long long>(dedup.experiments_synthesized)));
+  }
+  if (preset.classes == RunPreset::kStatic) {
+    counters.push_back(util::Format(
+        "%lld static no-effect", static_cast<long long>(dedup.static_synthesized)));
+  }
+  if (preset.interval) {
+    counters.push_back(util::Format("%d warm starts", runner.warm_starts()));
+  }
+  if (preset.pruned) {
+    counters.push_back(util::Format(
+        "%lld pruned", static_cast<long long>(runner.prune_stats().pruned_total())));
+  }
+  if (preset.interval) {
+    counters.push_back(util::Format("interval %llu",
+                                    static_cast<unsigned long long>(interval)));
+  }
+  const std::string detail =
+      counters.empty() ? "" : " (" + util::Join(counters, ", ") + ")";
+  return util::Format("campaign %s: %d experiments run on %d workers%s, %d "
+                      "resumed\n",
+                      args[0].c_str(), stats.experiments_run,
+                      runner.workers_used(), detail.c_str(),
+                      stats.experiments_resumed);
 }
 
 util::Result<std::string> Shell::CmdStats() const {
@@ -813,11 +712,9 @@ util::Result<std::string> Shell::Execute(const std::string& line) {
   if (command == "target") return CmdTarget(args);
   if (command == "campaign") return CmdCampaign(args);
   if (command == "run") return CmdRun(args);
-  if (command == "run-parallel") return CmdRunParallel(args);
-  if (command == "run-warm") return CmdRunWarm(args);
-  if (command == "run-pruned") return CmdRunPruned(args);
-  if (command == "run-dedup") return CmdRunDedup(args);
-  if (command == "run-static") return CmdRunStatic(args);
+  for (const RunPreset& preset : kRunPresets) {
+    if (command == preset.command) return CmdRunPreset(preset, args);
+  }
   if (command == "stats") return CmdStats();
   if (command == "analyze") return CmdAnalyze(args);
   if (command == "report") return CmdReport(args);

@@ -69,33 +69,16 @@ class Shell {
   util::Result<std::string> CmdList(const std::vector<std::string>& args) const;
   util::Result<std::string> CmdTarget(const std::vector<std::string>& args);
   util::Result<std::string> CmdCampaign(const std::vector<std::string>& args);
+  /// `run <campaign>`: the Fig. 2 driver, inline on the registered target.
   util::Result<std::string> CmdRun(const std::vector<std::string>& args);
-  /// `run-parallel <campaign> [workers]`: the fault-injection phase sharded
-  /// across worker-owned target stacks with deterministic, ordered commits.
-  util::Result<std::string> CmdRunParallel(const std::vector<std::string>& args);
-  /// `run-warm <campaign> [workers] [interval]`: parallel run with checkpoint
-  /// fast-forward forced on — one golden run builds the snapshot cache, each
-  /// experiment warm-starts from the nearest checkpoint before its injection
-  /// time. Byte-identical database to `run`/`run-parallel`.
-  util::Result<std::string> CmdRunWarm(const std::vector<std::string>& args);
-  /// `run-pruned <campaign> [workers] [interval]`: run-warm plus golden-trace
-  /// convergence pruning — experiments whose post-injection state rejoins the
-  /// golden trajectory at a checkpoint boundary terminate early, with the
-  /// remaining rows synthesized. Byte-identical database to `run`.
-  util::Result<std::string> CmdRunPruned(const std::vector<std::string>& args);
-  /// `run-dedup <campaign> [workers]`: run-pruned plus fault-list equivalence
-  /// classing — experiments whose transient flip provably lands in the same
-  /// access window execute once, with class members synthesized from the
-  /// representative's rows. Byte-identical database to `run`. Access
-  /// timelines are memoized across campaigns in `liveness_cache_`.
-  util::Result<std::string> CmdRunDedup(const std::vector<std::string>& args);
-  /// `run-static <campaign> [workers]`: run-pruned plus equivalence classing
-  /// driven by the *static* workload analysis alone — no fault-free pre-run
-  /// is executed. Flips into statically never-accessed registers and
-  /// never-read memory words collapse into no-effect classes whose members
-  /// are synthesized from one representative. Byte-identical database to
-  /// `run`. Analyses are memoized across campaigns in `static_cache_`.
-  util::Result<std::string> CmdRunStatic(const std::vector<std::string>& args);
+  /// The runner commands, one preset each: `run-parallel`, `run-warm`,
+  /// `run-pruned`, `run-dedup` and `run-static`. Each runs the campaign on
+  /// the target's factory-built stacks with the preset's reducers; every one
+  /// leaves the database byte-identical to `run`.
+  struct RunPreset;
+  static const RunPreset kRunPresets[];
+  util::Result<std::string> CmdRunPreset(const RunPreset& preset,
+                                         const std::vector<std::string>& args);
   /// `stats`: counters of the most recent run command, distinguishing
   /// experiments never injected (liveness-dead) from experiments injected but
   /// converged (pruned).
@@ -129,10 +112,6 @@ class Shell {
                                   const std::string& value) const;
 
   util::Result<Target> FindTargetFor(const std::string& campaign_name) const;
-
-  /// Shared body of run-warm / run-pruned (identical grammar, one flag).
-  util::Result<std::string> RunWarmOrPruned(const std::vector<std::string>& args,
-                                            bool pruned);
 
   /// Snapshot of the most recent run command, reported by `stats`.
   struct LastRun {

@@ -307,5 +307,52 @@ TEST_F(AlgorithmsTest, ControlWorkloadCampaignServicesEnvironment) {
   EXPECT_NE(reference.state.outputs[0], 0u);
 }
 
+TEST_F(AlgorithmsTest, InjectionOnAnIterationBoundaryStepIsNotDelayed) {
+  // The same flip of r1 (chain bit 61) at t = 33277 and t = 33281, with no
+  // access to r1 in between. The step that retires instruction 33281 also
+  // executes the loop boundary, so the iteration breakpoint and the
+  // injection breakpoint fire on the same step. The flip must still land
+  // right after that step and its servicing, which makes the two runs one.
+  CampaignData campaign = BaseCampaign("boundary");
+  campaign.workload = "pendulum_pd";
+  campaign.max_iterations = 4000;
+  campaign.timeout_cycles = 184150;
+  campaign.inject_max_instr = 56003;
+  auto timeline = LivenessAnalyzer::Build(campaign.workload, cpu::CpuConfig(),
+                                          200000, campaign.max_iterations)
+                      .ValueOrDie();
+  ASSERT_EQ(timeline->RegisterAccessWindow(1, 33277),
+            timeline->RegisterAccessWindow(1, 33281));
+
+  ASSERT_TRUE(store_.PutCampaign(campaign).ok());
+  target_.SetCheckpointInterval(0);
+  ASSERT_TRUE(target_.PrepareCampaign(campaign).ok());
+  auto main_row_at = [&](uint64_t inject_instr) {
+    FaultInstance fault;
+    fault.chain = "internal_regfile";
+    fault.chain_bit = 61;
+    fault.cell_name = "regfile.r1";
+    fault.inject_instr = inject_instr;
+    auto rows = target_.ExecutePlanned(0, {fault});
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? rows.value().front().state.Serialize() : std::string();
+  };
+  const std::string early = main_row_at(33277);
+  ASSERT_FALSE(early.empty());
+  EXPECT_EQ(main_row_at(33281), early);
+}
+
+TEST_F(AlgorithmsTest, DriversRejectACampaignOfAnotherTechnique) {
+  CampaignData campaign = BaseCampaign("scifi_only");
+  campaign.num_experiments = 2;
+  ASSERT_TRUE(store_.PutCampaign(campaign).ok());
+  EXPECT_FALSE(target_.FaultInjectorSwifiPreRuntime("scifi_only").ok());
+  EXPECT_FALSE(target_.FaultInjectorSwifiRuntime("scifi_only").ok());
+  EXPECT_FALSE(store_.GetExperiment("scifi_only/ref").ok())
+      << "a rejected campaign must not run";
+  ASSERT_TRUE(target_.FaultInjectorScifi("scifi_only").ok());
+  EXPECT_EQ(MainRows("scifi_only").size(), 2u);
+}
+
 }  // namespace
 }  // namespace goofi::core

@@ -336,7 +336,7 @@ TEST(CheckpointTest, CacheMemoryIsBoundedByPageDeltas) {
   target.SetCheckpointInterval(0);  // build explicitly below
   ASSERT_TRUE(target.PrepareCampaign(campaign).ok());
   CheckpointCache cache(256);
-  ASSERT_TRUE(target.BuildCheckpoints(256, &cache).ok());
+  ASSERT_TRUE(target.BuildGoldenRun(256, &cache, nullptr).ok());
   ASSERT_GT(cache.size(), 4u);
   EXPECT_EQ(cache.interval(), 256u);
   EXPECT_LT(cache.MemoryBytes(), cache.size() * 256 * 1024)

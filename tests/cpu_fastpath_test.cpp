@@ -593,8 +593,8 @@ INSTANTIATE_TEST_SUITE_P(AllTechniques, FastSlowDbTest,
                          ::testing::Values(Technique::kScifi,
                                            Technique::kSwifiPreRuntime,
                                            Technique::kSwifiRuntime),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case Technique::kScifi: return std::string("Scifi");
                              case Technique::kSwifiPreRuntime:
                                return std::string("SwifiPreRuntime");

@@ -4,6 +4,8 @@
 // byte-identical to a serial FaultInjectionAlgorithms::RunCampaign of the
 // same campaign — same LoggedSystemState rows (names, experimentData,
 // stateVector), same insertion order, same Stats — at any worker count.
+// The identity matrix at the end runs every shell run command through the
+// one campaign loop, inline and threaded, against a cold serial run.
 #include "core/parallel_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -13,8 +15,10 @@
 #include <sstream>
 
 #include "core/goofi.hpp"
+#include "core/static_analysis.hpp"
 #include "db/database.hpp"
 #include "testcard/testcard.hpp"
+#include "tool/shell.hpp"
 
 namespace goofi::core {
 namespace {
@@ -118,17 +122,17 @@ RunResult RunSerial(const CampaignData& campaign,
 }
 
 RunResult RunParallel(const CampaignData& campaign, int workers,
-                      int batch_rows = 0, ProgressMonitor* monitor = nullptr) {
+                      ProgressMonitor* monitor = nullptr) {
   Session session(campaign);
   ParallelCampaignRunner runner(&session.store,
                                 FactoryFor(campaign, &session.store), workers);
-  if (batch_rows > 0) runner.SetCommitBatchRows(batch_rows);
   runner.SetProgressMonitor(monitor);
   return session.Snapshot(runner.Run(campaign.name), runner.stats(),
                           campaign.name);
 }
 
-void ExpectIdentical(const RunResult& serial, const RunResult& parallel) {
+/// Rows and database bytes only: a shell command reports no Stats.
+void ExpectSameRows(const RunResult& serial, const RunResult& parallel) {
   ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
   ASSERT_TRUE(parallel.status.ok()) << parallel.status.ToString();
   ASSERT_EQ(serial.rows.size(), parallel.rows.size());
@@ -141,9 +145,13 @@ void ExpectIdentical(const RunResult& serial, const RunResult& parallel) {
     EXPECT_EQ(serial.rows[i].state.Serialize(),
               parallel.rows[i].state.Serialize());
   }
-  EXPECT_EQ(serial.stats, parallel.stats);
   EXPECT_EQ(serial.db_bytes, parallel.db_bytes)
       << "database files must be byte-identical";
+}
+
+void ExpectIdentical(const RunResult& serial, const RunResult& parallel) {
+  ExpectSameRows(serial, parallel);
+  EXPECT_EQ(serial.stats, parallel.stats);
 }
 
 TEST(ParallelRunnerTest, ScifiMatchesSerialAtEveryWorkerCount) {
@@ -165,10 +173,13 @@ TEST(ParallelRunnerTest, SwifiPreRuntimeMatchesSerialAtEveryWorkerCount) {
 }
 
 TEST(ParallelRunnerTest, CommitBatchSizeDoesNotAffectContents) {
-  const CampaignData campaign = ScifiCampaign();
+  // One worker runs inline and commits every experiment on its own; more
+  // workers commit 64-row batches, and 70 experiments span two of them.
+  CampaignData campaign = ScifiCampaign();
+  campaign.num_experiments = 70;
   const RunResult serial = RunSerial(campaign);
-  ExpectIdentical(serial, RunParallel(campaign, 4, /*batch_rows=*/1));
-  ExpectIdentical(serial, RunParallel(campaign, 4, /*batch_rows=*/1000));
+  ExpectIdentical(serial, RunParallel(campaign, 1));
+  ExpectIdentical(serial, RunParallel(campaign, 4));
 }
 
 TEST(ParallelRunnerTest, DetailModeRowsCommitInOrder) {
@@ -216,7 +227,7 @@ TEST(ParallelRunnerTest, EarlyStopMatchesSeriallyStoppedRun) {
   const RunResult serial = RunSerial(campaign, &serial_stopper);
   CountingMonitor parallel_stopper(/*limit=*/4);
   const RunResult parallel =
-      RunParallel(campaign, 4, /*batch_rows=*/0, &parallel_stopper);
+      RunParallel(campaign, 4, &parallel_stopper);
   EXPECT_EQ(parallel_stopper.calls(), 4);
   ExpectIdentical(serial, parallel);
   EXPECT_EQ(parallel.stats.experiments_run, 4);
@@ -240,7 +251,7 @@ TEST(ParallelRunnerTest, ProgressCallbacksArriveInExperimentOrder) {
   OrderMonitor monitor;
   const CampaignData campaign = ScifiCampaign();
   const RunResult result =
-      RunParallel(campaign, 8, /*batch_rows=*/0, &monitor);
+      RunParallel(campaign, 8, &monitor);
   ASSERT_TRUE(result.status.ok());
   EXPECT_TRUE(monitor.ordered());
   EXPECT_EQ(monitor.last(), campaign.num_experiments);
@@ -285,6 +296,138 @@ TEST(ParallelRunnerTest, LivenessFilterStatsMatchSerial) {
 
   ASSERT_TRUE(serial.stats.injections_skipped_dead > 0);
   ExpectIdentical(serial, parallel);
+}
+
+// --- one loop, every run command --------------------------------------------
+//
+// Every shell run command and perfbench's every-reducer plan, each with one
+// worker (inline) and three (threaded), must leave the rows of a cold serial
+// run: one Thor SCIFI campaign on a control workload (iteration boundaries
+// in the injection window), one runtime and one pre-runtime SWIFI campaign.
+// Windows reach past the golden run's end so that some classes form.
+
+CampaignData MatrixCampaign(Technique technique) {
+  CampaignData campaign;
+  campaign.technique = technique;
+  campaign.num_experiments = 24;
+  campaign.inject_min_instr = 1;
+  if (technique == Technique::kScifi) {
+    campaign.name = "mx_scifi";
+    campaign.target_name = ThorRdTarget::kTargetName;
+    campaign.workload = "pendulum_pd";
+    campaign.locations = {{"internal_regfile", ""}, {"internal_core", ""}};
+    campaign.max_iterations = 300;
+    campaign.inject_max_instr = 5000;
+    campaign.timeout_cycles = 20000;
+  } else if (technique == Technique::kSwifiRuntime) {
+    campaign.name = "mx_swifi_rt";
+    campaign.target_name = SwifiSimTarget::kTargetName;
+    campaign.workload = "bubblesort";
+    campaign.locations = {{"memory.text", ""}, {"memory.data", ""}};
+    campaign.inject_max_instr = 3000;
+    campaign.timeout_cycles = 40000;
+  } else {
+    // Pre-runtime flips class by (address, bit) alone: a small data area
+    // and more experiments make repeats likely.
+    campaign.name = "mx_swifi_pre";
+    campaign.target_name = SwifiSimTarget::kTargetName;
+    campaign.workload = "bubblesort";
+    campaign.locations = {{"memory.data", ""}};
+    campaign.num_experiments = 64;
+    campaign.timeout_cycles = 40000;
+  }
+  return campaign;
+}
+
+/// The cold serial reference: no checkpoints, no reducers.
+RunResult RunCold(const CampaignData& campaign) {
+  Session session(campaign);
+  std::unique_ptr<FaultInjectionAlgorithms> target =
+      FactoryFor(campaign, &session.store)();
+  target->SetCheckpointInterval(0);
+  util::Status status = target->RunCampaign(campaign.name);
+  return session.Snapshot(std::move(status), target->stats(), campaign.name);
+}
+
+/// One shell command on a fresh session whose target has a factory.
+RunResult RunCommand(const CampaignData& campaign, const std::string& line) {
+  Session session(campaign);
+  std::unique_ptr<testcard::SimTestCard> card;
+  std::unique_ptr<FaultInjectionAlgorithms> target;
+  if (campaign.target_name == ThorRdTarget::kTargetName) {
+    card = std::make_unique<testcard::SimTestCard>();
+    target = std::make_unique<ThorRdTarget>(&session.store, card.get());
+  } else {
+    target = std::make_unique<SwifiSimTarget>(&session.store);
+  }
+  tool::Shell shell(&session.db, &session.store);
+  shell.AddTarget(campaign.target_name, target.get(), card.get(),
+                  FactoryFor(campaign, &session.store));
+  auto output = shell.Execute(line);
+  return session.Snapshot(output.ok() ? util::Status::Ok() : output.status(),
+                          target->stats(), campaign.name);
+}
+
+/// perfbench's scifi-control plan: every exact reducer at once.
+RunResult RunEveryReducer(const CampaignData& campaign, int workers,
+                          int64_t* synthesized) {
+  Session session(campaign);
+  ParallelCampaignRunner runner(&session.store,
+                                FactoryFor(campaign, &session.store), workers);
+  runner.SetForceWarmStart(true);
+  runner.SetConvergencePruning(true);
+  runner.SetEquivalenceClassing(true);
+  runner.SetEquivalenceTimeline(
+      LivenessAnalyzer::Build(campaign.workload, cpu::CpuConfig(),
+                              std::max<uint64_t>(200000, campaign.timeout_cycles),
+                              campaign.max_iterations)
+          .ValueOrDie());
+  runner.SetStaticAnalysis(StaticAnalysis::Build(campaign.workload).ValueOrDie());
+  util::Status status = runner.Run(campaign.name);
+  *synthesized = runner.dedup_stats().experiments_synthesized;
+  return session.Snapshot(std::move(status), runner.stats(), campaign.name);
+}
+
+void ExpectEveryRunCommandMatchesColdSerialRun(const CampaignData& campaign) {
+  const RunResult cold = RunCold(campaign);
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  {
+    SCOPED_TRACE("run");
+    ExpectSameRows(cold, RunCommand(campaign, "run " + campaign.name));
+  }
+  for (const char* command : {"run-parallel", "run-warm", "run-pruned",
+                              "run-dedup", "run-static"}) {
+    for (const char* workers : {"1", "3"}) {
+      std::string line = std::string(command) + " " + campaign.name + " " +
+                         workers;
+      // A short interval puts several checkpoint boundaries in the run.
+      if (line.starts_with("run-warm") || line.starts_with("run-pruned")) {
+        line += " 256";
+      }
+      SCOPED_TRACE(line);
+      ExpectSameRows(cold, RunCommand(campaign, line));
+    }
+  }
+  for (int workers : {1, 3}) {
+    SCOPED_TRACE("every reducer, workers=" + std::to_string(workers));
+    int64_t synthesized = 0;
+    ExpectIdentical(cold, RunEveryReducer(campaign, workers, &synthesized));
+    EXPECT_GT(synthesized, 0) << "the matrix must exercise row synthesis";
+  }
+}
+
+TEST(OneLoopMatrixTest, ThorScifiOnControlWorkload) {
+  ExpectEveryRunCommandMatchesColdSerialRun(MatrixCampaign(Technique::kScifi));
+}
+
+TEST(OneLoopMatrixTest, RuntimeSwifi) {
+  ExpectEveryRunCommandMatchesColdSerialRun(
+      MatrixCampaign(Technique::kSwifiRuntime));
+}
+
+TEST(OneLoopMatrixTest, PreRuntimeSwifi) {
+  ExpectEveryRunCommandMatchesColdSerialRun(
+      MatrixCampaign(Technique::kSwifiPreRuntime));
 }
 
 }  // namespace
