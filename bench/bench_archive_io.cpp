@@ -1,15 +1,14 @@
-// E18 — campaign archive I/O: binary columnar snapshot vs legacy text
-// save/load, and per-batch WAL group commit vs full-file rewrite as the
-// durability mechanism behind the parallel runner's ordered commits.
+// E18 — campaign archive I/O: binary columnar snapshot save/load cost, and
+// per-batch WAL group commit vs full-file rewrite as the durability
+// mechanism behind the parallel runner's ordered commits.
 //
 // The workload is a populated campaign database (32 campaigns x 600 logged
 // experiments, realistic experimentData/stateVector text), then a commit
 // phase of 50 further 64-row batches — the shape PutExperiments produces.
-// Three comparisons:
+// Measured:
 //
-//   snapshot save   : Database::Save (binary columnar)  vs SaveLegacyText
-//   snapshot load   : Database::Load of each format
-//   incremental commit: WAL append+flush per batch      vs full Save per batch
+//   snapshot save/load: Database::Save / Database::Load, and the file size
+//   incremental commit: WAL append+flush per batch  vs full Save per batch
 //
 // plus the recovery cost (snapshot load + WAL replay) and a differential
 // self-check: the recovered database must dump byte-identical to the
@@ -20,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,14 +39,25 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Every table's rows in storage order, each value through Value::Serialize
+/// and length-prefixed: a dump that does not go through the binary encoder
+/// being measured.
 std::string Dump(const db::Database& db) {
-  const std::string path = "/tmp/bench_archive_dump.tmp";
-  if (!db.SaveLegacyText(path).ok()) std::abort();
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::remove(path.c_str());
-  return buf.str();
+  std::string out;
+  for (const std::string& name : db.TableNames()) {
+    out += name;
+    out += '\n';
+    db.GetTable(name)->ForEach([&out](const db::Row& row) {
+      for (const db::Value& v : row) {
+        const std::string text = v.Serialize();
+        out += std::to_string(text.size());
+        out += ':';
+        out += text;
+      }
+      out += '\n';
+    });
+  }
+  return out;
 }
 
 core::CampaignStore::ExperimentRow MakeRow(const std::string& campaign,
@@ -114,7 +123,6 @@ int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
 
   const std::string bin_path = "/tmp/bench_archive_snapshot.bin";
-  const std::string text_path = "/tmp/bench_archive_snapshot.txt";
   const std::string arch_path = "/tmp/bench_archive_wal.db";
   const std::string rewrite_path = "/tmp/bench_archive_rewrite.db";
 
@@ -125,37 +133,25 @@ int main(int argc, char** argv) {
   std::printf("E18 — campaign archive I/O (%d campaigns, %d logged rows)\n\n",
               kCampaigns, base_rows);
 
-  // --- snapshot save/load: binary columnar vs legacy text -------------------
+  // --- snapshot save/load ---------------------------------------------------
   auto start = Clock::now();
-  if (!base.SaveLegacyText(text_path).ok()) std::abort();
-  const double save_text_ms = SecondsSince(start) * 1e3;
-  start = Clock::now();
   if (!base.Save(bin_path).ok()) std::abort();
   const double save_bin_ms = SecondsSince(start) * 1e3;
-  const uint64_t text_bytes = FileBytes(text_path);
   const uint64_t bin_bytes = FileBytes(bin_path);
 
-  db::Database from_text;
-  start = Clock::now();
-  if (!from_text.Load(text_path).ok()) std::abort();
-  const double load_text_ms = SecondsSince(start) * 1e3;
   db::Database from_bin;
   start = Clock::now();
   if (!from_bin.Load(bin_path).ok()) std::abort();
   const double load_bin_ms = SecondsSince(start) * 1e3;
-  if (Dump(from_text) != Dump(base) || Dump(from_bin) != Dump(base)) {
+  if (Dump(from_bin) != Dump(base)) {
     std::fprintf(stderr, "FAIL: loaded snapshot differs from saved database\n");
     return 1;
   }
 
-  std::printf("%-34s %10s %10s %9s\n", "snapshot", "text", "binary", "ratio");
-  std::printf("%-34s %8.1fms %8.1fms %8.2fx\n", "save", save_text_ms,
-              save_bin_ms, save_text_ms / save_bin_ms);
-  std::printf("%-34s %8.1fms %8.1fms %8.2fx\n", "load", load_text_ms,
-              load_bin_ms, load_text_ms / load_bin_ms);
-  std::printf("%-34s %8.1fKB %8.1fKB %8.2fx\n\n", "file size",
-              text_bytes / 1024.0, bin_bytes / 1024.0,
-              static_cast<double>(text_bytes) / static_cast<double>(bin_bytes));
+  std::printf("%-34s %10s\n", "snapshot", "binary");
+  std::printf("%-34s %8.1fms\n", "save", save_bin_ms);
+  std::printf("%-34s %8.1fms\n", "load", load_bin_ms);
+  std::printf("%-34s %8.1fKB\n\n", "file size", bin_bytes / 1024.0);
 
   // --- incremental commit: WAL group commit vs full-file rewrite ------------
   // Both sides start from the same populated database and append
@@ -245,13 +241,8 @@ int main(int argc, char** argv) {
   if (const char* json = JsonOutputPath(argc, argv)) {
     JsonReport report;
     report.Add("rows", base_rows);
-    report.Add("save_text_ms", save_text_ms);
     report.Add("save_binary_ms", save_bin_ms);
-    report.Add("save_speedup", save_text_ms / save_bin_ms);
-    report.Add("load_text_ms", load_text_ms);
     report.Add("load_binary_ms", load_bin_ms);
-    report.Add("load_speedup", load_text_ms / load_bin_ms);
-    report.Add("file_text_bytes", text_bytes);
     report.Add("file_binary_bytes", bin_bytes);
     report.Add("wal_commit_ms_per_batch", wal_per_batch);
     report.Add("rewrite_commit_ms_per_batch", rewrite_per_batch);
@@ -262,7 +253,6 @@ int main(int argc, char** argv) {
   }
 
   std::remove(bin_path.c_str());
-  std::remove(text_path.c_str());
   std::remove(arch_path.c_str());
   std::remove((arch_path + ".wal").c_str());
   std::remove(rewrite_path.c_str());

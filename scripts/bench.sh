@@ -20,8 +20,8 @@
 #   (SCIFI regfile, runtime-SWIFI memory) x sampling density, plus class
 #   and synthesized-experiment counts per cell.
 #   BENCH_archive_io.json — campaign archive I/O (E18): binary columnar
-#   snapshot save/load vs the legacy text format, per-batch WAL group commit
-#   vs full-file rewrite, and snapshot+WAL recovery cost with a byte-identity
+#   snapshot save/load cost and size, per-batch WAL group commit vs
+#   full-file rewrite, and snapshot+WAL recovery cost with a byte-identity
 #   self-check.
 #   BENCH_memory_reset.json — zero-copy experiment reset (E19): COW paged
 #   memory reset/restore throughput vs the flat full-copy reference,

@@ -48,7 +48,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" --target thread_pool_test parallel_runner_t
 echo "== tier-1: ASan pass (superblock fast-path differential fuzzer) =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=address
-cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test core_types_test propagation_test analysis_test scan_test testcard_test
+cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test core_types_test propagation_test analysis_test scan_test testcard_test sql_test campaign_store_test
 "$ASAN_DIR"/tests/cpu_fastpath_test
 
 echo "== tier-1: ASan pass (COW paged memory differential fuzzer) =="
@@ -66,8 +66,12 @@ echo "== tier-1: ASan pass (static analyzer differential + run-static identity) 
 echo "== tier-1: ASan pass (indexed-vs-scan SQL differential suite) =="
 "$ASAN_DIR"/tests/sql_index_test
 
-echo "== tier-1: ASan pass (archive codec/snapshot/WAL-recovery suite + serial kill/tear) =="
+echo "== tier-1: ASan pass (archive codec/snapshot/WAL-recovery suite + serial kill/tear + hostile counts) =="
 "$ASAN_DIR"/tests/archive_test
+
+echo "== tier-1: ASan pass (SQL expression depth bound + missing/foreign GOOFI tables) =="
+"$ASAN_DIR"/tests/sql_test
+"$ASAN_DIR"/tests/campaign_store_test
 
 echo "== tier-1: ASan pass (one-pass LoggedState parser fuzzer + analysis read path) =="
 "$ASAN_DIR"/tests/core_types_test --gtest_filter='*Fuzz*'
@@ -81,13 +85,17 @@ echo "== tier-1: ASan pass (word-parallel scan shifts vs. per-bit Clock) =="
 echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer) =="
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "$UBSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=undefined
-cmake --build "$UBSAN_DIR" -j "$JOBS" --target cpu_fastpath_test util_test scan_test testcard_test
+cmake --build "$UBSAN_DIR" -j "$JOBS" --target cpu_fastpath_test util_test scan_test testcard_test sql_test archive_test
 "$UBSAN_DIR"/tests/cpu_fastpath_test
 
 echo "== tier-1: UBSan pass (shift-and-mask bit fields + word-parallel scan shifts) =="
 "$UBSAN_DIR"/tests/util_test
 "$UBSAN_DIR"/tests/scan_test
 "$UBSAN_DIR"/tests/testcard_test
+
+echo "== tier-1: UBSan pass (SQL expression depth bound + hostile snapshot/WAL counts) =="
+"$UBSAN_DIR"/tests/sql_test
+"$UBSAN_DIR"/tests/archive_test --gtest_filter='*HugeCounts*:*TextFileIsRefused*:*NullOnlyRows*'
 
 echo "== tier-1: checkpoint fast-forward benchmark (BENCH_checkpoint.json) =="
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_checkpoint_fastforward

@@ -15,16 +15,20 @@ using db::Schema;
 using db::Value;
 using db::ValueType;
 
-Schema TargetSystemSchema() {
-  return Schema("TargetSystemData",
-                {{"targetName", ValueType::kText, true},
-                 {"description", ValueType::kText, false},
-                 {"chainData", ValueType::kText, false}},
-                {"targetName"});
+// The Fig. 4 schemas, built once: every store method checks its table
+// against one of them.
+
+const Schema& TargetSystemSchema() {
+  static const Schema schema("TargetSystemData",
+                             {{"targetName", ValueType::kText, true},
+                              {"description", ValueType::kText, false},
+                              {"chainData", ValueType::kText, false}},
+                             {"targetName"});
+  return schema;
 }
 
-Schema CampaignSchema() {
-  return Schema(
+const Schema& CampaignSchema() {
+  static const Schema schema(
       "CampaignData",
       {{"campaignName", ValueType::kText, true},
        {"targetName", ValueType::kText, true},
@@ -45,18 +49,21 @@ Schema CampaignSchema() {
        {"burstSpacing", ValueType::kInt, true}},
       {"campaignName"},
       {{{"targetName"}, "TargetSystemData", {"targetName"}}});
+  return schema;
 }
 
-Schema LoggedSystemStateSchema() {
-  return Schema("LoggedSystemState",
-                {{"experimentName", ValueType::kText, true},
-                 {"parentExperiment", ValueType::kText, false},
-                 {"campaignName", ValueType::kText, true},
-                 {"experimentData", ValueType::kText, false},
-                 {"stateVector", ValueType::kText, false}},
-                {"experimentName"},
-                {{{"campaignName"}, "CampaignData", {"campaignName"}},
-                 {{"parentExperiment"}, "LoggedSystemState", {"experimentName"}}});
+const Schema& LoggedSystemStateSchema() {
+  static const Schema schema(
+      "LoggedSystemState",
+      {{"experimentName", ValueType::kText, true},
+       {"parentExperiment", ValueType::kText, false},
+       {"campaignName", ValueType::kText, true},
+       {"experimentData", ValueType::kText, false},
+       {"stateVector", ValueType::kText, false}},
+      {"experimentName"},
+      {{{"campaignName"}, "CampaignData", {"campaignName"}},
+       {{"parentExperiment"}, "LoggedSystemState", {"experimentName"}}});
+  return schema;
 }
 
 /// The stateVector column of a LoggedSystemState row ("" when NULL), viewed
@@ -75,11 +82,37 @@ CampaignStore::CampaignStore(db::Database* database) : database_(database) {
   }
 }
 
+util::Result<db::Table*> CampaignStore::Fig4Table(
+    const Schema& expected) const {
+  db::Table* table = database_->GetTable(expected.table_name());
+  if (table == nullptr) {
+    return util::FailedPrecondition("GOOFI table " + expected.table_name() +
+                                    " is missing");
+  }
+  const Schema& actual = table->schema();
+  if (actual.columns() != expected.columns() ||
+      actual.primary_key() != expected.primary_key() ||
+      actual.foreign_keys() != expected.foreign_keys()) {
+    return util::FailedPrecondition(
+        "table " + expected.table_name() +
+        " differs from the GOOFI schema (columns, primary key or foreign keys)");
+  }
+  return table;
+}
+
 util::Status CampaignStore::EnsureSchema() {
-  for (const Schema& schema :
-       {TargetSystemSchema(), CampaignSchema(), LoggedSystemStateSchema()}) {
-    if (!database_->HasTable(schema.table_name())) {
-      GOOFI_RETURN_IF_ERROR(database_->CreateTable(schema));
+  // Check every existing table before creating anything, so a foreign file
+  // is refused without being written to.
+  const Schema* const schemas[] = {&TargetSystemSchema(), &CampaignSchema(),
+                                   &LoggedSystemStateSchema()};
+  for (const Schema* schema : schemas) {
+    if (database_->HasTable(schema->table_name())) {
+      GOOFI_RETURN_IF_ERROR(Fig4Table(*schema).status());
+    }
+  }
+  for (const Schema* schema : schemas) {
+    if (!database_->HasTable(schema->table_name())) {
+      GOOFI_RETURN_IF_ERROR(database_->CreateTable(*schema));
     }
   }
   // Secondary indexes backing the analysis queries (§3.4): equality on
@@ -114,7 +147,9 @@ util::Status CampaignStore::EnsureSchema() {
 // --- TargetSystemData --------------------------------------------------------
 
 util::Status CampaignStore::PutTargetSystem(const TargetSystemData& target) {
-  db::Table* table = database_->GetTable("TargetSystemData");
+  auto found = Fig4Table(TargetSystemSchema());
+  if (!found.ok()) return found.status();
+  db::Table* table = found.value();
   // Upsert: replace any existing row (never referenced rows are deleted here;
   // campaigns reference by name so deletion of a referenced target fails).
   const std::string name = target.name;
@@ -138,7 +173,9 @@ util::Status CampaignStore::PutTargetSystem(const TargetSystemData& target) {
 
 util::Result<TargetSystemData> CampaignStore::GetTargetSystem(
     const std::string& name) const {
-  const db::Table* table = database_->GetTable("TargetSystemData");
+  auto found = Fig4Table(TargetSystemSchema());
+  if (!found.ok()) return found.status();
+  const db::Table* table = found.value();
   const auto slot = table->FindByPrimaryKey({Value::Text(name)});
   if (!slot) return util::NotFound("no target system " + name);
   const Row& row = table->slots()[*slot];
@@ -149,11 +186,13 @@ util::Result<TargetSystemData> CampaignStore::GetTargetSystem(
   return out;
 }
 
-std::vector<std::string> CampaignStore::TargetSystemNames() const {
+util::Result<std::vector<std::string>> CampaignStore::TargetSystemNames()
+    const {
+  auto found = Fig4Table(TargetSystemSchema());
+  if (!found.ok()) return found.status();
   std::vector<std::string> names;
-  database_->GetTable("TargetSystemData")->ForEach([&names](const Row& row) {
-    names.push_back(row[0].as_text());
-  });
+  found.value()->ForEach(
+      [&names](const Row& row) { names.push_back(row[0].as_text()); });
   return names;
 }
 
@@ -182,7 +221,9 @@ util::Status CampaignStore::PutCampaign(const CampaignData& c) {
              Value::Text(util::Join(c.observe_chains, " ")),
              Value::Int(c.burst_length),
              Value::Int(static_cast<int64_t>(c.burst_spacing))};
-  db::Table* table = database_->GetTable("CampaignData");
+  auto found = Fig4Table(CampaignSchema());
+  if (!found.ok()) return found.status();
+  db::Table* table = found.value();
   const auto existing = table->FindByPrimaryKey({Value::Text(c.name)});
   if (existing) {
     size_t updated = 0;
@@ -196,7 +237,9 @@ util::Status CampaignStore::PutCampaign(const CampaignData& c) {
 
 util::Result<CampaignData> CampaignStore::GetCampaign(
     const std::string& name) const {
-  const db::Table* table = database_->GetTable("CampaignData");
+  auto found = Fig4Table(CampaignSchema());
+  if (!found.ok()) return found.status();
+  const db::Table* table = found.value();
   const auto slot = table->FindByPrimaryKey({Value::Text(name)});
   if (!slot) return util::NotFound("no campaign " + name);
   const Row& row = table->slots()[*slot];
@@ -230,11 +273,12 @@ util::Result<CampaignData> CampaignStore::GetCampaign(
   return c;
 }
 
-std::vector<std::string> CampaignStore::CampaignNames() const {
+util::Result<std::vector<std::string>> CampaignStore::CampaignNames() const {
+  auto found = Fig4Table(CampaignSchema());
+  if (!found.ok()) return found.status();
   std::vector<std::string> names;
-  database_->GetTable("CampaignData")->ForEach([&names](const Row& row) {
-    names.push_back(row[0].as_text());
-  });
+  found.value()->ForEach(
+      [&names](const Row& row) { names.push_back(row[0].as_text()); });
   return names;
 }
 
@@ -281,6 +325,7 @@ std::string CampaignStore::ExperimentName(const std::string& campaign_name,
 
 util::Status CampaignStore::PutExperiments(
     const std::vector<ExperimentRow>& rows) {
+  GOOFI_RETURN_IF_ERROR(Fig4Table(LoggedSystemStateSchema()).status());
   std::vector<Row> db_rows;
   db_rows.reserve(rows.size());
   for (const ExperimentRow& row : rows) {
@@ -312,7 +357,9 @@ util::Status CampaignStore::PutExperiment(const std::string& experiment_name,
 
 util::Result<CampaignStore::ExperimentRow> CampaignStore::GetExperiment(
     const std::string& name) const {
-  const db::Table* table = database_->GetTable("LoggedSystemState");
+  auto found = Fig4Table(LoggedSystemStateSchema());
+  if (!found.ok()) return found.status();
+  const db::Table* table = found.value();
   const auto slot = table->FindByPrimaryKey({Value::Text(name)});
   if (!slot) return util::NotFound("no experiment " + name);
   const Row& row = table->slots()[*slot];
@@ -330,6 +377,7 @@ util::Result<CampaignStore::ExperimentRow> CampaignStore::GetExperiment(
 util::Result<std::vector<CampaignStore::ExperimentRow>>
 CampaignStore::ExperimentQuery(const std::string& sql,
                                const std::string& param) const {
+  GOOFI_RETURN_IF_ERROR(Fig4Table(LoggedSystemStateSchema()).status());
   auto result = cache_.Execute(*database_, sql, {Value::Text(param)});
   if (!result.ok()) return result.status();
   std::vector<ExperimentRow> rows;
@@ -401,9 +449,10 @@ util::Result<std::shared_ptr<const CampaignStore::Trace>>
 CampaignStore::ReferenceTrace(const std::string& campaign_name) const {
   // Any row insert, update or delete bumps the table's version, and Load or
   // DDL the schema version, so an unchanged pair means unchanged rows.
-  const db::Table* table = database_->GetTable("LoggedSystemState");
+  auto table = Fig4Table(LoggedSystemStateSchema());
+  if (!table.ok()) return table.status();
   const uint64_t schema_version = database_->schema_version();
-  const uint64_t table_version = table == nullptr ? 0 : table->version();
+  const uint64_t table_version = table.value()->version();
   std::lock_guard<std::mutex> lock(memo_mutex_);
   if (memo_.trace != nullptr && memo_.campaign == campaign_name &&
       memo_.schema_version == schema_version &&

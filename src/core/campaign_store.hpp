@@ -43,8 +43,10 @@ class CampaignStore {
   db::Database& database() { return *database_; }
 
   /// Creates missing tables and the secondary indexes the analysis queries
-  /// rely on. Idempotent. Must be called again after Database::Load —
-  /// persistence stores rows only, so indexes exist in memory only.
+  /// rely on. Idempotent. kFailedPrecondition, before anything is created,
+  /// when an existing GOOFI table's columns, primary key or foreign keys
+  /// differ from Fig. 4. Call again after Database::Load, which may bring in
+  /// foreign tables or drop the store's.
   util::Status EnsureSchema();
 
   /// The store's prepared-statement cache. The shell routes ad-hoc `sql`
@@ -59,15 +61,18 @@ class CampaignStore {
   void AttachArchive(db::Archive* archive) { archive_ = archive; }
   db::Archive* archive() const { return archive_; }
 
+  // Every accessor below returns kFailedPrecondition, naming the table, when
+  // its GOOFI table is missing or differs from Fig. 4 (see EnsureSchema).
+
   // --- TargetSystemData ----------------------------------------------------
   util::Status PutTargetSystem(const TargetSystemData& target);
   util::Result<TargetSystemData> GetTargetSystem(const std::string& name) const;
-  std::vector<std::string> TargetSystemNames() const;
+  util::Result<std::vector<std::string>> TargetSystemNames() const;
 
   // --- CampaignData --------------------------------------------------------
   util::Status PutCampaign(const CampaignData& campaign);
   util::Result<CampaignData> GetCampaign(const std::string& name) const;
-  std::vector<std::string> CampaignNames() const;
+  util::Result<std::vector<std::string>> CampaignNames() const;
 
   /// Merges the location selectors and experiment counts of `sources` into a
   /// new campaign named `merged_name` (set-up phase: "merge campaign data
@@ -139,6 +144,11 @@ class CampaignStore {
                                     int index);
 
  private:
+  /// The store's one way to its tables: the table `expected` names, or
+  /// kFailedPrecondition when it is missing or its columns, primary key or
+  /// foreign keys differ from `expected`.
+  util::Result<db::Table*> Fig4Table(const db::Schema& expected) const;
+
   util::Result<std::vector<ExperimentRow>> ExperimentQuery(
       const std::string& sql, const std::string& param) const;
 

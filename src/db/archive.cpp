@@ -7,7 +7,6 @@
 
 #include "util/crc32.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace goofi::db {
 
@@ -15,9 +14,6 @@ namespace {
 
 constexpr uint8_t kSnapshotMagic[4] = {0xB1, 'G', 'D', 'B'};
 constexpr uint8_t kSnapshotVersion = 1;
-// Legacy text files start with this line; their first byte (0x47 'G') never
-// collides with the binary magic's 0xB1.
-constexpr char kLegacyHeader[] = "GOOFIDB 1";
 
 struct PendingTable {
   Schema schema;
@@ -65,251 +61,6 @@ util::Result<Database> AssemblePending(std::vector<PendingTable> pending) {
     }
   }
   return fresh;
-}
-
-// --- legacy text reader (the pre-archive format, kept loading forever) ------
-
-util::Result<Database> ReadLegacyText(const std::string& path,
-                                      std::string content) {
-  // Split off and verify the CRC trailer.
-  const size_t crc_pos = content.rfind("CRC ");
-  if (crc_pos == std::string::npos) {
-    return util::ParseError("missing CRC trailer");
-  }
-  const std::string crc_text(util::Trim(content.substr(crc_pos + 4)));
-  const std::string body = content.substr(0, crc_pos);
-  const auto stored = util::ParseInt("0x" + crc_text);
-  if (!stored) return util::ParseError("bad CRC trailer");
-  if (static_cast<uint32_t>(*stored) != util::Crc32Of(body)) {
-    return util::IoError("CRC mismatch: database file " + path + " is corrupt");
-  }
-
-  std::vector<std::string> lines = util::Split(body, '\n');
-  size_t pos = 0;
-  auto next_line = [&]() -> std::optional<std::string> {
-    while (pos < lines.size()) {
-      const std::string& line = lines[pos++];
-      if (!line.empty()) return line;
-    }
-    return std::nullopt;
-  };
-
-  auto header = next_line();
-  if (!header || *header != kLegacyHeader) {
-    return util::ParseError("bad database header");
-  }
-
-  std::vector<PendingTable> pending;
-  for (auto line = next_line(); line.has_value(); line = next_line()) {
-    auto head = util::SplitWhitespace(*line);
-    if (head.size() != 3 || head[0] != "TABLE") {
-      return util::ParseError("expected TABLE, got: " + *line);
-    }
-    const std::string table_name = util::UnescapeField(head[1]);
-    const auto ncols = util::ParseInt(head[2]);
-    if (!ncols || *ncols <= 0) return util::ParseError("bad column count");
-
-    std::vector<Column> columns;
-    std::vector<std::string> primary_key;
-    std::vector<ForeignKey> fks;
-    for (int64_t i = 0; i < *ncols; ++i) {
-      auto col_line = next_line();
-      if (!col_line || !util::StartsWith(*col_line, "COL ")) {
-        return util::ParseError("expected COL line");
-      }
-      auto fields = util::Split(col_line->substr(4), '\t');
-      if (fields.size() != 3) return util::ParseError("bad COL line");
-      Column col;
-      col.name = util::UnescapeField(fields[0]);
-      if (fields[1] == "INTEGER") {
-        col.type = ValueType::kInt;
-      } else if (fields[1] == "REAL") {
-        col.type = ValueType::kReal;
-      } else if (fields[1] == "TEXT") {
-        col.type = ValueType::kText;
-      } else {
-        return util::ParseError("bad column type " + fields[1]);
-      }
-      col.not_null = fields[2] == "1";
-      columns.push_back(std::move(col));
-    }
-
-    // Optional PK / FK lines, then mandatory ROWS.
-    std::optional<std::string> line2 = next_line();
-    while (line2 &&
-           (util::StartsWith(*line2, "PK") || util::StartsWith(*line2, "FK"))) {
-      auto fields = util::Split(*line2, '\t');
-      if (fields[0] == "PK") {
-        for (size_t i = 1; i < fields.size(); ++i) {
-          primary_key.push_back(util::UnescapeField(fields[i]));
-        }
-      } else {
-        if (fields.size() < 3) return util::ParseError("bad FK line");
-        ForeignKey fk;
-        fk.ref_table = util::UnescapeField(fields[1]);
-        const auto n = util::ParseInt(fields[2]);
-        if (!n || fields.size() != 3 + 2 * static_cast<size_t>(*n)) {
-          return util::ParseError("bad FK arity");
-        }
-        for (int64_t i = 0; i < *n; ++i) {
-          fk.local_columns.push_back(
-              util::UnescapeField(fields[3 + static_cast<size_t>(i)]));
-        }
-        for (int64_t i = 0; i < *n; ++i) {
-          fk.ref_columns.push_back(
-              util::UnescapeField(fields[3 + static_cast<size_t>(*n + i)]));
-        }
-        fks.push_back(std::move(fk));
-      }
-      line2 = next_line();
-    }
-    if (!line2 || !util::StartsWith(*line2, "ROWS ")) {
-      return util::ParseError("expected ROWS line");
-    }
-    const auto nrows = util::ParseInt(line2->substr(5));
-    if (!nrows || *nrows < 0) return util::ParseError("bad row count");
-
-    PendingTable pt;
-    pt.schema = Schema(table_name, std::move(columns), std::move(primary_key),
-                       std::move(fks));
-    pt.rows.reserve(static_cast<size_t>(*nrows));
-    for (int64_t r = 0; r < *nrows; ++r) {
-      auto row_line = next_line();
-      if (!row_line) return util::ParseError("unexpected EOF in rows");
-      auto fields = util::Split(*row_line, '\t');
-      if (fields.size() != static_cast<size_t>(*ncols)) {
-        return util::ParseError("row arity mismatch in table " + table_name);
-      }
-      Row row;
-      row.reserve(fields.size());
-      for (const auto& field : fields) {
-        auto v = Value::Deserialize(util::UnescapeField(field));
-        if (!v.ok()) return v.status();
-        row.push_back(std::move(v).value());
-      }
-      pt.rows.push_back(std::move(row));
-    }
-    auto end_line = next_line();
-    if (!end_line || *end_line != "END") return util::ParseError("expected END");
-    pending.push_back(std::move(pt));
-  }
-  return AssemblePending(std::move(pending));
-}
-
-// --- binary columnar reader --------------------------------------------------
-
-util::Result<Database> ReadBinarySnapshot(const std::string& path,
-                                          const std::string& content,
-                                          uint64_t* epoch_out) {
-  // Whole-file CRC trailer first: any truncation or flipped byte anywhere
-  // (metadata included) is rejected before parsing.
-  const size_t header_size = sizeof(kSnapshotMagic) + 1 + 8;
-  if (content.size() < header_size + 4) {
-    return util::ParseError("binary snapshot too short");
-  }
-  const std::string_view data(content);
-  const std::string_view body = data.substr(0, data.size() - 4);
-  uint32_t stored_file_crc = 0;
-  {
-    PackedReader trailer(data.substr(data.size() - 4));
-    trailer.U32(&stored_file_crc);
-  }
-  if (util::Crc32Of(body) != stored_file_crc) {
-    return util::IoError("CRC mismatch: database file " + path + " is corrupt");
-  }
-
-  PackedReader r(body);
-  {
-    uint8_t magic[4] = {};
-    for (auto& b : magic) r.U8(&b);
-    uint8_t version = 0;
-    r.U8(&version);
-    if (!r.ok() || std::memcmp(magic, kSnapshotMagic, 4) != 0 ||
-        version != kSnapshotVersion) {
-      return util::ParseError("bad binary snapshot header");
-    }
-  }
-  uint64_t epoch = 0;
-  uint64_t ntables = 0;
-  if (!r.U64(&epoch) || !r.Varint(&ntables)) {
-    return util::ParseError("bad binary snapshot header");
-  }
-
-  std::vector<PendingTable> pending;
-  pending.reserve(static_cast<size_t>(ntables));
-  for (uint64_t t = 0; t < ntables; ++t) {
-    PendingTable pt;
-    if (!DecodeSchema(&r, &pt.schema)) {
-      return util::ParseError("bad table schema in binary snapshot");
-    }
-    const size_t ncols = pt.schema.num_columns();
-    uint64_t nindexes = 0;
-    if (!r.Varint(&nindexes)) return util::ParseError("bad index count");
-    for (uint64_t i = 0; i < nindexes; ++i) {
-      PendingTable::IndexDef def;
-      uint8_t kind = 0;
-      uint64_t def_cols = 0;
-      if (!r.Str(&def.name) || !r.U8(&kind) ||
-          kind > static_cast<uint8_t>(IndexKind::kSorted) ||
-          !r.Varint(&def_cols)) {
-        return util::ParseError("bad index definition");
-      }
-      def.kind = static_cast<IndexKind>(kind);
-      def.columns.resize(static_cast<size_t>(def_cols));
-      for (auto& col : def.columns) {
-        if (!r.Str(&col)) return util::ParseError("bad index column");
-      }
-      pt.indexes.push_back(std::move(def));
-    }
-    uint64_t nrows = 0;
-    if (!r.Varint(&nrows)) return util::ParseError("bad row count");
-    if (nrows > body.size()) return util::ParseError("implausible row count");
-
-    pt.rows.assign(static_cast<size_t>(nrows), Row());
-    for (auto& row : pt.rows) row.resize(ncols);  // default = NULL
-
-    for (size_t c = 0; c < ncols; ++c) {
-      uint32_t seg_len = 0, seg_crc = 0;
-      if (!r.U32(&seg_len) || !r.U32(&seg_crc) ||
-          seg_len > body.size() - r.pos()) {
-        return util::ParseError("bad column segment frame");
-      }
-      const std::string_view segment = body.substr(r.pos(), seg_len);
-      if (util::Crc32Of(segment) != seg_crc) {
-        return util::IoError("segment CRC mismatch in table " +
-                             pt.schema.table_name() + " column " +
-                             pt.schema.columns()[c].name);
-      }
-      PackedReader seg(segment);
-      const size_t bitmap_bytes = (static_cast<size_t>(nrows) + 7) / 8;
-      if (!seg.Skip(bitmap_bytes)) {
-        return util::ParseError("short null bitmap");
-      }
-      // Decode the non-NULL values in row order; NULL cells keep the
-      // default-constructed Value from the resize above.
-      for (uint64_t row = 0; row < nrows; ++row) {
-        const uint8_t bits = static_cast<uint8_t>(segment[row / 8]);
-        if (((bits >> (row % 8)) & 1) == 0) continue;  // NULL
-        Value v;
-        if (!seg.Val(&v)) {
-          return util::ParseError("bad value in table " +
-                                  pt.schema.table_name());
-        }
-        pt.rows[static_cast<size_t>(row)][c] = std::move(v);
-      }
-      if (!seg.AtEnd()) {
-        return util::ParseError("trailing bytes in column segment");
-      }
-      // Advance the outer reader past the segment we parsed out-of-line.
-      r.Skip(seg_len);
-    }
-    pending.push_back(std::move(pt));
-  }
-  if (!r.ok() || !r.AtEnd()) {
-    return util::ParseError("trailing bytes in binary snapshot");
-  }
-  if (epoch_out != nullptr) *epoch_out = epoch;
-  return AssemblePending(std::move(pending));
 }
 
 }  // namespace
@@ -399,32 +150,132 @@ util::Status WriteSnapshotFile(const Database& db, const std::string& path,
   return util::Status::Ok();
 }
 
+// --- snapshot reader ---------------------------------------------------------
+
 util::Result<LoadedSnapshot> ReadSnapshotFile(const std::string& path) {
   std::string content;
   if (!ReadWholeFile(path, &content)) return util::IoError("cannot open " + path);
 
-  LoadedSnapshot loaded;
-  if (!content.empty() &&
-      static_cast<uint8_t>(content[0]) == kSnapshotMagic[0]) {
-    auto db = ReadBinarySnapshot(path, content, &loaded.epoch);
-    if (!db.ok()) return db.status();
-    loaded.db = std::move(db).value();
-    return loaded;
+  // The magic first, so a file in another format is named as such rather
+  // than reported as corrupt; then the whole-file CRC trailer, so any
+  // truncation or flipped byte anywhere (metadata included) is rejected
+  // before parsing.
+  if (content.size() < sizeof(kSnapshotMagic) ||
+      std::memcmp(content.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+    return util::ParseError(path + " is not a binary snapshot");
   }
-  auto db = ReadLegacyText(path, std::move(content));
+  const size_t header_size = sizeof(kSnapshotMagic) + 1 + 8;
+  if (content.size() < header_size + 4) {
+    return util::ParseError("binary snapshot too short");
+  }
+  const std::string_view data(content);
+  const std::string_view body = data.substr(0, data.size() - 4);
+  uint32_t stored_file_crc = 0;
+  {
+    PackedReader trailer(data.substr(data.size() - 4));
+    trailer.U32(&stored_file_crc);
+  }
+  if (util::Crc32Of(body) != stored_file_crc) {
+    return util::IoError("CRC mismatch: database file " + path + " is corrupt");
+  }
+
+  PackedReader r(body);
+  uint8_t version = 0;
+  uint64_t epoch = 0;
+  uint64_t ntables = 0;
+  if (!r.Skip(sizeof(kSnapshotMagic)) || !r.U8(&version) ||
+      version != kSnapshotVersion || !r.U64(&epoch) || !r.Count(&ntables)) {
+    return util::ParseError("bad binary snapshot header");
+  }
+
+  std::vector<PendingTable> pending;
+  pending.reserve(static_cast<size_t>(ntables));
+  for (uint64_t t = 0; t < ntables; ++t) {
+    PendingTable pt;
+    if (!DecodeSchema(&r, &pt.schema) || pt.schema.num_columns() == 0) {
+      return util::ParseError("bad table schema in binary snapshot");
+    }
+    const size_t ncols = pt.schema.num_columns();
+    uint64_t nindexes = 0;
+    if (!r.Count(&nindexes)) return util::ParseError("bad index count");
+    for (uint64_t i = 0; i < nindexes; ++i) {
+      PendingTable::IndexDef def;
+      uint8_t kind = 0;
+      uint64_t def_cols = 0;
+      if (!r.Str(&def.name) || !r.U8(&kind) ||
+          kind > static_cast<uint8_t>(IndexKind::kSorted) ||
+          !r.Count(&def_cols)) {
+        return util::ParseError("bad index definition");
+      }
+      def.kind = static_cast<IndexKind>(kind);
+      def.columns.resize(static_cast<size_t>(def_cols));
+      for (auto& col : def.columns) {
+        if (!r.Str(&col)) return util::ParseError("bad index column");
+      }
+      pt.indexes.push_back(std::move(def));
+    }
+    // Rows are stored column by column, so a row takes at least one null
+    // bitmap bit in each column's segment.
+    uint64_t nrows = 0;
+    if (!r.Count(&nrows, /*bits_each=*/ncols)) {
+      return util::ParseError("bad row count");
+    }
+
+    pt.rows.assign(static_cast<size_t>(nrows), Row());
+    for (auto& row : pt.rows) row.resize(ncols);  // default = NULL
+
+    for (size_t c = 0; c < ncols; ++c) {
+      uint32_t seg_len = 0, seg_crc = 0;
+      if (!r.U32(&seg_len) || !r.U32(&seg_crc) ||
+          seg_len > body.size() - r.pos()) {
+        return util::ParseError("bad column segment frame");
+      }
+      const std::string_view segment = body.substr(r.pos(), seg_len);
+      if (util::Crc32Of(segment) != seg_crc) {
+        return util::IoError("segment CRC mismatch in table " +
+                             pt.schema.table_name() + " column " +
+                             pt.schema.columns()[c].name);
+      }
+      PackedReader seg(segment);
+      const size_t bitmap_bytes = (static_cast<size_t>(nrows) + 7) / 8;
+      if (!seg.Skip(bitmap_bytes)) {
+        return util::ParseError("short null bitmap");
+      }
+      // Decode the non-NULL values in row order; NULL cells keep the
+      // default-constructed Value from the resize above.
+      for (uint64_t row = 0; row < nrows; ++row) {
+        const uint8_t bits = static_cast<uint8_t>(segment[row / 8]);
+        if (((bits >> (row % 8)) & 1) == 0) continue;  // NULL
+        Value v;
+        if (!seg.Val(&v)) {
+          return util::ParseError("bad value in table " +
+                                  pt.schema.table_name());
+        }
+        pt.rows[static_cast<size_t>(row)][c] = std::move(v);
+      }
+      if (!seg.AtEnd()) {
+        return util::ParseError("trailing bytes in column segment");
+      }
+      // Advance the outer reader past the segment we parsed out-of-line.
+      r.Skip(seg_len);
+    }
+    pending.push_back(std::move(pt));
+  }
+  if (!r.ok() || !r.AtEnd()) {
+    return util::ParseError("trailing bytes in binary snapshot");
+  }
+  auto db = AssemblePending(std::move(pending));
   if (!db.ok()) return db.status();
+  LoadedSnapshot loaded;
   loaded.db = std::move(db).value();
-  loaded.legacy_text = true;
-  loaded.epoch = 0;
+  loaded.epoch = epoch;
   return loaded;
 }
 
 // --- Archive -----------------------------------------------------------------
 
 Archive::Archive(Database* db, std::string path, ArchiveOptions options)
-    : db_(db), path_(std::move(path)), options_(options) {
-  auto_commit_ = options_.auto_commit;
-}
+    : db_(db), path_(std::move(path)), options_(options) {}
 
 util::Result<std::unique_ptr<Archive>> Archive::Open(Database* db,
                                                      const std::string& path,
@@ -435,16 +286,9 @@ util::Result<std::unique_ptr<Archive>> Archive::Open(Database* db,
 
   uint64_t epoch = 0;
   if (exists) {
-    bool legacy = false;
-    GOOFI_RETURN_IF_ERROR(db->Load(path, &epoch, &legacy));
-    archive->stats_.loaded_legacy_text = legacy;
-    if (legacy) {
-      // Convert in place: the WAL's epoch scheme needs a binary snapshot,
-      // and later opens should skip the text parser. A legacy file cannot
-      // have a live WAL, so any leftover one is foreign — drop it.
-      GOOFI_RETURN_IF_ERROR(WriteSnapshotFile(*db, path, epoch));
-      std::filesystem::remove(path + ".wal", ec);
-    }
+    // A file that is not a binary snapshot fails here, before anything is
+    // written: neither it nor any WAL beside it is touched.
+    GOOFI_RETURN_IF_ERROR(db->Load(path, &epoch));
   } else {
     // Fresh archive: the initial snapshot is the database as it stands, and
     // any leftover WAL (from a deleted snapshot) belongs to nothing now.
@@ -496,12 +340,9 @@ util::Status Archive::CommitLocked() {
   GOOFI_RETURN_IF_ERROR(wal_.Flush());
   if (had_pending) ++stats_.wal_commits;
   stats_.wal_bytes = wal_.bytes();
-  if (options_.auto_checkpoint) {
-    const uint64_t threshold = std::max<uint64_t>(
-        options_.min_fold_bytes,
-        static_cast<uint64_t>(options_.fold_ratio *
-                              static_cast<double>(stats_.snapshot_bytes)));
-    if (wal_.bytes() > threshold) return CheckpointLocked();
+  if (options_.auto_checkpoint &&
+      wal_.bytes() > std::max(options_.min_fold_bytes, stats_.snapshot_bytes)) {
+    return CheckpointLocked();
   }
   return util::Status::Ok();
 }
@@ -528,11 +369,6 @@ util::Status Archive::CheckpointLocked() {
   const auto size = std::filesystem::file_size(path_, ec);
   stats_.snapshot_bytes = ec ? 0 : size;
   return util::Status::Ok();
-}
-
-void Archive::SetAutoCommit(bool on) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto_commit_ = on;
 }
 
 ArchiveStats Archive::stats() const {

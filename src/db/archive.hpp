@@ -19,11 +19,10 @@
 //       non-NULL) then, for each non-NULL row in order, <u8 tag><packed value>
 //   trailer: <u32 crc32 of everything before it LE>
 //
-// A first byte of 0xB1 discriminates from the legacy text format, whose files
-// start with "GOOFIDB" (0x47); Database::Load sniffs it and keeps reading old
-// archives. Snapshots store row values in live-row physical order and persist
-// index definitions, so a loaded database is byte-identical (row order, index
-// set) to the one that was saved.
+// This is the only database file format: a file that does not start with the
+// magic is refused, not converted. Snapshots store row values in live-row
+// physical order and persist index definitions, so a loaded database is
+// byte-identical (row order, index set) to the one that was saved.
 #pragma once
 
 #include <cstdint>
@@ -47,26 +46,19 @@ util::Status WriteSnapshotFile(const Database& db, const std::string& path,
 struct LoadedSnapshot {
   Database db;
   uint64_t epoch = 0;
-  bool legacy_text = false;  ///< file was in the pre-archive text format
 };
 
-/// Reads a snapshot written by WriteSnapshotFile or by the legacy text
-/// writer (Database::SaveLegacyText), sniffing the format from the first
-/// byte. Legacy files load with epoch 0 and no index definitions.
+/// Reads a snapshot written by WriteSnapshotFile. The magic is checked
+/// before the CRC, so a file in any other format is reported as "not a
+/// binary snapshot" rather than as a corrupt one.
 util::Result<LoadedSnapshot> ReadSnapshotFile(const std::string& path);
 
 // --- archive -----------------------------------------------------------------
 
 struct ArchiveOptions {
-  /// Flush the WAL after every logical operation. The parallel runner turns
-  /// this off via GroupCommitScope so durability points align with its
-  /// ordered result batches.
-  bool auto_commit = true;
   /// Fold the WAL into a fresh snapshot from Commit() once it outgrows the
-  /// snapshot (see fold_ratio/min_fold_bytes).
+  /// snapshot: when wal_bytes > max(min_fold_bytes, snapshot_bytes).
   bool auto_checkpoint = true;
-  /// Checkpoint when wal_bytes > max(min_fold_bytes, fold_ratio * snapshot_bytes).
-  double fold_ratio = 1.0;
   uint64_t min_fold_bytes = 64 * 1024;
 };
 
@@ -83,7 +75,6 @@ struct ArchiveStats {
   bool stale_wal_discarded = false;
   uint64_t snapshot_bytes = 0;
   uint64_t checkpoints_folded = 0;
-  bool loaded_legacy_text = false;
 };
 
 /// Durable backing for one Database. While attached (as the database's
@@ -123,8 +114,6 @@ class Archive final : public DatabaseObserver {
   /// destructor; call explicitly to observe the final Status.
   util::Status Close();
 
-  void SetAutoCommit(bool on);
-
   const std::string& path() const { return path_; }
   ArchiveStats stats() const;
 
@@ -160,9 +149,9 @@ class Archive final : public DatabaseObserver {
  private:
   Archive(Database* db, std::string path, ArchiveOptions options);
 
-  /// Appends one record and, under auto-commit, flushes it. I/O failures
-  /// latch into error_ (observer callbacks cannot return Status) and are
-  /// surfaced by the next Commit()/Close().
+  /// Appends one record and, outside a GroupCommitScope, flushes it. I/O
+  /// failures latch into error_ (observer callbacks cannot return Status)
+  /// and are surfaced by the next Commit()/Close().
   void AppendLocked(WalOp op, const std::string& body);
   util::Status CommitLocked();
   util::Status CheckpointLocked();
@@ -173,7 +162,7 @@ class Archive final : public DatabaseObserver {
   mutable std::mutex mutex_;
   Wal wal_;
   uint64_t epoch_ = 0;
-  bool auto_commit_ = true;
+  bool auto_commit_ = true;  ///< false inside a GroupCommitScope
   bool attached_ = false;
   util::Status error_;  ///< sticky first auto-commit failure
 

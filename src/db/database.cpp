@@ -1,11 +1,8 @@
 #include "db/database.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <unordered_set>
 
 #include "db/archive.hpp"
-#include "util/crc32.hpp"
 #include "util/strings.hpp"
 
 namespace goofi::db {
@@ -291,100 +288,18 @@ util::Status Database::Delete(const std::string& table_name,
 }
 
 // ---------------------------------------------------------------------------
-// Persistence. Save/Load speak the binary columnar snapshot format
-// (db/archive); SaveLegacyText keeps the original line-oriented text format
-// as a writer, and Load sniffs the first byte so both formats keep loading.
+// Persistence: Save and Load speak the binary columnar snapshot format
+// (db/archive), the only database file format.
 // ---------------------------------------------------------------------------
 
 util::Status Database::Save(const std::string& path) const {
   return WriteSnapshotFile(*this, path, /*epoch=*/0);
 }
 
-util::Status Database::SaveLegacyText(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return util::IoError("cannot open " + path + " for writing");
-  // Stream through one reusable buffer, CRC'ing incrementally, instead of
-  // materializing the whole archive as a single string.
-  util::Crc32 crc;
-  std::string buf;
-  const auto emit = [&] {
-    crc.Update(buf);
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    buf.clear();
-  };
-  // Fields are appended one at a time: chained `"lit" + EscapeField(...)`
-  // builds a temporary per join and trips GCC 12's -Wrestrict false positive
-  // (PR105329) on the rvalue operator+; plain += does neither.
-  buf += "GOOFIDB 1\n";
-  for (const auto& [key, table] : tables_) {
-    const Schema& schema = table->schema();
-    buf += "TABLE ";
-    buf += util::EscapeField(schema.table_name());
-    buf += " ";
-    buf += std::to_string(schema.num_columns());
-    buf += "\n";
-    for (const Column& col : schema.columns()) {
-      buf += "COL ";
-      buf += util::EscapeField(col.name);
-      buf += "\t";
-      buf += ValueTypeName(col.type);
-      buf += "\t";
-      buf += col.not_null ? "1" : "0";
-      buf += "\n";
-    }
-    if (!schema.primary_key().empty()) {
-      buf += "PK";
-      for (const auto& col : schema.primary_key()) {
-        buf += "\t";
-        buf += util::EscapeField(col);
-      }
-      buf += "\n";
-    }
-    for (const ForeignKey& fk : schema.foreign_keys()) {
-      buf += "FK\t";
-      buf += util::EscapeField(fk.ref_table);
-      buf += "\t";
-      buf += std::to_string(fk.local_columns.size());
-      for (const auto& col : fk.local_columns) {
-        buf += "\t";
-        buf += util::EscapeField(col);
-      }
-      for (const auto& col : fk.ref_columns) {
-        buf += "\t";
-        buf += util::EscapeField(col);
-      }
-      buf += "\n";
-    }
-    buf += "ROWS ";
-    buf += std::to_string(table->size());
-    buf += "\n";
-    emit();
-    table->ForEach([&](const Row& row) {
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (i > 0) buf += "\t";
-        buf += util::EscapeField(row[i].Serialize());
-      }
-      buf += "\n";
-      if (buf.size() >= 64 * 1024) emit();
-    });
-    buf += "END\n";
-    emit();
-  }
-  buf += "CRC ";
-  buf += util::Format("%08x", crc.Value());
-  buf += "\n";
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  out.flush();
-  if (!out) return util::IoError("write failed for " + path);
-  return util::Status::Ok();
-}
-
-util::Status Database::Load(const std::string& path, uint64_t* epoch_out,
-                            bool* legacy_out) {
+util::Status Database::Load(const std::string& path, uint64_t* epoch_out) {
   auto loaded = ReadSnapshotFile(path);
   if (!loaded.ok()) return loaded.status();
   if (epoch_out != nullptr) *epoch_out = loaded.value().epoch;
-  if (legacy_out != nullptr) *legacy_out = loaded.value().legacy_text;
   // Monotonic against this database's own history so every plan cached
   // before the load invalidates (the fresh database's internal counter is
   // unrelated and could alias an already-seen version).

@@ -94,17 +94,12 @@ class Database {
   /// (per-segment CRC32, temp file + atomic rename; see db/archive).
   util::Status Save(const std::string& path) const;
 
-  /// Saves in the pre-archive line-oriented text format. Kept for
-  /// compatibility tests and for producing files older tools can read.
-  util::Status SaveLegacyText(const std::string& path) const;
-
-  /// Loads a database written by Save (binary) or SaveLegacyText — the first
-  /// byte discriminates. Replaces current contents; persisted index
-  /// definitions are recreated and schema_version is bumped so stale
-  /// prepared plans invalidate. `epoch_out`/`legacy_out` (optional) receive
-  /// the snapshot epoch and whether the file was legacy text.
-  util::Status Load(const std::string& path, uint64_t* epoch_out = nullptr,
-                    bool* legacy_out = nullptr);
+  /// Loads a database written by Save. Replaces current contents; persisted
+  /// index definitions are recreated and schema_version is bumped so stale
+  /// prepared plans invalidate. A file in any other format is an error and
+  /// leaves the database unchanged. `epoch_out` (optional) receives the
+  /// snapshot epoch.
+  util::Status Load(const std::string& path, uint64_t* epoch_out = nullptr);
 
   /// Attaches (or with nullptr detaches) a mutation observer, propagating it
   /// to every current and future table. At most one; caller keeps ownership.

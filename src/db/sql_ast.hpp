@@ -6,6 +6,7 @@
 // LoggedSystemState (§3.4) and everything the tool itself needs.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,6 +40,10 @@ struct Expr {
   bool star = false; ///< COUNT(*)
   size_t param_index = 0;  ///< ordinal of a kParam, left to right from 0
   std::vector<ExprPtr> args;
+  /// Levels of operators and calls below and including this node: 0 for a
+  /// leaf, else 1 + the deepest argument's. The parser bounds it by
+  /// kMaxExprDepth (db/sql_parser.hpp).
+  size_t depth = 0;
 
   static ExprPtr Literal(Value v) {
     auto e = std::make_unique<Expr>();
@@ -57,6 +62,7 @@ struct Expr {
     auto e = std::make_unique<Expr>();
     e->kind = Kind::kUnary;
     e->op = std::move(op);
+    e->depth = arg->depth + 1;
     e->args.push_back(std::move(arg));
     return e;
   }
@@ -64,6 +70,7 @@ struct Expr {
     auto e = std::make_unique<Expr>();
     e->kind = Kind::kBinary;
     e->op = std::move(op);
+    e->depth = std::max(lhs->depth, rhs->depth) + 1;
     e->args.push_back(std::move(lhs));
     e->args.push_back(std::move(rhs));
     return e;

@@ -406,7 +406,9 @@ class Parser {
       Advance();
       auto rhs = ParseAnd();
       if (!rhs.ok()) return rhs;
-      lhs = Expr::Binary("OR", std::move(lhs).value(), std::move(rhs).value());
+      lhs = Bounded(
+          Expr::Binary("OR", std::move(lhs).value(), std::move(rhs).value()));
+      if (!lhs.ok()) return lhs;
     }
     return lhs;
   }
@@ -418,7 +420,9 @@ class Parser {
       Advance();
       auto rhs = ParseNot();
       if (!rhs.ok()) return rhs;
-      lhs = Expr::Binary("AND", std::move(lhs).value(), std::move(rhs).value());
+      lhs = Bounded(
+          Expr::Binary("AND", std::move(lhs).value(), std::move(rhs).value()));
+      if (!lhs.ok()) return lhs;
     }
     return lhs;
   }
@@ -426,9 +430,9 @@ class Parser {
   util::Result<ExprPtr> ParseNot() {
     if (Peek().IsKeyword("NOT")) {
       Advance();
-      auto arg = ParseNot();
+      auto arg = Nested(&Parser::ParseNot);
       if (!arg.ok()) return arg;
-      return ExprPtr(Expr::Unary("NOT", std::move(arg).value()));
+      return Bounded(Expr::Unary("NOT", std::move(arg).value()));
     }
     return ParseComparison();
   }
@@ -446,9 +450,9 @@ class Parser {
       }
       if (!Peek().IsKeyword("NULL")) return Error("expected NULL after IS");
       Advance();
-      ExprPtr cmp = Expr::Binary(negated ? "ISNOTNULL" : "ISNULL",
-                                 std::move(lhs).value(), Expr::Literal(Value::Null()));
-      return cmp;
+      return Bounded(Expr::Binary(negated ? "ISNOTNULL" : "ISNULL",
+                                  std::move(lhs).value(),
+                                  Expr::Literal(Value::Null())));
     }
     static const char* const kCmps[] = {"=", "!=", "<=", ">=", "<", ">"};
     for (const char* op : kCmps) {
@@ -456,7 +460,7 @@ class Parser {
         Advance();
         auto rhs = ParseAdditive();
         if (!rhs.ok()) return rhs;
-        return ExprPtr(
+        return Bounded(
             Expr::Binary(op, std::move(lhs).value(), std::move(rhs).value()));
       }
     }
@@ -478,7 +482,9 @@ class Parser {
       Advance();
       auto rhs = ParseMultiplicative();
       if (!rhs.ok()) return rhs;
-      lhs = Expr::Binary(op, std::move(lhs).value(), std::move(rhs).value());
+      lhs = Bounded(
+          Expr::Binary(op, std::move(lhs).value(), std::move(rhs).value()));
+      if (!lhs.ok()) return lhs;
     }
     return lhs;
   }
@@ -500,7 +506,9 @@ class Parser {
       Advance();
       auto rhs = ParseUnary();
       if (!rhs.ok()) return rhs;
-      lhs = Expr::Binary(op, std::move(lhs).value(), std::move(rhs).value());
+      lhs = Bounded(
+          Expr::Binary(op, std::move(lhs).value(), std::move(rhs).value()));
+      if (!lhs.ok()) return lhs;
     }
     return lhs;
   }
@@ -508,9 +516,9 @@ class Parser {
   util::Result<ExprPtr> ParseUnary() {
     if (Peek().IsSymbol("-")) {
       Advance();
-      auto arg = ParseUnary();
+      auto arg = Nested(&Parser::ParseUnary);
       if (!arg.ok()) return arg;
-      return ExprPtr(Expr::Unary("NEG", std::move(arg).value()));
+      return Bounded(Expr::Unary("NEG", std::move(arg).value()));
     }
     return ParsePrimary();
   }
@@ -537,7 +545,7 @@ class Parser {
         }
         if (tok.IsSymbol("(")) {
           Advance();
-          auto inner = ParseExpr();
+          auto inner = Nested(&Parser::ParseExpr);
           if (!inner.ok()) return inner;
           if (!Peek().IsSymbol(")")) return Error("expected )");
           Advance();
@@ -565,8 +573,9 @@ class Parser {
             e->star = true;
           } else if (!Peek().IsSymbol(")")) {
             for (;;) {
-              auto arg = ParseExpr();
+              auto arg = Nested(&Parser::ParseExpr);
               if (!arg.ok()) return arg;
+              e->depth = std::max(e->depth, arg.value()->depth + 1);
               e->args.push_back(std::move(arg).value());
               if (Peek().IsSymbol(")")) break;
               if (!Peek().IsSymbol(",")) return Error("expected , or ) in call");
@@ -575,7 +584,7 @@ class Parser {
           }
           if (!Peek().IsSymbol(")")) return Error("expected ) after call args");
           Advance();
-          return ExprPtr(std::move(e));
+          return Bounded(std::move(e));
         }
         if (Peek().IsSymbol(".")) {  // qualified column
           Advance();
@@ -589,6 +598,31 @@ class Parser {
         return Error("unexpected end of input in expression");
     }
     return Error("unexpected token");
+  }
+
+  // --- depth bound ----------------------------------------------------------
+
+  /// Parses the operand of NOT, unary minus, parentheses or a call one
+  /// nesting level down, failing past kMaxExprDepth before the descent can
+  /// run out of stack.
+  util::Result<ExprPtr> Nested(util::Result<ExprPtr> (Parser::*parse)()) {
+    if (nesting_ == kMaxExprDepth) return TooDeep();
+    ++nesting_;
+    auto e = (this->*parse)();
+    --nesting_;
+    return e;
+  }
+
+  /// Passes a freshly built node on, or fails when its tree is deeper than
+  /// kMaxExprDepth.
+  util::Result<ExprPtr> Bounded(ExprPtr e) const {
+    if (e->depth > kMaxExprDepth) return TooDeep();
+    return e;
+  }
+
+  util::Status TooDeep() const {
+    return Error("expression nested deeper than " +
+                 std::to_string(kMaxExprDepth) + " levels");
   }
 
   // --- plumbing -----------------------------------------------------------
@@ -620,6 +654,7 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   size_t next_param_ = 0;  ///< ordinal assigned to the next `?` placeholder
+  size_t nesting_ = 0;     ///< Nested operands open around the cursor
 };
 
 }  // namespace

@@ -143,29 +143,6 @@ std::string Value::Serialize() const {
   return "N";
 }
 
-util::Result<Value> Value::Deserialize(const std::string& text) {
-  if (text.empty()) return util::ParseError("empty serialized value");
-  const std::string payload = text.substr(1);
-  switch (text[0]) {
-    case 'N':
-      return Value::Null();
-    case 'I': {
-      const auto v = util::ParseInt(payload);
-      if (!v) return util::ParseError("bad int value: " + payload);
-      return Value::Int(*v);
-    }
-    case 'R': {
-      const auto v = util::ParseDouble(payload);
-      if (!v) return util::ParseError("bad real value: " + payload);
-      return Value::Real(*v);
-    }
-    case 'T':
-      return Value::Text(payload);
-    default:
-      return util::ParseError("unknown value tag: " + text.substr(0, 1));
-  }
-}
-
 size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:

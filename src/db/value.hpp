@@ -10,8 +10,6 @@
 #include <string>
 #include <variant>
 
-#include "util/status.hpp"
-
 namespace goofi::db {
 
 enum class ValueType { kNull = 0, kInt, kReal, kText };
@@ -56,9 +54,9 @@ class Value {
   /// Display form ("NULL", "42", "3.5", "abc").
   std::string ToString() const;
 
-  /// Serialized form with a type tag, round-trippable via Deserialize.
+  /// Lossless text form with a type tag ("N", "I42", "R3.5", "Tabc"): equal
+  /// texts mean the same type and value.
   std::string Serialize() const;
-  static util::Result<Value> Deserialize(const std::string& text);
 
   /// Hash compatible with operator== for same-type values.
   size_t Hash() const;

@@ -118,6 +118,13 @@ bool PackedReader::Varint(uint64_t* v) {
   return Fail();  // unterminated varint
 }
 
+bool PackedReader::Count(uint64_t* n, uint64_t bits_each) {
+  if (!Varint(n)) return false;
+  const uint64_t bits_left = 8 * static_cast<uint64_t>(data_.size() - pos_);
+  if (bits_each == 0 || *n > bits_left / bits_each) return Fail();
+  return true;
+}
+
 bool PackedReader::SVarint(int64_t* v) {
   uint64_t raw = 0;
   if (!Varint(&raw)) return false;
@@ -166,9 +173,7 @@ bool PackedReader::Val(Value* v) {
 
 bool PackedReader::RowData(Row* row) {
   uint64_t arity = 0;
-  if (!Varint(&arity)) return false;
-  // A row can't have more values than one byte each of remaining input.
-  if (arity > data_.size() - pos_ + 1) return Fail();
+  if (!Count(&arity)) return false;  // each value is at least its tag byte
   row->clear();
   row->reserve(static_cast<size_t>(arity));
   for (uint64_t i = 0; i < arity; ++i) {
@@ -201,7 +206,7 @@ void EncodeSchema(PackedWriter* w, const Schema& schema) {
 bool DecodeSchema(PackedReader* r, Schema* out) {
   std::string name;
   uint64_t ncols = 0;
-  if (!r->Str(&name) || !r->Varint(&ncols)) return false;
+  if (!r->Str(&name) || !r->Count(&ncols)) return false;
   std::vector<Column> columns;
   columns.reserve(static_cast<size_t>(ncols));
   for (uint64_t i = 0; i < ncols; ++i) {
@@ -214,19 +219,19 @@ bool DecodeSchema(PackedReader* r, Schema* out) {
     columns.push_back(std::move(col));
   }
   uint64_t npk = 0;
-  if (!r->Varint(&npk)) return false;
+  if (!r->Count(&npk)) return false;
   std::vector<std::string> primary_key(static_cast<size_t>(npk));
   for (auto& col : primary_key) {
     if (!r->Str(&col)) return false;
   }
   uint64_t nfk = 0;
-  if (!r->Varint(&nfk)) return false;
+  if (!r->Count(&nfk)) return false;
   std::vector<ForeignKey> fks;
   fks.reserve(static_cast<size_t>(nfk));
   for (uint64_t i = 0; i < nfk; ++i) {
     ForeignKey fk;
     uint64_t n = 0;
-    if (!r->Str(&fk.ref_table) || !r->Varint(&n)) return false;
+    if (!r->Str(&fk.ref_table) || !r->Count(&n)) return false;
     fk.local_columns.resize(static_cast<size_t>(n));
     fk.ref_columns.resize(static_cast<size_t>(n));
     for (auto& col : fk.local_columns) {
@@ -311,7 +316,7 @@ util::Status ApplyWalRecord(Database* db, WalOp op, PackedReader* r) {
     case WalOp::kInsertBatch: {
       std::string name;
       uint64_t n = 0;
-      if (!r->Str(&name) || !r->Varint(&n)) return BadRecord("bad batch");
+      if (!r->Str(&name) || !r->Count(&n)) return BadRecord("bad batch");
       auto table = table_of(name);
       if (!table.ok()) return table.status();
       table.value()->Reserve(table.value()->slots().size() +
@@ -326,7 +331,7 @@ util::Status ApplyWalRecord(Database* db, WalOp op, PackedReader* r) {
     case WalOp::kDelete: {
       std::string name;
       uint64_t n = 0;
-      if (!r->Str(&name) || !r->Varint(&n)) return BadRecord("bad delete");
+      if (!r->Str(&name) || !r->Count(&n)) return BadRecord("bad delete");
       auto table = table_of(name);
       if (!table.ok()) return table.status();
       for (uint64_t i = 0; i < n; ++i) {
@@ -339,7 +344,7 @@ util::Status ApplyWalRecord(Database* db, WalOp op, PackedReader* r) {
     case WalOp::kUpdate: {
       std::string name;
       uint64_t n = 0;
-      if (!r->Str(&name) || !r->Varint(&n)) return BadRecord("bad update");
+      if (!r->Str(&name) || !r->Count(&n)) return BadRecord("bad update");
       auto table = table_of(name);
       if (!table.ok()) return table.status();
       for (uint64_t i = 0; i < n; ++i) {
@@ -365,7 +370,7 @@ util::Status ApplyWalRecord(Database* db, WalOp op, PackedReader* r) {
     case WalOp::kCreateIndex: {
       std::string table, name;
       uint64_t n = 0;
-      if (!r->Str(&table) || !r->Str(&name) || !r->Varint(&n)) {
+      if (!r->Str(&table) || !r->Str(&name) || !r->Count(&n)) {
         return BadRecord("bad create index");
       }
       std::vector<std::string> columns(static_cast<size_t>(n));

@@ -76,6 +76,11 @@ class PackedReader {
   bool U32(uint32_t* v);
   bool U64(uint64_t* v);
   bool Varint(uint64_t* v);
+  /// A varint count of elements that each take at least `bits_each` bits
+  /// of the remaining input (a byte unless given). Fails when that many
+  /// cannot fit, so no count read from a file sizes a container beyond the
+  /// bytes actually there.
+  bool Count(uint64_t* n, uint64_t bits_each = 8);
   bool SVarint(int64_t* v);
   bool Str(std::string* s);
   bool Val(Value* v);

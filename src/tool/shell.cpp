@@ -74,7 +74,9 @@ util::Result<std::string> Shell::CmdList(
     return out.str();
   }
   if (args[0] == "campaigns") {
-    for (const std::string& name : store_->CampaignNames()) out << name << "\n";
+    auto names = store_->CampaignNames();
+    if (!names.ok()) return names.status();
+    for (const std::string& name : names.value()) out << name << "\n";
     return out.str();
   }
   if (args[0] == "workloads") {
@@ -466,7 +468,6 @@ util::Result<std::string> Shell::CmdStats() const {
                           static_cast<unsigned long long>(s.wal_bytes_truncated));
     }
     if (s.stale_wal_discarded) out << "  stale wal discarded\n";
-    if (s.loaded_legacy_text) out << "  loaded from legacy text format\n";
   }
   if (!last_run_.valid) return out.str();
   out << "last run: " << last_run_.campaign << " (" << last_run_.mode << ")\n";
@@ -630,9 +631,8 @@ util::Result<std::string> Shell::CmdLoad(const std::vector<std::string>& args) {
     note = " (open archive closed)";
   }
   GOOFI_RETURN_IF_ERROR(db_->Load(args[0]));
-  // Legacy text archives store rows only; re-create any missing secondary
-  // indexes. Binary snapshots persist index definitions, so this is a no-op
-  // for them.
+  // Refuses a file whose GOOFI tables differ from Fig. 4, and re-creates any
+  // table or secondary index the file lacks.
   GOOFI_RETURN_IF_ERROR(store_->EnsureSchema());
   return "loaded database from " + args[0] + note + "\n";
 }
@@ -651,9 +651,10 @@ util::Result<std::string> Shell::CmdArchive(const std::vector<std::string>& args
     auto opened = db::Archive::Open(db_, args[1]);
     if (!opened.ok()) return opened.status();
     archive_ = std::move(opened).value();
-    // An existing archive replaced the database contents. Re-create any
-    // secondary indexes a legacy or pre-index snapshot lacks — with the
-    // archive already observing, the definitions land in the WAL too.
+    // An existing archive replaced the database contents. Refuse it if its
+    // GOOFI tables differ from Fig. 4; re-create any table or secondary
+    // index it lacks — with the archive already observing, the definitions
+    // land in the WAL too.
     const auto ensured = store_->EnsureSchema();
     if (!ensured.ok()) {
       store_->AttachArchive(nullptr);
@@ -672,7 +673,6 @@ util::Result<std::string> Shell::CmdArchive(const std::vector<std::string>& args
                           static_cast<unsigned long long>(s.wal_bytes_truncated));
     }
     if (s.stale_wal_discarded) out += "discarded stale WAL\n";
-    if (s.loaded_legacy_text) out += "converted legacy text archive\n";
     return out;
   }
   if (archive_ == nullptr) {

@@ -109,50 +109,6 @@ std::optional<double> ParseDouble(std::string_view text) {
   return value;
 }
 
-std::string EscapeField(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string UnescapeField(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\\' && i + 1 < text.size()) {
-      ++i;
-      switch (text[i]) {
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        default:
-          out.push_back(text[i]);
-      }
-    } else {
-      out.push_back(text[i]);
-    }
-  }
-  return out;
-}
-
 std::string Format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

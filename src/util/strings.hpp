@@ -36,12 +36,6 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 std::optional<int64_t> ParseInt(std::string_view text);
 std::optional<double> ParseDouble(std::string_view text);
 
-/// Escapes a field for the persistence format: backslash-escapes
-/// '\\', '\n', '\t' and the field separator '\t' survivors.
-std::string EscapeField(std::string_view text);
-/// Inverse of EscapeField.
-std::string UnescapeField(std::string_view text);
-
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -16,6 +16,8 @@
 
 #include "core/goofi.hpp"
 #include "db/wal.hpp"
+#include "util/crc32.hpp"
+#include "util/strings.hpp"
 
 namespace goofi::db {
 namespace {
@@ -40,14 +42,52 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Canonical dump for equality checks: the legacy text format is stable,
-/// human-diffable, and independent of the binary encoder under test.
+/// Canonical dump for equality checks: every table's schema and its rows
+/// in storage order, each value through Value::Serialize and length-prefixed
+/// — human-diffable, and independent of the binary encoder under test.
+/// (Built with += only: chained operator+ on temporaries trips GCC 12's
+/// -Wrestrict false positive, PR105329.)
 std::string Dump(const Database& db) {
-  const std::string path = TempPath("dump.tmp");
-  EXPECT_TRUE(db.SaveLegacyText(path).ok());
-  std::string bytes = FileBytes(path);
-  std::remove(path.c_str());
-  return bytes;
+  std::string out;
+  const auto names = [&out](const std::vector<std::string>& columns) {
+    for (const std::string& col : columns) {
+      out += ' ';
+      out += col;
+    }
+  };
+  for (const std::string& name : db.TableNames()) {
+    const Table& table = *db.GetTable(name);
+    out += "TABLE ";
+    out += name;
+    for (const Column& col : table.schema().columns()) {
+      out += "\nCOL ";
+      out += col.name;
+      out += ' ';
+      out += ValueTypeName(col.type);
+      if (col.not_null) out += " NOT NULL";
+    }
+    out += "\nPK";
+    names(table.schema().primary_key());
+    for (const ForeignKey& fk : table.schema().foreign_keys()) {
+      out += "\nFK";
+      names(fk.local_columns);
+      out += " -> ";
+      out += fk.ref_table;
+      names(fk.ref_columns);
+    }
+    out += '\n';
+    table.ForEach([&out](const Row& row) {
+      for (const Value& v : row) {
+        const std::string text = v.Serialize();
+        out += std::to_string(text.size());
+        out += ':';
+        out += text;
+        out += ' ';
+      }
+      out += '\n';
+    });
+  }
+  return out;
 }
 
 /// A small two-table schema with a foreign key, shared by several tests.
@@ -189,10 +229,8 @@ TEST_F(SnapshotTest, BinaryRoundTripIsExact) {
 
   Database loaded;
   uint64_t epoch = 99;
-  bool legacy = true;
-  ASSERT_TRUE(loaded.Load(path_, &epoch, &legacy).ok());
+  ASSERT_TRUE(loaded.Load(path_, &epoch).ok());
   EXPECT_EQ(epoch, 0u);
-  EXPECT_FALSE(legacy);
   EXPECT_EQ(Dump(loaded), Dump(db));
   // The INT-in-REAL-column widening survived with its concrete type.
   const Table* parent = loaded.GetTable("parent");
@@ -262,20 +300,128 @@ TEST_F(SnapshotTest, EveryFlippedByteIsRejected) {
   }
 }
 
-TEST_F(SnapshotTest, LegacyTextStillLoads) {
-  Database db;
-  MakeParentChild(&db);
-  ASSERT_TRUE(db.Insert("parent", {Value::Int(1), Value::Text("legacy"),
-                                   Value::Real(1.5)})
-                  .ok());
-  ASSERT_TRUE(db.SaveLegacyText(path_).ok());
+TEST_F(SnapshotTest, TextFileIsRefusedAndLeftUntouched) {
+  // A small file in the retired text format, CRC trailer included, exactly
+  // as its writer laid one out.
+  std::string text =
+      "GOOFIDB 1\nTABLE t 1\nCOL a\tINTEGER\t0\nROWS 1\nI7\nEND\n";
+  text += "CRC ";
+  text += util::Format("%08x", util::Crc32Of(text));
+  text += "\n";
+  WriteBytes(path_, text);
 
+  Database db;
+  ASSERT_TRUE(
+      db.CreateTable(Schema("keep", {{"k", ValueType::kInt, false}})).ok());
+  ASSERT_TRUE(db.Insert("keep", {Value::Int(1)}).ok());
+  const std::string before = Dump(db);
+  const uint64_t version = db.schema_version();
+  const util::Status loaded = db.Load(path_);
+  EXPECT_EQ(loaded.code(), util::StatusCode::kParseError) << loaded.ToString();
+  EXPECT_NE(loaded.message().find("not a binary snapshot"), std::string::npos)
+      << loaded.ToString();
+  EXPECT_EQ(Dump(db), before);
+  EXPECT_EQ(db.schema_version(), version);
+
+  Database fresh;
+  auto archive = Archive::Open(&fresh, path_);
+  EXPECT_FALSE(archive.ok());
+  EXPECT_EQ(FileBytes(path_), text);
+  EXPECT_FALSE(fs::exists(path_ + ".wal"));
+  EXPECT_EQ(fresh.observer(), nullptr);
+}
+
+// --- hostile counts ------------------------------------------------------------
+// A count read from a file sizes vectors before the elements are read. The
+// CRCs stop random damage, not a crafted file, so each count is bounded by
+// the bytes left; 2^61 would otherwise abort the process in a reserve.
+
+constexpr uint64_t kHugeCount = uint64_t{1} << 61;
+
+/// A snapshot body (header with epoch 0, then `tables`) with a valid CRC
+/// trailer.
+std::string SnapshotFile(uint64_t ntables, const std::string& tables) {
+  std::string bytes = "\xB1GDB\x01";
+  PackedWriter w(&bytes);
+  w.U64(0);
+  w.Varint(ntables);
+  bytes += tables;
+  const uint32_t crc = util::Crc32Of(bytes);
+  w.U32(crc);
+  return bytes;
+}
+
+/// One table "t" with one INTEGER column "a", up to and including its
+/// primary-key count `npk`; `tail` continues the table from there.
+std::string TableOfOneColumn(uint64_t npk, const std::string& tail) {
+  std::string bytes;
+  PackedWriter w(&bytes);
+  w.Str("t");
+  w.Varint(1);
+  w.Str("a");
+  w.U8(static_cast<uint8_t>(ValueType::kInt));
+  w.U8(0);
+  w.Varint(npk);
+  return bytes + tail;
+}
+
+std::string Varint(uint64_t v) {
+  std::string bytes;
+  PackedWriter(&bytes).Varint(v);
+  return bytes;
+}
+
+TEST_F(SnapshotTest, HugeCountsAreRejected) {
+  std::string huge_columns;
+  PackedWriter(&huge_columns).Str("t");
+  huge_columns += Varint(kHugeCount);
+  std::string fk_head;  // one foreign key, to "t"
+  PackedWriter(&fk_head).Varint(1);
+  PackedWriter(&fk_head).Str("t");
+  std::string index_head;  // one hash index "i"
+  PackedWriter(&index_head).Varint(1);
+  PackedWriter(&index_head).Str("i");
+  PackedWriter(&index_head).U8(static_cast<uint8_t>(IndexKind::kHash));
+  const struct {
+    const char* what;
+    std::string file;
+  } cases[] = {
+      {"table count", SnapshotFile(kHugeCount, "")},
+      {"column count", SnapshotFile(1, huge_columns)},
+      {"primary-key count", SnapshotFile(1, TableOfOneColumn(kHugeCount, ""))},
+      {"foreign-key count",
+       SnapshotFile(1, TableOfOneColumn(0, Varint(kHugeCount)))},
+      {"foreign-key column count",
+       SnapshotFile(1, TableOfOneColumn(0, fk_head + Varint(kHugeCount)))},
+      {"index count",
+       SnapshotFile(1, TableOfOneColumn(0, Varint(0) + Varint(kHugeCount)))},
+      {"index column count",
+       SnapshotFile(1, TableOfOneColumn(0, Varint(0) + index_head +
+                                               Varint(kHugeCount)))},
+      {"row count", SnapshotFile(1, TableOfOneColumn(0, Varint(0) + Varint(0) +
+                                                            Varint(kHugeCount)))},
+  };
+  for (const auto& c : cases) {
+    WriteBytes(path_, c.file);
+    Database db;
+    const util::Status st = db.Load(path_);
+    EXPECT_FALSE(st.ok()) << c.what;
+    EXPECT_EQ(st.code(), util::StatusCode::kParseError)
+        << c.what << ": " << st.ToString();
+  }
+}
+
+TEST_F(SnapshotTest, NullOnlyRowsNeedOneBitEach) {
+  // Columnar rows can be far smaller than a byte: 1000 NULL rows of one
+  // nullable column are a 125-byte bitmap. They must still load.
+  Database db;
+  ASSERT_TRUE(
+      db.CreateTable(Schema("sparse", {{"v", ValueType::kText, false}})).ok());
+  std::vector<Row> rows(1000, Row{Value::Null()});
+  ASSERT_TRUE(db.InsertBatch("sparse", std::move(rows)).ok());
+  ASSERT_TRUE(db.Save(path_).ok());
   Database loaded;
-  uint64_t epoch = 99;
-  bool legacy = false;
-  ASSERT_TRUE(loaded.Load(path_, &epoch, &legacy).ok());
-  EXPECT_EQ(epoch, 0u);
-  EXPECT_TRUE(legacy);
+  ASSERT_TRUE(loaded.Load(path_).ok());
   EXPECT_EQ(Dump(loaded), Dump(db));
 }
 
@@ -369,6 +515,55 @@ TEST_F(ArchiveTest, WalReplaysEveryOperationKind) {
   std::string error;
   EXPECT_TRUE(child->ValidateIndexes(&error)) << error;
   EXPECT_TRUE(reopened.value()->Close().ok());
+}
+
+TEST_F(ArchiveTest, HugeCountsInWalRecordsAreRejected) {
+  std::string create_table;
+  PackedWriter(&create_table).Str("u");
+  PackedWriter(&create_table).Varint(kHugeCount);  // columns
+  std::string create_index;
+  PackedWriter(&create_index).Str("t");
+  PackedWriter(&create_index).Str("i");
+  PackedWriter(&create_index).Varint(kHugeCount);  // columns
+  std::string insert_batch;
+  PackedWriter(&insert_batch).Str("t");
+  PackedWriter(&insert_batch).Varint(kHugeCount);  // rows
+  const struct {
+    const char* what;
+    WalOp op;
+    std::string body;
+  } cases[] = {
+      {"kCreateTable column count", WalOp::kCreateTable, create_table},
+      {"kCreateIndex column count", WalOp::kCreateIndex, create_index},
+      {"kInsertBatch row count", WalOp::kInsertBatch, insert_batch},
+  };
+  for (const auto& c : cases) {
+    {
+      Database db;
+      ASSERT_TRUE(
+          db.CreateTable(Schema("t", {{"a", ValueType::kInt, false}})).ok());
+      auto archive = Archive::Open(&db, path_);  // epoch-0 snapshot of t
+      ASSERT_TRUE(archive.ok()) << archive.status().ToString();
+    }
+    // One CRC-valid record: the count is the only thing wrong with it.
+    std::string wal = "GWAL\x01";
+    PackedWriter w(&wal);
+    w.U64(0);
+    std::string payload;
+    PackedWriter(&payload).Varint(1);  // sequence
+    PackedWriter(&payload).U8(static_cast<uint8_t>(c.op));
+    payload += c.body;
+    w.U32(static_cast<uint32_t>(payload.size()));
+    w.U32(util::Crc32Of(payload));
+    wal += payload;
+    WriteBytes(path_ + ".wal", wal);
+
+    Database db;
+    auto archive = Archive::Open(&db, path_);
+    EXPECT_FALSE(archive.ok()) << c.what;
+    std::remove(path_.c_str());
+    std::remove((path_ + ".wal").c_str());
+  }
 }
 
 TEST_F(ArchiveTest, FailedBatchLeavesNoTrace) {

@@ -55,7 +55,8 @@ TEST_F(CampaignStoreTest, TargetSystemRoundTrip) {
   EXPECT_EQ(back.description, "test target");
   EXPECT_EQ(back.chain_data, "internal_core core.pc 32 0\n");
   EXPECT_FALSE(store_.GetTargetSystem("nope").ok());
-  EXPECT_EQ(store_.TargetSystemNames(), std::vector<std::string>{"thor"});
+  EXPECT_EQ(store_.TargetSystemNames().ValueOrDie(),
+            std::vector<std::string>{"thor"});
 }
 
 TEST_F(CampaignStoreTest, TargetSystemUpsertReplaces) {
@@ -118,7 +119,7 @@ TEST_F(CampaignStoreTest, CampaignUpsertModifiesStoredData) {
   updated.num_experiments = 999;
   ASSERT_TRUE(store_.PutCampaign(updated).ok());
   EXPECT_EQ(store_.GetCampaign("c1").ValueOrDie().num_experiments, 999);
-  EXPECT_EQ(store_.CampaignNames().size(), 1u);
+  EXPECT_EQ(store_.CampaignNames().ValueOrDie().size(), 1u);
 }
 
 TEST_F(CampaignStoreTest, ExperimentRequiresCampaign) {
@@ -214,6 +215,70 @@ TEST_F(CampaignStoreTest, MergeRejectsEmptyAndMissing) {
 
 TEST_F(CampaignStoreTest, ReferenceNameConvention) {
   EXPECT_EQ(CampaignStore::ReferenceName("camp"), "camp/ref");
+}
+
+/// FailedPrecondition naming `table`: what every accessor returns when its
+/// GOOFI table is missing or foreign.
+testing::AssertionResult RefusedFor(const util::Status& status,
+                                    const std::string& table) {
+  if (status.code() == util::StatusCode::kFailedPrecondition &&
+      status.message().find(table) != std::string::npos) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure()
+         << "want failed_precondition naming " << table << ", got "
+         << status.ToString();
+}
+
+TEST_F(CampaignStoreTest, DroppedTablesFailEveryAccessor) {
+  ASSERT_TRUE(store_.PutTargetSystem(Target()).ok());
+  ASSERT_TRUE(store_.PutCampaign(Campaign()).ok());
+  ASSERT_TRUE(store_.PutExperiment("c1/ref", "", "c1", "", LoggedState{}).ok());
+  ASSERT_TRUE(db_.DropTable("LoggedSystemState").ok());
+  ASSERT_TRUE(db_.DropTable("CampaignData").ok());
+  ASSERT_TRUE(db_.DropTable("TargetSystemData").ok());
+
+  EXPECT_TRUE(RefusedFor(store_.PutTargetSystem(Target()), "TargetSystemData"));
+  EXPECT_TRUE(RefusedFor(store_.GetTargetSystem("thor").status(),
+                         "TargetSystemData"));
+  EXPECT_TRUE(
+      RefusedFor(store_.TargetSystemNames().status(), "TargetSystemData"));
+  EXPECT_TRUE(RefusedFor(store_.PutCampaign(Campaign()), "CampaignData"));
+  EXPECT_TRUE(RefusedFor(store_.GetCampaign("c1").status(), "CampaignData"));
+  EXPECT_TRUE(RefusedFor(store_.CampaignNames().status(), "CampaignData"));
+  EXPECT_TRUE(RefusedFor(store_.MergeCampaigns({"c1"}, "m"), "CampaignData"));
+  const char* const logged = "LoggedSystemState";
+  EXPECT_TRUE(RefusedFor(
+      store_.PutExperiment("c1/e0000", "", "c1", "", LoggedState{}), logged));
+  EXPECT_TRUE(RefusedFor(store_.PutExperiments({}), logged));
+  EXPECT_TRUE(RefusedFor(store_.GetExperiment("c1/ref").status(), logged));
+  EXPECT_TRUE(RefusedFor(store_.ExperimentsOf("c1").status(), logged));
+  EXPECT_TRUE(RefusedFor(store_.TopLevelRowsOf("c1").status(), logged));
+  EXPECT_TRUE(RefusedFor(store_.DetailRowsOf("c1/ref").status(), logged));
+  EXPECT_TRUE(RefusedFor(store_.LoadTrace("c1/ref/detail").status(), logged));
+  EXPECT_TRUE(RefusedFor(store_.ReferenceTrace("c1").status(), logged));
+
+  // EnsureSchema puts the tables back.
+  ASSERT_TRUE(store_.EnsureSchema().ok());
+  EXPECT_TRUE(store_.CampaignNames().ValueOrDie().empty());
+}
+
+TEST(CampaignStoreForeignTest, ForeignSchemaIsRefusedBeforeAnythingIsCreated) {
+  // CampaignData as some other tool might declare it: campaignName INTEGER.
+  db::Database db;
+  ASSERT_TRUE(db.CreateTable(db::Schema("CampaignData",
+                                        {{"campaignName", db::ValueType::kInt,
+                                          true}},
+                                        {"campaignName"}))
+                  .ok());
+  ASSERT_TRUE(db.Insert("CampaignData", {db::Value::Int(7)}).ok());
+  CampaignStore store(&db);  // logs the refusal
+
+  EXPECT_TRUE(RefusedFor(store.EnsureSchema(), "CampaignData"));
+  EXPECT_FALSE(db.HasTable("TargetSystemData"));
+  EXPECT_FALSE(db.HasTable("LoggedSystemState"));
+  EXPECT_TRUE(RefusedFor(store.CampaignNames().status(), "CampaignData"));
+  EXPECT_TRUE(RefusedFor(store.GetCampaign("7").status(), "CampaignData"));
 }
 
 }  // namespace

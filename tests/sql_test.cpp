@@ -311,6 +311,64 @@ TEST_F(SqlExecTest, ColumnIndexLookup) {
   EXPECT_FALSE(result.ColumnIndex("zzz").has_value());
 }
 
+// --- expression depth bound --------------------------------------------------
+
+/// The four ways to build a deep expression: nesting through parentheses,
+/// NOT or unary minus, and a left-deep operator chain. Depth n selects
+/// `open`^n `leaf` `close`^n; at n = kMaxExprDepth (even) it evaluates to
+/// `expect` on row e1.
+struct DeepShape {
+  const char* name;
+  const char* open;
+  const char* leaf;
+  const char* close;
+  int64_t expect;
+
+  std::string Sql(size_t n) const {
+    std::string sql = "SELECT ";
+    for (size_t i = 0; i < n; ++i) sql += open;
+    sql += leaf;
+    for (size_t i = 0; i < n; ++i) sql += close;
+    sql += " FROM exp WHERE name = 'e1'";
+    return sql;
+  }
+};
+
+const DeepShape kDeepShapes[] = {
+    {"parentheses", "(", "cycles", ")", 100},
+    {"operator chain", "", "cycles", " + 1",
+     100 + static_cast<int64_t>(kMaxExprDepth)},
+    {"NOT", "NOT ", "1", "", 1},
+    {"unary minus", "- ", "cycles", "", 100},  // spaced: "--" is a comment
+};
+
+TEST_F(SqlExecTest, ExpressionsDeeperThanTheLimitAreParseErrors) {
+  for (const DeepShape& shape : kDeepShapes) {
+    for (const size_t n : {kMaxExprDepth + 1, size_t{100000}}) {
+      const auto result = ExecuteSql(db_, shape.Sql(n));
+      ASSERT_FALSE(result.ok()) << shape.name << " at depth " << n;
+      EXPECT_EQ(result.status().code(), util::StatusCode::kParseError)
+          << shape.name << " at depth " << n << ": "
+          << result.status().ToString();
+    }
+  }
+  // Nesting and chains add up: NOT over a chain at the limit is one deeper.
+  std::string mixed = "SELECT NOT (cycles";
+  for (size_t i = 0; i < kMaxExprDepth; ++i) mixed += " + 1";
+  mixed += ") FROM exp";
+  EXPECT_EQ(ExecuteSql(db_, mixed).status().code(),
+            util::StatusCode::kParseError);
+}
+
+TEST_F(SqlExecTest, ExpressionsAtTheLimitStillExecute) {
+  for (const DeepShape& shape : kDeepShapes) {
+    const auto result = ExecuteSql(db_, shape.Sql(kMaxExprDepth));
+    ASSERT_TRUE(result.ok()) << shape.name << ": " << result.status().ToString();
+    ASSERT_EQ(result.value().rows.size(), 1u) << shape.name;
+    EXPECT_EQ(result.value().rows[0][0].as_int(), shape.expect) << shape.name;
+  }
+}
+
 // Parameterized sweep: COUNT(*) with WHERE cycles >= threshold must be
 // monotonically non-increasing in the threshold.
 class SqlThresholdSweep : public SqlExecTest,

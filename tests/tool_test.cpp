@@ -455,32 +455,6 @@ TEST_F(ShellTest, ArchiveKillAndResumeAcrossSessions) {
   std::remove(wal.c_str());
 }
 
-TEST_F(ShellTest, LegacyTextArchivesStillLoad) {
-  MustRun("campaign set oldstyle workload=matmul experiments=9");
-  const std::string path = testing::TempDir() + "shell_legacy.db";
-  ASSERT_TRUE(db_.SaveLegacyText(path).ok());
-
-  db::Database db2;
-  core::CampaignStore store2(&db2);
-  Shell shell2(&db2, &store2);
-  auto loaded = shell2.Execute("load " + path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(store2.GetCampaign("oldstyle").ok());
-
-  // Opening a legacy file as an archive converts it in place.
-  db::Database db3;
-  core::CampaignStore store3(&db3);
-  Shell shell3(&db3, &store3);
-  auto opened = shell3.Execute("archive open " + path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_NE(opened.value().find("converted legacy text archive"),
-            std::string::npos);
-  EXPECT_TRUE(store3.GetCampaign("oldstyle").ok());
-  ASSERT_TRUE(shell3.Execute("archive close").ok());
-  std::remove(path.c_str());
-  std::remove((path + ".wal").c_str());
-}
-
 TEST_F(ShellTest, LoadClosesOpenArchiveFirst) {
   const std::string plain = testing::TempDir() + "shell_plain.db";
   const std::string arch = testing::TempDir() + "shell_arch.db";
@@ -494,6 +468,44 @@ TEST_F(ShellTest, LoadClosesOpenArchiveFirst) {
   std::remove(plain.c_str());
   std::remove(arch.c_str());
   std::remove((arch + ".wal").c_str());
+}
+
+TEST_F(ShellTest, ForeignSnapshotIsRefused) {
+  // A snapshot whose CampaignData is not the Fig. 4 table.
+  const std::string path = testing::TempDir() + "shell_foreign.db";
+  db::Database foreign;
+  ASSERT_TRUE(foreign
+                  .CreateTable(db::Schema(
+                      "CampaignData",
+                      {{"campaignName", db::ValueType::kInt, true}},
+                      {"campaignName"}))
+                  .ok());
+  ASSERT_TRUE(foreign.Insert("CampaignData", {db::Value::Int(7)}).ok());
+  ASSERT_TRUE(foreign.Save(path).ok());
+
+  const auto loaded = Run("load " + path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kFailedPrecondition)
+      << loaded.status().ToString();
+  EXPECT_FALSE(Run("list campaigns").ok());
+  EXPECT_FALSE(Run("campaign set c workload=bubblesort").ok());
+
+  db::Database db2;
+  core::CampaignStore store2(&db2);
+  Shell shell2(&db2, &store2);
+  EXPECT_FALSE(shell2.Execute("archive open " + path).ok());
+  EXPECT_FALSE(shell2.Execute("archive status").ok()) << "left open";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+}
+
+TEST_F(ShellTest, DroppedGoofiTablesGiveErrors) {
+  MustRun("campaign set c workload=bubblesort experiments=2");
+  MustRun("sql DROP TABLE LoggedSystemState");
+  MustRun("sql DROP TABLE CampaignData");
+  EXPECT_FALSE(Run("list campaigns").ok());
+  EXPECT_FALSE(Run("campaign set c workload=bubblesort").ok());
+  EXPECT_FALSE(Run("list experiments c").ok());
 }
 
 TEST_F(ShellTest, CampaignMergeViaShell) {

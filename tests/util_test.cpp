@@ -389,14 +389,6 @@ TEST(StringsTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("1.2.3").has_value());
 }
 
-TEST(StringsTest, EscapeRoundTrip) {
-  const std::string nasty = "a\tb\\c\nd";
-  const std::string escaped = EscapeField(nasty);
-  EXPECT_EQ(escaped.find('\t'), std::string::npos);
-  EXPECT_EQ(escaped.find('\n'), std::string::npos);
-  EXPECT_EQ(UnescapeField(escaped), nasty);
-}
-
 TEST(StringsTest, FormatBehavesLikePrintf) {
   EXPECT_EQ(Format("%d-%s-%02x", 7, "x", 11), "7-x-0b");
   EXPECT_EQ(Format("empty"), "empty");
