@@ -48,7 +48,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" --target thread_pool_test parallel_runner_t
 echo "== tier-1: ASan pass (superblock fast-path differential fuzzer) =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=address
-cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test core_types_test propagation_test analysis_test scan_test testcard_test sql_test campaign_store_test
+cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test core_types_test propagation_test analysis_test scan_test testcard_test sql_test campaign_store_test util_test db_test
 "$ASAN_DIR"/tests/cpu_fastpath_test
 
 echo "== tier-1: ASan pass (COW paged memory differential fuzzer) =="
@@ -81,6 +81,10 @@ echo "== tier-1: ASan pass (one-pass LoggedState parser fuzzer + analysis read p
 echo "== tier-1: ASan pass (word-parallel scan shifts vs. per-bit Clock) =="
 "$ASAN_DIR"/tests/scan_test
 "$ASAN_DIR"/tests/testcard_test
+
+echo "== tier-1: ASan pass (carry-less CRC-32 vs. table kernel + insert path, batch rollback) =="
+"$ASAN_DIR"/tests/util_test
+"$ASAN_DIR"/tests/db_test
 
 echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer) =="
 UBSAN_DIR="${BUILD_DIR}-ubsan"

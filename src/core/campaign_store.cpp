@@ -1,5 +1,7 @@
 #include "core/campaign_store.hpp"
 
+#include <array>
+
 #include "db/archive.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -66,6 +68,25 @@ const Schema& LoggedSystemStateSchema() {
   return schema;
 }
 
+const std::array<const Schema*, 3>& Fig4Schemas() {
+  static const std::array<const Schema*, 3> schemas = {
+      &TargetSystemSchema(), &CampaignSchema(), &LoggedSystemStateSchema()};
+  return schemas;
+}
+
+/// kFailedPrecondition unless `actual` declares the columns, primary key and
+/// foreign keys of the Fig. 4 schema `expected`.
+util::Status MatchFig4(const Schema& actual, const Schema& expected) {
+  if (actual.columns() != expected.columns() ||
+      actual.primary_key() != expected.primary_key() ||
+      actual.foreign_keys() != expected.foreign_keys()) {
+    return util::FailedPrecondition(
+        "table " + expected.table_name() +
+        " differs from the GOOFI schema (columns, primary key or foreign keys)");
+  }
+  return util::Status::Ok();
+}
+
 /// The stateVector column of a LoggedSystemState row ("" when NULL), viewed
 /// in place rather than copied.
 std::string_view StateVectorText(const Row& row) {
@@ -89,28 +110,25 @@ util::Result<db::Table*> CampaignStore::Fig4Table(
     return util::FailedPrecondition("GOOFI table " + expected.table_name() +
                                     " is missing");
   }
-  const Schema& actual = table->schema();
-  if (actual.columns() != expected.columns() ||
-      actual.primary_key() != expected.primary_key() ||
-      actual.foreign_keys() != expected.foreign_keys()) {
-    return util::FailedPrecondition(
-        "table " + expected.table_name() +
-        " differs from the GOOFI schema (columns, primary key or foreign keys)");
-  }
+  GOOFI_RETURN_IF_ERROR(MatchFig4(table->schema(), expected));
   return table;
+}
+
+util::Status CampaignStore::CheckSchema(const db::Database& database) {
+  for (const Schema* schema : Fig4Schemas()) {
+    const db::Table* table = database.GetTable(schema->table_name());
+    if (table != nullptr) {
+      GOOFI_RETURN_IF_ERROR(MatchFig4(table->schema(), *schema));
+    }
+  }
+  return util::Status::Ok();
 }
 
 util::Status CampaignStore::EnsureSchema() {
   // Check every existing table before creating anything, so a foreign file
   // is refused without being written to.
-  const Schema* const schemas[] = {&TargetSystemSchema(), &CampaignSchema(),
-                                   &LoggedSystemStateSchema()};
-  for (const Schema* schema : schemas) {
-    if (database_->HasTable(schema->table_name())) {
-      GOOFI_RETURN_IF_ERROR(Fig4Table(*schema).status());
-    }
-  }
-  for (const Schema* schema : schemas) {
+  GOOFI_RETURN_IF_ERROR(CheckSchema(*database_));
+  for (const Schema* schema : Fig4Schemas()) {
     if (!database_->HasTable(schema->table_name())) {
       GOOFI_RETURN_IF_ERROR(database_->CreateTable(*schema));
     }

@@ -49,6 +49,11 @@ class CampaignStore {
   /// foreign tables or drop the store's.
   util::Status EnsureSchema();
 
+  /// kFailedPrecondition when a GOOFI table of `database` differs from
+  /// Fig. 4; a missing one is fine (EnsureSchema creates it). Reads only, so
+  /// a loaded file can be vetted before it replaces the store's database.
+  static util::Status CheckSchema(const db::Database& database);
+
   /// The store's prepared-statement cache. The shell routes ad-hoc `sql`
   /// commands through it so repeated queries skip parsing and planning.
   db::StatementCache& statement_cache() const { return cache_; }

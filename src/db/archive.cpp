@@ -110,22 +110,30 @@ util::Status WriteSnapshotFile(const Database& db, const std::string& path,
     emit();
 
     for (size_t c = 0; c < schema.num_columns(); ++c) {
+      // Size the segment exactly first, so filling it never reallocates.
+      const size_t bitmap_bytes = (nrows + 7) / 8;
+      size_t value_bytes = 0;
+      for (size_t slot = 0; slot < slots.size(); ++slot) {
+        if (live[slot] && !slots[slot][c].is_null()) {
+          value_bytes += PackedWriter::ValSize(slots[slot][c]);
+        }
+      }
       segment.clear();
+      segment.reserve(bitmap_bytes + value_bytes);
+      segment.resize(bitmap_bytes);
+      // One walk over the live rows in slot order fills the null bitmap
+      // (LSB-first) and appends each non-NULL value after it.
       PackedWriter sw(&segment);
-      // Null bitmap over live rows in slot order, LSB-first.
-      segment.assign((nrows + 7) / 8, '\0');
       size_t row = 0;
       for (size_t slot = 0; slot < slots.size(); ++slot) {
         if (!live[slot]) continue;
-        if (!slots[slot][c].is_null()) {
+        const Value& value = slots[slot][c];
+        if (!value.is_null()) {
           segment[row / 8] = static_cast<char>(
               static_cast<uint8_t>(segment[row / 8]) | (1u << (row % 8)));
+          sw.Val(value);
         }
         ++row;
-      }
-      for (size_t slot = 0; slot < slots.size(); ++slot) {
-        if (!live[slot]) continue;
-        if (!slots[slot][c].is_null()) sw.Val(slots[slot][c]);
       }
       w.U32(static_cast<uint32_t>(segment.size()));
       w.U32(util::Crc32Of(segment));
@@ -279,38 +287,50 @@ Archive::Archive(Database* db, std::string path, ArchiveOptions options)
 
 util::Result<std::unique_ptr<Archive>> Archive::Open(Database* db,
                                                      const std::string& path,
-                                                     ArchiveOptions options) {
+                                                     ArchiveOptions options,
+                                                     const Vet& vet) {
   std::unique_ptr<Archive> archive(new Archive(db, path, options));
   std::error_code ec;
   const bool exists = std::filesystem::exists(path, ec);
 
   uint64_t epoch = 0;
+  util::Result<Wal::ReplayResult> recovered = Wal::ReplayResult{};
   if (exists) {
-    // A file that is not a binary snapshot fails here, before anything is
-    // written: neither it nor any WAL beside it is touched.
-    GOOFI_RETURN_IF_ERROR(db->Load(path, &epoch));
+    // Recover snapshot + WAL into a database of their own and vet it before
+    // anything is written: a file that is not a binary snapshot, an
+    // inconsistent WAL or a refused image leaves `db` and both files as
+    // they were.
+    auto loaded = ReadSnapshotFile(path);
+    if (!loaded.ok()) return loaded.status();
+    epoch = loaded.value().epoch;
+    Database image = std::move(loaded.value().db);
+    recovered = archive->wal_.Replay(path + ".wal", epoch, &image);
+    if (!recovered.ok()) return recovered.status();
+    if (vet) GOOFI_RETURN_IF_ERROR(vet(image));
+    GOOFI_RETURN_IF_ERROR(archive->wal_.StartAppending());
+    db->ReplaceWith(std::move(image));
   } else {
     // Fresh archive: the initial snapshot is the database as it stands, and
     // any leftover WAL (from a deleted snapshot) belongs to nothing now.
+    if (vet) GOOFI_RETURN_IF_ERROR(vet(*db));
     GOOFI_RETURN_IF_ERROR(WriteSnapshotFile(*db, path, epoch));
     std::filesystem::remove(path + ".wal", ec);
+    recovered = archive->wal_.Replay(path + ".wal", epoch, db);  // none: fresh
+    if (!recovered.ok()) return recovered.status();
+    GOOFI_RETURN_IF_ERROR(archive->wal_.StartAppending());
   }
   const auto size = std::filesystem::file_size(path, ec);
   archive->stats_.snapshot_bytes = ec ? 0 : size;
-
-  // Replay the WAL into the database before attaching as observer (replay
-  // must not re-log itself).
-  auto wal_result = archive->wal_.Open(path + ".wal", epoch, db);
-  if (!wal_result.ok()) return wal_result.status();
-  const Wal::OpenResult& recovered = wal_result.value();
   archive->epoch_ = epoch;
   archive->stats_.epoch = epoch;
-  archive->stats_.wal_records_replayed = recovered.records_replayed;
-  archive->stats_.wal_bytes_truncated = recovered.bytes_truncated;
-  archive->stats_.recovered_torn_tail = recovered.torn_tail;
-  archive->stats_.stale_wal_discarded = recovered.stale_discarded;
+  archive->stats_.wal_records_replayed = recovered.value().records_replayed;
+  archive->stats_.wal_bytes_truncated = recovered.value().bytes_truncated;
+  archive->stats_.recovered_torn_tail = recovered.value().torn_tail;
+  archive->stats_.stale_wal_discarded = recovered.value().stale_discarded;
   archive->stats_.wal_bytes = archive->wal_.bytes();
 
+  // Attached only now: neither the snapshot load nor the WAL replay may
+  // re-log itself.
   db->SetObserver(archive.get());
   archive->attached_ = true;
   return archive;

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -87,12 +88,18 @@ struct ArchiveStats {
 /// satisfies this), but stats() may race with them and is locked.
 class Archive final : public DatabaseObserver {
  public:
+  /// Refuses a database image (non-OK) before an archive takes it on.
+  using Vet = std::function<util::Status(const Database&)>;
+
   /// Opens or creates the archive at `path` (WAL lives at `path` + ".wal").
   /// An existing archive replaces `db`'s contents with snapshot + replayed
-  /// WAL; a fresh one writes an initial snapshot of `db` as-is. On success
-  /// the archive is attached as `db`'s observer.
+  /// WAL; a fresh one writes an initial snapshot of `db` as-is. `vet`, when
+  /// given, sees that image first. Any failure, a refusal by `vet` included,
+  /// leaves `db` as it was and writes no file. On success the archive is
+  /// attached as `db`'s observer.
   static util::Result<std::unique_ptr<Archive>> Open(
-      Database* db, const std::string& path, ArchiveOptions options = {});
+      Database* db, const std::string& path, ArchiveOptions options = {},
+      const Vet& vet = nullptr);
 
   ~Archive() override;
 

@@ -183,63 +183,49 @@ util::Status Database::InsertBatch(const std::string& table_name,
   }
 
   // Insert in order; a row may reference an earlier row of the same batch
-  // because FK checks run against the table as it grows.
-  table->Reserve(table->slots().size() + rows.size());
-  std::vector<Row> inserted_keys;
-  const bool has_pk = !schema.primary_key_indices().empty();
-  if (has_pk) inserted_keys.reserve(rows.size());
+  // because FK checks run against the table as it grows. Insert appends, so
+  // this batch's rows are the slots from `first_slot` on.
+  const size_t first_slot = table->slots().size();
+  table->Reserve(first_slot + rows.size());
   if (observer_ != nullptr) observer_->OnInsertBatchBegin(*table);
   util::Status error = util::Status::Ok();
   for (Row& row : rows) {
     error = schema.CheckRow(row);
     if (!error.ok()) break;
     for (ResolvedFk& fk : fks) {
-      Row values;
-      values.reserve(fk.local_indices.size());
+      const KeyView values{row, fk.local_indices};
       bool any_null = false;
-      for (size_t idx : fk.local_indices) {
-        if (row[idx].is_null()) any_null = true;
-        values.push_back(row[idx]);
-      }
+      for (size_t idx : fk.local_indices) any_null |= row[idx].is_null();
       if (any_null) continue;  // SQL: NULL FK values are not checked
       if (fk.verified.contains(values)) continue;
-      if (!fk.ref_table->ExistsWhere(fk.ref_indices, values)) {
+      Row key = values.ToRow();
+      if (!fk.ref_table->ExistsWhere(fk.ref_indices, key)) {
         error = util::ConstraintViolation(
             "foreign key violation: " + schema.table_name() + " -> " +
             fk.ref_table->schema().table_name() + " (no matching referenced row)");
         break;
       }
-      fk.verified.insert(std::move(values));
+      fk.verified.insert(std::move(key));
     }
     if (!error.ok()) break;
-    if (has_pk) {
-      Row key;
-      key.reserve(schema.primary_key_indices().size());
-      for (size_t idx : schema.primary_key_indices()) key.push_back(row[idx]);
-      error = table->Insert(std::move(row));
-      if (!error.ok()) break;
-      inserted_keys.push_back(std::move(key));
-    } else {
-      error = table->Insert(std::move(row));
-      if (!error.ok()) break;
-    }
+    error = table->Insert(std::move(row));
+    if (!error.ok()) break;
   }
   if (error.ok()) {
     if (observer_ != nullptr) observer_->OnInsertBatchEnd(*table, true);
     return error;
   }
 
-  // All-or-nothing: undo this batch's inserts (possible only with a primary
-  // key to identify them; all GOOFI tables declare one).
-  if (has_pk && !inserted_keys.empty()) {
-    const auto& pk_indices = schema.primary_key_indices();
-    std::unordered_set<Row, KeyHash, KeyEq> doomed(inserted_keys.begin(),
-                                                   inserted_keys.end());
+  // All-or-nothing: undo this batch's inserts, found by primary key (so
+  // possible only with one; all GOOFI tables declare one).
+  const auto& pk_indices = schema.primary_key_indices();
+  if (!pk_indices.empty() && table->slots().size() > first_slot) {
+    std::unordered_set<Row, KeyHash, KeyEq> doomed;
+    for (size_t slot = first_slot; slot < table->slots().size(); ++slot) {
+      doomed.insert(KeyView{table->slots()[slot], pk_indices}.ToRow());
+    }
     table->DeleteWhere([&](const Row& row) {
-      Row key;
-      key.reserve(pk_indices.size());
-      for (size_t idx : pk_indices) key.push_back(row[idx]);
-      return doomed.contains(key);
+      return doomed.contains(KeyView{row, pk_indices});
     });
   }
   if (observer_ != nullptr) observer_->OnInsertBatchEnd(*table, false);
@@ -300,13 +286,17 @@ util::Status Database::Load(const std::string& path, uint64_t* epoch_out) {
   auto loaded = ReadSnapshotFile(path);
   if (!loaded.ok()) return loaded.status();
   if (epoch_out != nullptr) *epoch_out = loaded.value().epoch;
+  ReplaceWith(std::move(loaded.value().db));
+  return util::Status::Ok();
+}
+
+void Database::ReplaceWith(Database&& other) {
   // Monotonic against this database's own history so every plan cached
-  // before the load invalidates (the fresh database's internal counter is
+  // before the swap invalidates (the other database's internal counter is
   // unrelated and could alias an already-seen version).
   const uint64_t version = schema_version_;
-  *this = std::move(loaded.value().db);
+  *this = std::move(other);
   schema_version_ = version + 1;
-  return util::Status::Ok();
 }
 
 }  // namespace goofi::db

@@ -94,12 +94,16 @@ class Database {
   /// (per-segment CRC32, temp file + atomic rename; see db/archive).
   util::Status Save(const std::string& path) const;
 
-  /// Loads a database written by Save. Replaces current contents; persisted
-  /// index definitions are recreated and schema_version is bumped so stale
-  /// prepared plans invalidate. A file in any other format is an error and
-  /// leaves the database unchanged. `epoch_out` (optional) receives the
-  /// snapshot epoch.
+  /// Loads a database written by Save. Replaces current contents (see
+  /// ReplaceWith); persisted index definitions are recreated. A file in any
+  /// other format is an error and leaves the database unchanged. `epoch_out`
+  /// (optional) receives the snapshot epoch.
   util::Status Load(const std::string& path, uint64_t* epoch_out = nullptr);
+
+  /// Replaces every table with `other`'s and bumps schema_version past this
+  /// database's own history, so prepared plans cached against it
+  /// invalidate. Drops the observer attachment, like Load.
+  void ReplaceWith(Database&& other);
 
   /// Attaches (or with nullptr detaches) a mutation observer, propagating it
   /// to every current and future table. At most one; caller keeps ownership.

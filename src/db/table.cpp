@@ -10,8 +10,13 @@ namespace goofi::db {
 namespace {
 
 /// Inserts `slot` into `postings` keeping ascending order. Insert() always
-/// appends the largest slot, but UpdateWhere re-indexes interior slots.
+/// adds the largest slot, which goes at the back; UpdateWhere re-indexes
+/// interior slots.
 void InsertSorted(std::vector<size_t>* postings, size_t slot) {
+  if (postings->empty() || postings->back() < slot) {
+    postings->push_back(slot);
+    return;
+  }
   const auto it = std::lower_bound(postings->begin(), postings->end(), slot);
   postings->insert(it, slot);
 }
@@ -23,30 +28,30 @@ void EraseSorted(std::vector<size_t>* postings, size_t slot) {
   postings->erase(it);
 }
 
+/// The posting list of `row`'s key in `index`, created empty for a new key.
+/// Hash keys are probed in place, so a key Row is built only for a new key.
+std::vector<size_t>& PostingsOf(SecondaryIndex* index, const Row& row) {
+  if (index->kind == IndexKind::kSorted) {
+    return index->sorted[row[index->columns[0]]];
+  }
+  const KeyView key{row, index->columns};
+  auto it = index->hash.find(key);
+  if (it == index->hash.end()) {
+    it = index->hash.try_emplace(key.ToRow()).first;
+  }
+  return it->second;
+}
+
 }  // namespace
 
 Row Table::ExtractKey(const Row& row) const {
-  Row key;
-  key.reserve(schema_.primary_key_indices().size());
-  for (size_t idx : schema_.primary_key_indices()) key.push_back(row[idx]);
-  return key;
-}
-
-Row Table::IndexKeyOf(const SecondaryIndex& index, const Row& row) const {
-  Row key;
-  key.reserve(index.columns.size());
-  for (size_t idx : index.columns) key.push_back(row[idx]);
-  return key;
+  return KeyView{row, schema_.primary_key_indices()}.ToRow();
 }
 
 void Table::AddToIndexes(size_t slot) {
   const Row& row = rows_[slot];
   for (const auto& index : indexes_) {
-    if (index->kind == IndexKind::kSorted) {
-      InsertSorted(&index->sorted[row[index->columns[0]]], slot);
-    } else {
-      InsertSorted(&index->hash[IndexKeyOf(*index, row)], slot);
-    }
+    InsertSorted(&PostingsOf(index.get(), row), slot);
   }
 }
 
@@ -59,7 +64,7 @@ void Table::RemoveFromIndexes(size_t slot) {
       EraseSorted(&it->second, slot);
       if (it->second.empty()) index->sorted.erase(it);
     } else {
-      const auto it = index->hash.find(IndexKeyOf(*index, row));
+      const auto it = index->hash.find(KeyView{row, index->columns});
       assert(it != index->hash.end());
       EraseSorted(&it->second, slot);
       if (it->second.empty()) index->hash.erase(it);
@@ -70,18 +75,17 @@ void Table::RemoveFromIndexes(size_t slot) {
 util::Status Table::Insert(Row row) {
   GOOFI_RETURN_IF_ERROR(schema_.CheckRow(row));
   if (!schema_.primary_key_indices().empty()) {
-    Row key = ExtractKey(row);
-    for (const Value& v : key) {
-      if (v.is_null()) {
+    for (size_t idx : schema_.primary_key_indices()) {
+      if (row[idx].is_null()) {
         return util::ConstraintViolation("table " + schema_.table_name() +
                                          ": NULL in primary key");
       }
     }
-    if (pk_index_.contains(key)) {
+    // One probe: try_emplace stores the key only when it is new.
+    if (!pk_index_.try_emplace(ExtractKey(row), rows_.size()).second) {
       return util::ConstraintViolation("table " + schema_.table_name() +
                                        ": duplicate primary key");
     }
-    pk_index_.emplace(std::move(key), rows_.size());
   }
   rows_.push_back(std::move(row));
   live_.push_back(true);
@@ -149,7 +153,9 @@ size_t Table::DeleteWhere(const std::function<bool(const Row&)>& predicate) {
     if (!live_[slot] || !predicate(rows_[slot])) continue;
     if (observer_ != nullptr) removed.push_back(rows_[slot]);
     if (!schema_.primary_key_indices().empty()) {
-      pk_index_.erase(ExtractKey(rows_[slot]));
+      const auto it =
+          pk_index_.find(KeyView{rows_[slot], schema_.primary_key_indices()});
+      if (it != pk_index_.end()) pk_index_.erase(it);
     }
     if (!indexes_.empty()) RemoveFromIndexes(slot);
     live_[slot] = false;
@@ -253,14 +259,9 @@ util::Status Table::CreateIndex(const std::string& name,
   }
   indexes_.push_back(std::move(index));
   // Build from existing rows; ascending slot order keeps postings sorted.
-  SecondaryIndex& built = *indexes_.back();
+  SecondaryIndex* built = indexes_.back().get();
   for (size_t slot = 0; slot < rows_.size(); ++slot) {
-    if (!live_[slot]) continue;
-    if (built.kind == IndexKind::kSorted) {
-      built.sorted[rows_[slot][built.columns[0]]].push_back(slot);
-    } else {
-      built.hash[IndexKeyOf(built, rows_[slot])].push_back(slot);
-    }
+    if (live_[slot]) PostingsOf(built, rows_[slot]).push_back(slot);
   }
   return util::Status::Ok();
 }
@@ -330,12 +331,15 @@ bool Table::ValidateIndexes(std::string* error) const {
     SecondaryIndex rebuilt;
     rebuilt.kind = index->kind;
     rebuilt.columns = index->columns;
+    // Rebuilt with whole key Rows, independent of the in-place probes the
+    // maintained index takes.
     for (size_t slot = 0; slot < rows_.size(); ++slot) {
       if (!live_[slot]) continue;
       if (rebuilt.kind == IndexKind::kSorted) {
         rebuilt.sorted[rows_[slot][rebuilt.columns[0]]].push_back(slot);
       } else {
-        rebuilt.hash[IndexKeyOf(rebuilt, rows_[slot])].push_back(slot);
+        const KeyView key{rows_[slot], rebuilt.columns};
+        rebuilt.hash[key.ToRow()].push_back(slot);
       }
     }
     auto fail = [&](const std::string& message) {

@@ -44,15 +44,38 @@ class TableObserver {
                         const std::vector<std::pair<Row, Row>>& changes) = 0;
 };
 
-/// Hash/equality over a vector of key values.
+/// A key read in place: the values of `columns` of `row`, in that order. It
+/// hashes and compares like a Row of those values, so hash containers keyed
+/// by Row can be probed with it without building the key.
+struct KeyView {
+  const Row& row;
+  const std::vector<size_t>& columns;
+
+  /// The key as a Row of copied values.
+  Row ToRow() const {
+    Row key;
+    key.reserve(columns.size());
+    for (size_t c : columns) key.push_back(row[c]);
+    return key;
+  }
+};
+
+/// Hash/equality over a vector of key values, or over a KeyView of them.
 struct KeyHash {
+  using is_transparent = void;
   size_t operator()(const Row& key) const {
     size_t h = 0x811C9DC5u;
     for (const Value& v : key) h = h * 16777619u ^ v.Hash();
     return h;
   }
+  size_t operator()(const KeyView& key) const {
+    size_t h = 0x811C9DC5u;
+    for (size_t c : key.columns) h = h * 16777619u ^ key.row[c].Hash();
+    return h;
+  }
 };
 struct KeyEq {
+  using is_transparent = void;
   bool operator()(const Row& a, const Row& b) const {
     if (a.size() != b.size()) return false;
     for (size_t i = 0; i < a.size(); ++i) {
@@ -60,6 +83,14 @@ struct KeyEq {
     }
     return true;
   }
+  bool operator()(const KeyView& a, const Row& b) const {
+    if (a.columns.size() != b.size()) return false;
+    for (size_t i = 0; i < b.size(); ++i) {
+      if (a.row[a.columns[i]].Compare(b[i]) != 0) return false;
+    }
+    return true;
+  }
+  bool operator()(const Row& a, const KeyView& b) const { return (*this)(b, a); }
 };
 
 /// Ordering for sorted indexes: Value::Compare's total order
@@ -190,7 +221,6 @@ class Table {
 
  private:
   Row ExtractKey(const Row& row) const;
-  Row IndexKeyOf(const SecondaryIndex& index, const Row& row) const;
 
   /// Adds/removes `slot` (with its current row values) to/from every index.
   /// RemoveFromIndexes must run before the row is cleared or overwritten.

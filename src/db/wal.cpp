@@ -32,11 +32,22 @@ void PackedWriter::Varint(uint64_t v) {
   out_->push_back(static_cast<char>(v));
 }
 
-void PackedWriter::SVarint(int64_t v) {
-  // Zigzag: small magnitudes of either sign stay short.
-  Varint((static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63));
+namespace {
+
+/// Zigzag: small magnitudes of either sign stay short.
+uint64_t ZigZag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
 }
+
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+}  // namespace
+
+void PackedWriter::SVarint(int64_t v) { Varint(ZigZag(v)); }
 
 void PackedWriter::Str(std::string_view s) {
   Varint(s.size());
@@ -61,6 +72,20 @@ void PackedWriter::Val(const Value& v) {
       Str(v.as_text());
       break;
   }
+}
+
+size_t PackedWriter::ValSize(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return 1;
+    case ValueType::kInt:
+      return 1 + VarintSize(ZigZag(v.as_int()));
+    case ValueType::kReal:
+      return 1 + 8;
+    case ValueType::kText:
+      return 1 + VarintSize(v.as_text().size()) + v.as_text().size();
+  }
+  return 0;
 }
 
 void PackedWriter::RowData(const Row& row) {
@@ -429,10 +454,13 @@ bool ReadWholeFile(const std::string& path, std::string* out) {
   return true;
 }
 
-util::Result<Wal::OpenResult> Wal::Open(const std::string& path, uint64_t epoch,
-                                        Database* db) {
+util::Result<Wal::ReplayResult> Wal::Replay(const std::string& path,
+                                          uint64_t epoch, Database* db) {
   path_ = path;
-  OpenResult result;
+  epoch_ = epoch;
+  fresh_ = false;
+  torn_ = false;
+  ReplayResult result;
 
   std::string content;
   (void)ReadWholeFile(path_, &content);  // a missing WAL reads as empty
@@ -460,7 +488,7 @@ util::Result<Wal::OpenResult> Wal::Open(const std::string& path, uint64_t epoch,
     }
   }
   if (fresh) {
-    GOOFI_RETURN_IF_ERROR(WriteFreshHeader(epoch));
+    fresh_ = true;
     return result;
   }
 
@@ -509,20 +537,27 @@ util::Result<Wal::OpenResult> Wal::Open(const std::string& path, uint64_t epoch,
   if (pos < data.size()) {
     result.torn_tail = true;
     result.bytes_truncated = data.size() - pos;
+    torn_ = true;
+  }
+  bytes_ = pos;
+  next_sequence_ = expect_sequence;
+  return result;
+}
+
+util::Status Wal::StartAppending() {
+  if (fresh_) return WriteFreshHeader(epoch_);
+  if (torn_) {
     std::error_code ec;
-    std::filesystem::resize_file(path_, pos, ec);
+    std::filesystem::resize_file(path_, bytes_, ec);
     if (ec) {
       return util::IoError("cannot truncate torn WAL tail of " + path_ + ": " +
                            ec.message());
     }
   }
-
-  bytes_ = pos;
-  next_sequence_ = expect_sequence;
   pending_.clear();
   out_.open(path_, std::ios::binary | std::ios::app);
   if (!out_) return util::IoError("cannot reopen " + path_);
-  return result;
+  return util::Status::Ok();
 }
 
 void Wal::Append(WalOp op, std::string_view body) {

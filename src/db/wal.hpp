@@ -55,6 +55,8 @@ class PackedWriter {
   /// (SVarint / IEEE-754 bits / Str). INTs stored in REAL columns keep their
   /// tag, so a round trip preserves the concrete runtime type.
   void Val(const Value& v);
+  /// The number of bytes Val(v) appends.
+  static size_t ValSize(const Value& v);
   void RowData(const Row& row);  ///< varint arity + values
 
  private:
@@ -128,19 +130,24 @@ bool ReadWholeFile(const std::string& path, std::string* out);
 
 class Wal {
  public:
-  struct OpenResult {
+  struct ReplayResult {
     uint64_t records_replayed = 0;
     uint64_t bytes_truncated = 0;   ///< torn/corrupt tail dropped
     bool torn_tail = false;
     bool stale_discarded = false;   ///< epoch mismatch: whole file reset
   };
 
-  /// Opens (or creates) the WAL at `path` for snapshot epoch `epoch`,
-  /// replaying every valid record into `db` and truncating the file at the
-  /// first torn one. After Open the writer appends at the recovered end with
-  /// the next contiguous sequence number.
-  util::Result<OpenResult> Open(const std::string& path, uint64_t epoch,
-                                Database* db);
+  /// Reads the WAL at `path` (a missing file reads as empty) for snapshot
+  /// epoch `epoch` and replays every valid record into `db`, up to the first
+  /// torn one. Writes nothing: StartAppending then makes the file match.
+  util::Result<ReplayResult> Replay(const std::string& path, uint64_t epoch,
+                                  Database* db);
+
+  /// Makes the file what Replay recovered (a fresh header when it was
+  /// missing, stale or not a WAL; otherwise cut at the first torn record)
+  /// and opens it to append at the recovered end with the next contiguous
+  /// sequence number.
+  util::Status StartAppending();
 
   /// Buffers one record. Durable only after the next Flush().
   void Append(WalOp op, std::string_view body);
@@ -168,6 +175,10 @@ class Wal {
   uint64_t next_sequence_ = 1;
   uint64_t bytes_ = 0;
   uint64_t records_appended_ = 0;
+  // What Replay found, for StartAppending.
+  uint64_t epoch_ = 0;
+  bool fresh_ = false;  ///< rewrite the header
+  bool torn_ = false;   ///< cut the file at bytes_
 };
 
 }  // namespace goofi::db

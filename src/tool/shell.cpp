@@ -621,6 +621,11 @@ util::Result<std::string> Shell::CmdSave(
 
 util::Result<std::string> Shell::CmdLoad(const std::vector<std::string>& args) {
   if (args.size() != 1) return util::InvalidArgument("load <path>");
+  // Load and vet the file in a database of its own, so an unreadable file or
+  // one whose GOOFI tables differ from Fig. 4 leaves the session as it was.
+  db::Database loaded;
+  GOOFI_RETURN_IF_ERROR(loaded.Load(args[0]));
+  GOOFI_RETURN_IF_ERROR(core::CampaignStore::CheckSchema(loaded));
   std::string note;
   if (archive_ != nullptr) {
     // Load replaces the database wholesale, which would leave the archive
@@ -630,9 +635,8 @@ util::Result<std::string> Shell::CmdLoad(const std::vector<std::string>& args) {
     archive_.reset();
     note = " (open archive closed)";
   }
-  GOOFI_RETURN_IF_ERROR(db_->Load(args[0]));
-  // Refuses a file whose GOOFI tables differ from Fig. 4, and re-creates any
-  // table or secondary index the file lacks.
+  db_->ReplaceWith(std::move(loaded));
+  // Re-creates any table or secondary index the file lacks.
   GOOFI_RETURN_IF_ERROR(store_->EnsureSchema());
   return "loaded database from " + args[0] + note + "\n";
 }
@@ -648,13 +652,14 @@ util::Result<std::string> Shell::CmdArchive(const std::vector<std::string>& args
       GOOFI_RETURN_IF_ERROR(archive_->Close());
       archive_.reset();
     }
-    auto opened = db::Archive::Open(db_, args[1]);
+    // An archive whose GOOFI tables differ from Fig. 4 is refused before it
+    // replaces the database or gains a WAL.
+    auto opened = db::Archive::Open(db_, args[1], {},
+                                    &core::CampaignStore::CheckSchema);
     if (!opened.ok()) return opened.status();
     archive_ = std::move(opened).value();
-    // An existing archive replaced the database contents. Refuse it if its
-    // GOOFI tables differ from Fig. 4; re-create any table or secondary
-    // index it lacks — with the archive already observing, the definitions
-    // land in the WAL too.
+    // Re-create any table or secondary index the archive lacks; with the
+    // archive already observing, the definitions land in the WAL too.
     const auto ensured = store_->EnsureSchema();
     if (!ensured.ok()) {
       store_->AttachArchive(nullptr);

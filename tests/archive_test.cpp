@@ -752,6 +752,145 @@ TEST_F(ArchiveTest, GroupCommitBuffersUntilScopeEnds) {
   EXPECT_EQ(Recover(), Dump(db));
 }
 
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): a reference for the golden
+/// file checks that shares no code with util::Crc32.
+uint32_t BitwiseCrc32(std::string_view bytes) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const char c : bytes) {
+    crc ^= static_cast<uint8_t>(c);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+/// Two tables joined by a foreign key, holding every value type (INT, REAL,
+/// TEXT, an INT in a REAL column), NULLs in every nullable column, values
+/// long enough for multi-kilobyte segments, and one index of each kind.
+void MakeGoldenTables(Database* db) {
+  MakeParentChild(db);
+  ASSERT_TRUE(
+      db->CreateIndex("child", "idx_pid", {"pid"}, IndexKind::kHash).ok());
+  ASSERT_TRUE(
+      db->CreateIndex("parent", "idx_weight", {"weight"}, IndexKind::kSorted)
+          .ok());
+  for (int i = 0; i < 40; ++i) {
+    const Value label =
+        i % 5 == 0 ? Value::Null()
+                   : Value::Text(std::string(static_cast<size_t>(i) * 7,
+                                             static_cast<char>('a' + i % 26)));
+    const Value weight = i % 3 == 0   ? Value::Null()
+                         : i % 3 == 1 ? Value::Real(-1.25 * i)
+                                      : Value::Int(int64_t{1000003} * i);
+    ASSERT_TRUE(db->Insert("parent", {Value::Int(37 * i - 500), label, weight})
+                    .ok());
+  }
+  ASSERT_TRUE(db->Insert("parent", {Value::Int(std::numeric_limits<int64_t>::min()),
+                                    Value::Text(""), Value::Real(-0.0)})
+                  .ok());
+  std::vector<Row> children;
+  for (int i = 0; i < 60; ++i) {
+    children.push_back(
+        {Value::Int(i), i % 4 == 0 ? Value::Null() : Value::Int(37 * (i % 9) - 500),
+         i % 6 == 0 ? Value::Null()
+                    : Value::Text("note\t" + std::to_string(i * i) + "\n\\")});
+  }
+  ASSERT_TRUE(db->InsertBatch("child", std::move(children)).ok());
+}
+
+TEST_F(ArchiveTest, GoldenFileBytes) {
+  // CRC-32s of the files this format writes for a fixed database: a
+  // snapshot, a WAL holding every record kind, and the snapshot and WAL of
+  // an explicit fold and of an automatic one. Any change to the encoder, the
+  // CRC or the fold point moves them. The file checks use a bitwise CRC, so
+  // a faulty util::Crc32 shows as a changed constant, not as a matching one.
+  const auto crc_of = [](const std::string& path) {
+    return BitwiseCrc32(FileBytes(path));
+  };
+  // A snapshot ends in the CRC of everything before it, and the CRC of any
+  // message followed by its own CRC is the constant residue 0x2144DF1C. So a
+  // snapshot is pinned by the CRC of its body, which must equal its trailer.
+  const auto snapshot_crc = [](const std::string& path) {
+    const std::string bytes = FileBytes(path);
+    if (bytes.size() < 4) return uint32_t{0};
+    const uint32_t body_crc =
+        BitwiseCrc32(std::string_view(bytes).substr(0, bytes.size() - 4));
+    uint32_t trailer = 0;
+    for (int i = 3; i >= 0; --i) {
+      trailer = (trailer << 8) | static_cast<uint8_t>(bytes[bytes.size() - 4 + i]);
+    }
+    EXPECT_EQ(trailer, body_crc) << path;
+    return body_crc;
+  };
+  Database db;
+  MakeGoldenTables(&db);
+  ASSERT_TRUE(WriteSnapshotFile(db, path_, /*epoch=*/0).ok());
+  EXPECT_EQ(snapshot_crc(path_), 0x43452433u) << "plain snapshot";
+  ASSERT_TRUE(fs::remove(path_));
+
+  auto archive = Archive::Open(&db, path_);  // epoch-0 snapshot of db
+  ASSERT_TRUE(archive.ok()) << archive.status().ToString();
+  EXPECT_EQ(snapshot_crc(path_), 0x43452433u) << "archive's first snapshot";
+  ASSERT_TRUE(
+      db.Insert("parent", {Value::Int(9000), Value::Text("x"), Value::Real(0.5)})
+          .ok());
+  ASSERT_TRUE(db.InsertBatch("child", {{Value::Int(900), Value::Int(9000),
+                                        Value::Text("batch")},
+                                       {Value::Int(901), Value::Null(),
+                                        Value::Null()}})
+                  .ok());
+  ASSERT_TRUE(db.Delete("child", [](const Row& r) {
+                  return r[0].as_int() % 10 == 3;
+                }).ok());
+  size_t updated = 0;
+  ASSERT_TRUE(db.GetTable("child")
+                  ->UpdateWhere([](const Row& r) { return r[0].as_int() < 8; },
+                                [](Row& r) { r[2] = Value::Text("updated"); },
+                                &updated)
+                  .ok());
+  ASSERT_TRUE(db.CreateTable(Schema("extra", {{"x", ValueType::kInt, false}})).ok());
+  ASSERT_TRUE(db.Insert("extra", {Value::Int(5)}).ok());
+  ASSERT_TRUE(db.DropTable("extra").ok());
+  ASSERT_TRUE(
+      db.CreateIndex("child", "idx_note", {"note"}, IndexKind::kSorted).ok());
+  ASSERT_TRUE(db.CreateIndex("parent", "idx_label_id", {"label", "id"},
+                             IndexKind::kHash)
+                  .ok());
+  ASSERT_TRUE(db.DropIndex("child", "idx_note").ok());
+  ASSERT_FALSE(db.InsertBatch("child", {{Value::Int(950), Value::Int(9000),
+                                         Value::Null()},
+                                        {Value::Int(951), Value::Int(-1),
+                                         Value::Null()}})
+                   .ok());  // FK violation: rolled back, no record
+  const ArchiveStats logged = archive.value()->stats();
+  EXPECT_EQ(logged.checkpoints_folded, 0u);
+  EXPECT_EQ(crc_of(path_ + ".wal"), 0xF8E4B479u) << "WAL of every record kind";
+  EXPECT_EQ(logged.wal_bytes, 578u);
+
+  ASSERT_TRUE(archive.value()->Checkpoint().ok());
+  EXPECT_EQ(snapshot_crc(path_), 0xEDD569D6u) << "explicit fold's snapshot";
+  EXPECT_EQ(crc_of(path_ + ".wal"), 0xCFF8572Eu) << "explicit fold's WAL";
+
+  // The first commit whose WAL outgrows max(min_fold_bytes, snapshot) folds.
+  int inserts_to_fold = 0;
+  while (archive.value()->stats().checkpoints_folded < 2) {
+    ASSERT_LT(inserts_to_fold, 10000);
+    ++inserts_to_fold;
+    ASSERT_TRUE(db.Insert("child", {Value::Int(2000 + inserts_to_fold),
+                                    Value::Int(9000),
+                                    Value::Text(std::string(
+                                        static_cast<size_t>(inserts_to_fold % 97),
+                                        'z'))})
+                    .ok());
+  }
+  EXPECT_EQ(inserts_to_fold, 879) << "insert that triggered the automatic fold";
+  EXPECT_EQ(snapshot_crc(path_), 0x9B5C8F2Eu) << "automatic fold's snapshot";
+  EXPECT_EQ(archive.value()->stats().snapshot_bytes, 56105u);
+  ASSERT_TRUE(archive.value()->Close().ok());
+  EXPECT_EQ(Recover(), Dump(db));
+}
+
 TEST_F(ArchiveTest, RandomizedDifferentialAgainstMirror) {
   // Fixed-seed fuzz: a random mutation stream applied to an archive-backed
   // database and to a plain mirror, with periodic close/reopen of the

@@ -2,9 +2,12 @@
 // keys and persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <string>
+#include <vector>
 
 #include "db/database.hpp"
 #include "db/wal.hpp"
@@ -286,6 +289,257 @@ TEST(DatabaseTest, TableNamesCaseInsensitive) {
   EXPECT_TRUE(db.HasTable("mytable"));
   EXPECT_NE(db.GetTable("MYTABLE"), nullptr);
   EXPECT_FALSE(db.CreateTable(Schema("mytable", {{"a", ValueType::kInt, false}})).ok());
+}
+
+// --- insert path: secondary indexes and all-or-nothing batches ------------------
+
+/// Every live row of every table in slot order, with each table's live count.
+std::string DumpRows(const Database& db) {
+  std::string out;
+  for (const std::string& name : db.TableNames()) {
+    const Table& table = *db.GetTable(name);
+    out += name;
+    out += ' ';
+    out += std::to_string(table.size());
+    out += '\n';
+    table.ForEach([&out](const Row& row) {
+      for (const Value& v : row) {
+        out += v.Serialize();
+        out += '|';
+      }
+      out += '\n';
+    });
+  }
+  return out;
+}
+
+testing::AssertionResult IndexesValid(const Database& db) {
+  for (const std::string& name : db.TableNames()) {
+    std::string error;
+    if (!db.GetTable(name)->ValidateIndexes(&error)) {
+      return testing::AssertionFailure() << error;
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(KeyViewTest, HashesAndComparesLikeTheKeyRow) {
+  const Row row = {Value::Int(4), Value::Text("x"), Value::Null(),
+                   Value::Real(2.5)};
+  const std::vector<size_t> columns = {3, 1, 2};
+  const KeyView view{row, columns};
+  const Row key = view.ToRow();
+  EXPECT_EQ(key, (Row{Value::Real(2.5), Value::Text("x"), Value::Null()}));
+  EXPECT_EQ(KeyHash{}(view), KeyHash{}(key));
+  EXPECT_TRUE(KeyEq{}(view, key));
+  EXPECT_TRUE(KeyEq{}(key, view));
+  EXPECT_FALSE(KeyEq{}(view, Row{Value::Real(2.5), Value::Text("x")}));
+  EXPECT_FALSE(
+      KeyEq{}(view, Row{Value::Real(2.5), Value::Text("y"), Value::Null()}));
+}
+
+TEST(IndexInsertTest, HashIndexesTakeNewAndExistingKeys) {
+  Table table(Schema("t",
+                     {{"k", ValueType::kInt, true},
+                      {"a", ValueType::kInt, false},
+                      {"b", ValueType::kText, false}},
+                     {"k"}));
+  ASSERT_TRUE(table.CreateIndex("ia", {"a"}, IndexKind::kHash).ok());
+  ASSERT_TRUE(table.CreateIndex("iba", {"b", "a"}, IndexKind::kHash).ok());
+  const Value a_values[] = {Value::Int(1), Value::Int(2), Value::Int(1),
+                            Value::Null(), Value::Int(3), Value::Int(1),
+                            Value::Null(), Value::Int(2)};
+  int k = 0;
+  for (const Value& a : a_values) {
+    ASSERT_TRUE(
+        table.Insert({Value::Int(k), a, Value::Text(k % 2 == 0 ? "even" : "odd")})
+            .ok());
+    ++k;
+    std::string error;
+    ASSERT_TRUE(table.ValidateIndexes(&error)) << "after row " << k << ": " << error;
+  }
+  // A rejected duplicate leaves the indexes alone.
+  EXPECT_FALSE(table.Insert({Value::Int(0), Value::Int(9), Value::Null()}).ok());
+  std::string error;
+  EXPECT_TRUE(table.ValidateIndexes(&error)) << error;
+  const SecondaryIndex& ia = *table.FindIndex("ia");
+  const SecondaryIndex& iba = *table.FindIndex("iba");
+  EXPECT_EQ(table.IndexEqualSlots(ia, {Value::Int(1)}),
+            (std::vector<size_t>{0, 2, 5}));
+  EXPECT_EQ(table.IndexEqualSlots(ia, {Value::Null()}),
+            (std::vector<size_t>{3, 6}));
+  EXPECT_EQ(table.IndexEqualSlots(ia, {Value::Int(9)}), std::vector<size_t>{});
+  EXPECT_EQ(table.IndexEqualSlots(iba, {Value::Text("even"), Value::Int(1)}),
+            (std::vector<size_t>{0, 2}));
+  EXPECT_EQ(table.IndexEqualSlots(iba, {Value::Text("odd"), Value::Int(1)}),
+            (std::vector<size_t>{5}));
+  EXPECT_TRUE(table.ExistsWhere({2, 1}, {Value::Text("odd"), Value::Null()}));
+  EXPECT_FALSE(table.ExistsWhere({2, 1}, {Value::Text("odd"), Value::Int(3)}));
+}
+
+TEST(IndexInsertTest, SortedIndexTakesIncreasingDecreasingAndRepeatedKeys) {
+  struct Order {
+    const char* name;
+    std::vector<int> keys;
+  };
+  const Order orders[] = {
+      {"increasing", {1, 2, 3, 5, 8, 13, 21}},
+      {"decreasing", {21, 13, 8, 5, 3, 2, 1}},
+      {"repeated", {4, 4, 2, 4, 2, 9, 4, 9}},
+  };
+  for (const Order& order : orders) {
+    Table table(Schema("t",
+                       {{"k", ValueType::kInt, true}, {"v", ValueType::kInt, false}},
+                       {"k"}));
+    ASSERT_TRUE(table.CreateIndex("iv", {"v"}, IndexKind::kSorted).ok());
+    for (size_t i = 0; i < order.keys.size(); ++i) {
+      ASSERT_TRUE(table
+                      .Insert({Value::Int(static_cast<int64_t>(i)),
+                               Value::Int(order.keys[i])})
+                      .ok());
+      std::string error;
+      ASSERT_TRUE(table.ValidateIndexes(&error))
+          << order.name << " after row " << i << ": " << error;
+    }
+    // Re-keying the first row puts its slot at the front of a posting list
+    // that already holds later slots.
+    size_t updated = 0;
+    ASSERT_TRUE(table
+                    .UpdateWhere([](const Row& r) { return r[0].as_int() == 0; },
+                                 [&order](Row& r) {
+                                   r[1] = Value::Int(order.keys.back());
+                                 },
+                                 &updated)
+                    .ok());
+    ASSERT_EQ(updated, 1u);
+    std::string error;
+    EXPECT_TRUE(table.ValidateIndexes(&error)) << order.name << ": " << error;
+    const std::vector<size_t> slots = table.IndexEqualSlots(
+        *table.FindIndex("iv"), {Value::Int(order.keys.back())});
+    ASSERT_FALSE(slots.empty()) << order.name;
+    EXPECT_EQ(slots.front(), 0u) << order.name;
+    EXPECT_TRUE(std::is_sorted(slots.begin(), slots.end())) << order.name;
+  }
+}
+
+/// parent <- child (hash, sorted and two-column hash indexes) <- grand, whose
+/// two-column foreign key references child (pid, tag).
+class InsertBatchRollbackTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.CreateTable(Schema("parent",
+                                       {{"id", ValueType::kInt, true},
+                                        {"label", ValueType::kText, false}},
+                                       {"id"}))
+                    .ok());
+    ASSERT_TRUE(db_.CreateTable(Schema("child",
+                                       {{"cid", ValueType::kInt, true},
+                                        {"pid", ValueType::kInt, false},
+                                        {"tag", ValueType::kText, false}},
+                                       {"cid"}, {{{"pid"}, "parent", {"id"}}}))
+                    .ok());
+    ASSERT_TRUE(db_.CreateTable(Schema("grand",
+                                       {{"gid", ValueType::kInt, true},
+                                        {"pid", ValueType::kInt, false},
+                                        {"tag", ValueType::kText, false}},
+                                       {"gid"},
+                                       {{{"pid", "tag"}, "child", {"pid", "tag"}}}))
+                    .ok());
+    ASSERT_TRUE(db_.CreateIndex("child", "idx_pid", {"pid"}, IndexKind::kHash).ok());
+    ASSERT_TRUE(
+        db_.CreateIndex("child", "idx_tag", {"tag"}, IndexKind::kSorted).ok());
+    ASSERT_TRUE(db_.CreateIndex("child", "idx_pid_tag", {"pid", "tag"},
+                                IndexKind::kHash)
+                    .ok());
+    for (int id = 1; id <= 3; ++id) {
+      ASSERT_TRUE(
+          db_.Insert("parent", {Value::Int(id), Value::Text("p")}).ok());
+    }
+    std::vector<Row> children;
+    for (int cid = 1; cid <= 5; ++cid) {
+      children.push_back({Value::Int(cid), Value::Int(1 + cid % 3),
+                          Value::Text("t" + std::to_string(cid % 2))});
+    }
+    ASSERT_TRUE(db_.InsertBatch("child", std::move(children)).ok());
+    ASSERT_TRUE(db_.InsertBatch("grand", {{Value::Int(1), Value::Int(2),
+                                           Value::Text("t1")}})
+                    .ok());
+  }
+
+  Database db_;
+};
+
+TEST_F(InsertBatchRollbackTest, FailedBatchLeavesRowsAndIndexesAsTheyWere) {
+  enum class Fault { kForeignKey, kDuplicateOfStored, kDuplicateInBatch };
+  constexpr size_t kBatch = 5;
+  for (const Fault fault :
+       {Fault::kForeignKey, Fault::kDuplicateOfStored, Fault::kDuplicateInBatch}) {
+    for (const size_t at : {size_t{0}, kBatch / 2, kBatch - 1}) {
+      // A duplicate within the batch needs an earlier row to repeat.
+      const size_t bad = fault == Fault::kDuplicateInBatch && at == 0 ? 1 : at;
+      std::vector<Row> batch;
+      for (size_t i = 0; i < kBatch; ++i) {
+        batch.push_back({Value::Int(100 + static_cast<int64_t>(i)),
+                         i % 2 == 0 ? Value::Null() : Value::Int(1 + i % 3),
+                         Value::Text("new")});
+      }
+      const std::vector<Row> good = batch;
+      switch (fault) {
+        case Fault::kForeignKey:
+          batch[bad][1] = Value::Int(99);
+          break;
+        case Fault::kDuplicateOfStored:
+          batch[bad][0] = Value::Int(3);
+          break;
+        case Fault::kDuplicateInBatch:
+          batch[bad][0] = batch[bad - 1][0];
+          break;
+      }
+      const std::string context = "fault " + std::to_string(static_cast<int>(fault)) +
+                                  " at row " + std::to_string(bad);
+      const std::string before = DumpRows(db_);
+      const util::Status st = db_.InsertBatch("child", batch);
+      EXPECT_EQ(st.code(), util::StatusCode::kConstraintViolation) << context;
+      EXPECT_EQ(DumpRows(db_), before) << context;
+      EXPECT_TRUE(IndexesValid(db_)) << context;
+      const Table& child = *db_.GetTable("child");
+      for (const Row& row : good) {
+        EXPECT_FALSE(child.FindByPrimaryKey({row[0]}).has_value()) << context;
+      }
+      EXPECT_TRUE(child.FindByPrimaryKey({Value::Int(3)}).has_value()) << context;
+      // Nothing of the failed batch lingers: the intact batch goes in, and
+      // comes out again for the next case.
+      ASSERT_TRUE(db_.InsertBatch("child", good).ok()) << context;
+      EXPECT_TRUE(IndexesValid(db_)) << context;
+      ASSERT_TRUE(db_.Delete("child", [](const Row& r) {
+                       return r[0].as_int() >= 100;
+                     }).ok());
+      EXPECT_EQ(DumpRows(db_), before) << context;
+    }
+  }
+}
+
+TEST_F(InsertBatchRollbackTest, MultiColumnForeignKeysAreCheckedInPlace) {
+  // (1, t1) is a (pid, tag) of child; (1, t0) is not. The batch memo must
+  // not let a verified key pass for another one.
+  const std::string before = DumpRows(db_);
+  EXPECT_FALSE(db_.InsertBatch("grand", {{Value::Int(10), Value::Int(1),
+                                          Value::Text("t1")},
+                                         {Value::Int(11), Value::Int(1),
+                                          Value::Text("t1")},
+                                         {Value::Int(12), Value::Int(1),
+                                          Value::Text("t0")}})
+                   .ok());
+  EXPECT_EQ(DumpRows(db_), before);
+  EXPECT_TRUE(IndexesValid(db_));
+  EXPECT_TRUE(db_.InsertBatch("grand", {{Value::Int(10), Value::Int(2),
+                                         Value::Text("t1")},
+                                        {Value::Int(11), Value::Null(),
+                                         Value::Text("t9")},
+                                        {Value::Int(12), Value::Int(3),
+                                         Value::Text("t0")}})
+                  .ok());
+  EXPECT_EQ(db_.GetTable("grand")->size(), 4u);
 }
 
 // --- amortized Table::Reserve ----------------------------------------------------

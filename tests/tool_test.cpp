@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "core/goofi.hpp"
 #include "db/database.hpp"
@@ -482,21 +483,43 @@ TEST_F(ShellTest, ForeignSnapshotIsRefused) {
                   .ok());
   ASSERT_TRUE(foreign.Insert("CampaignData", {db::Value::Int(7)}).ok());
   ASSERT_TRUE(foreign.Save(path).ok());
+  const auto file_bytes = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string snapshot = file_bytes();
 
+  // A refused load keeps the session's database.
+  MustRun("campaign set held workload=bubblesort experiments=2");
   const auto loaded = Run("load " + path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kFailedPrecondition)
       << loaded.status().ToString();
-  EXPECT_FALSE(Run("list campaigns").ok());
-  EXPECT_FALSE(Run("campaign set c workload=bubblesort").ok());
+  EXPECT_EQ(MustRun("list campaigns"), "held\n");
+  MustRun("campaign set c workload=bubblesort");
 
+  // A refused archive open keeps the session's database, leaves the file
+  // as it was and creates no WAL.
   db::Database db2;
   core::CampaignStore store2(&db2);
   Shell shell2(&db2, &store2);
-  EXPECT_FALSE(shell2.Execute("archive open " + path).ok());
+  ASSERT_TRUE(store2.PutTargetSystem({"t2", "", ""}).ok());
+  core::CampaignData held2;
+  held2.name = "held2";
+  held2.target_name = "t2";
+  held2.workload = "bubblesort";
+  ASSERT_TRUE(store2.PutCampaign(held2).ok());
+  const auto opened = shell2.Execute("archive open " + path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), util::StatusCode::kFailedPrecondition)
+      << opened.status().ToString();
   EXPECT_FALSE(shell2.Execute("archive status").ok()) << "left open";
+  EXPECT_EQ(file_bytes(), snapshot);
+  EXPECT_FALSE(std::filesystem::exists(path + ".wal"));
+  const auto listed = shell2.Execute("list campaigns");
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  EXPECT_EQ(listed.value(), "held2\n");
   std::remove(path.c_str());
-  std::remove((path + ".wal").c_str());
 }
 
 TEST_F(ShellTest, DroppedGoofiTablesGiveErrors) {

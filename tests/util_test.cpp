@@ -2,7 +2,10 @@
 // CRC32, logging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "util/bitvec.hpp"
 #include "util/crc32.hpp"
@@ -430,6 +433,90 @@ TEST(Crc32Test, ResetStartsOver) {
   crc.Reset();
   crc.Update("123456789");
   EXPECT_EQ(crc.Value(), 0xCBF43926u);
+}
+
+std::vector<unsigned char> RandomBytes(size_t size, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<unsigned char> bytes(size);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng());
+  return bytes;
+}
+
+/// Bit-at-a-time CRC-32 of the reflected 0xEDB88320 polynomial, raw state in
+/// and out: shares no table or kernel with util::Crc32.
+uint32_t BitwiseUpdate(uint32_t state, const unsigned char* bytes,
+                       size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    state ^= bytes[i];
+    for (int k = 0; k < 8; ++k) {
+      state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+    }
+  }
+  return state;
+}
+
+TEST(Crc32Test, TableKernelMatchesBitwiseReference) {
+  const std::vector<unsigned char> bytes = RandomBytes(300, 1);
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    EXPECT_EQ(crc32_detail::UpdateTable(0xFFFFFFFFu, bytes.data(), len),
+              BitwiseUpdate(0xFFFFFFFFu, bytes.data(), len))
+        << "length " << len;
+  }
+}
+
+TEST(Crc32Test, CarrylessMatchesTableForEveryLengthAndAlignment) {
+  if (!crc32_detail::HasCarrylessFold()) {
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ or SSE4.1: Update runs the "
+                    "table kernel only";
+  }
+  const std::vector<unsigned char> bytes = RandomBytes(1024 + 16, 2);
+  std::mt19937 rng(3);
+  for (size_t align = 0; align < 16; ++align) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const uint32_t state = static_cast<uint32_t>(rng());
+      const unsigned char* start = bytes.data() + align;
+      ASSERT_EQ(crc32_detail::UpdateCarryless(state, start, len),
+                crc32_detail::UpdateTable(state, start, len))
+          << "length " << len << ", alignment " << align;
+    }
+  }
+}
+
+TEST(Crc32Test, CarrylessMatchesTableOnMultiMegabyteInputs) {
+  if (!crc32_detail::HasCarrylessFold()) {
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ or SSE4.1: Update runs the "
+                    "table kernel only";
+  }
+  const std::vector<unsigned char> bytes = RandomBytes((5u << 20) + 64, 4);
+  for (const size_t len : {size_t{1} << 20, (size_t{3} << 20) + 7,
+                           (size_t{5} << 20) + 61}) {
+    for (const size_t align : {size_t{0}, size_t{3}}) {
+      EXPECT_EQ(crc32_detail::UpdateCarryless(0xFFFFFFFFu, bytes.data() + align,
+                                              len),
+                crc32_detail::UpdateTable(0xFFFFFFFFu, bytes.data() + align, len))
+          << "length " << len << ", alignment " << align;
+    }
+  }
+}
+
+TEST(Crc32Test, RandomSplitPointsMatchOneShot) {
+  // Update takes whichever kernel suits each piece's length, so a split
+  // stream mixes the kernels; its value must not depend on the split.
+  const std::vector<unsigned char> bytes = RandomBytes(20000, 5);
+  const uint32_t whole = ~BitwiseUpdate(0xFFFFFFFFu, bytes.data(), bytes.size());
+  std::mt19937 rng(6);
+  for (int trial = 0; trial < 200; ++trial) {
+    Crc32 crc;
+    size_t pos = 0;
+    while (pos < bytes.size()) {
+      // Mostly short pieces, with pieces past the fold threshold mixed in.
+      const size_t limit = rng() % 4 == 0 ? 3000 : 80;
+      const size_t piece = std::min(bytes.size() - pos, size_t{rng() % limit});
+      crc.Update(bytes.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(crc.Value(), whole) << "trial " << trial;
+  }
 }
 
 // --- log -------------------------------------------------------------------------
