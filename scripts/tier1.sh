@@ -31,7 +31,7 @@ else
   echo "clang-tidy not installed; skipping lint stanza (gcc -Werror still ran)"
 fi
 
-echo "== tier-1: ThreadSanitizer pass (parallel runner + thread pool + checkpoints + convergence + equivalence + archive commits + COW golden sharing + static pruning + reference-trace memo) =="
+echo "== tier-1: ThreadSanitizer pass (parallel runner + worker spot checks (SpotCheckTest) + thread pool + checkpoints + convergence + equivalence + archive commits + COW golden sharing + static pruning + reference-trace memo) =="
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" --target thread_pool_test parallel_runner_test checkpoint_test convergence_test equivalence_test archive_test memory_cow_test static_analysis_test propagation_test
@@ -48,7 +48,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" --target thread_pool_test parallel_runner_t
 echo "== tier-1: ASan pass (superblock fast-path differential fuzzer) =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=address
-cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test core_types_test propagation_test analysis_test scan_test testcard_test sql_test campaign_store_test util_test db_test
+cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test core_types_test propagation_test analysis_test scan_test testcard_test sql_test campaign_store_test util_test db_test env_test
 "$ASAN_DIR"/tests/cpu_fastpath_test
 
 echo "== tier-1: ASan pass (COW paged memory differential fuzzer) =="
@@ -85,6 +85,9 @@ echo "== tier-1: ASan pass (word-parallel scan shifts vs. per-bit Clock) =="
 echo "== tier-1: ASan pass (carry-less CRC-32 vs. table kernel + insert path, batch rollback) =="
 "$ASAN_DIR"/tests/util_test
 "$ASAN_DIR"/tests/db_test
+
+echo "== tier-1: ASan pass (in-place environment exchange into caller-owned buffers) =="
+"$ASAN_DIR"/tests/env_test
 
 echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer) =="
 UBSAN_DIR="${BUILD_DIR}-ubsan"

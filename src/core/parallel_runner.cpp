@@ -25,8 +25,9 @@ using Rows = std::vector<CampaignStore::ExperimentRow>;
 /// experiment on its own.
 constexpr size_t kBatchRows = 64;
 
-/// One unit's outcome: its representative's rows, filled by the thread that
-/// executed it and consumed by the committer in experiment order.
+/// One execution's outcome — a unit's representative or a spot-checked
+/// member: its rows, filled by the thread that executed it and consumed by
+/// the committer in experiment order (spot checks in class order).
 struct Slot {
   bool done = false;
   util::Status status;
@@ -89,8 +90,10 @@ class CampaignLoop {
 
   /// Runs the reference run (unless logged) and every pending experiment on
   /// the prepared `targets`: inline with one, one thread each with more.
-  /// `committer` plans fault lists, re-executes members of detail-capped
-  /// classes and runs the spot checks; it is only used with `classing`.
+  /// The spot checks run on the same targets: after the last commit with
+  /// one, as extra work after the last class with more. `committer` plans
+  /// fault lists and re-executes members of detail-capped classes; it is
+  /// only used with `classing`.
   util::Status Run(const std::vector<FaultInjectionAlgorithms*>& targets,
                    FaultInjectionAlgorithms* committer,
                    const Classing* classing);
@@ -101,7 +104,15 @@ class CampaignLoop {
   size_t UnitOf(size_t pos) const {
     return classer_ ? classer_->class_of(pos) : pos;
   }
-  Slot Execute(FaultInjectionAlgorithms& target, size_t unit);
+  /// The pending position that executes for `unit`.
+  size_t Representative(size_t unit) const {
+    return classer_ ? static_cast<size_t>(
+                          classer_->classes()[unit].representative)
+                    : unit;
+  }
+  /// Executes the experiment at pending position `pos`: its planned fault
+  /// list under classing, a fresh draw otherwise.
+  Slot Execute(FaultInjectionAlgorithms& target, size_t pos);
   /// A representative whose detail log hit the row cap has no usable suffix
   /// to synthesize members from.
   bool Capped(size_t unit) const {
@@ -110,7 +121,23 @@ class CampaignLoop {
                FaultInjectionAlgorithms::kMaxDetailRows;
   }
   util::Result<Rows> RowsAt(size_t pos, size_t unit);
-  util::Status SpotCheck(int every);
+  /// The spot-check sample: every n-th multi-member class whose members were
+  /// synthesized (a capped class ran its members live), counted in class
+  /// order. Called once per class, in class order, once the class's rows
+  /// have been taken for commit.
+  bool SelectForSpotCheck(size_t unit);
+  /// The member a spot check of `unit` re-executes: its first member that
+  /// is not the representative.
+  size_t SpotCheckMember(size_t unit) const {
+    const EquivalenceClasser::Class& cls = classer_->classes()[unit];
+    return static_cast<size_t>(cls.members[0] != cls.representative
+                                   ? cls.members[0]
+                                   : cls.members[1]);
+  }
+  /// The collision/logic backstop: the live re-execution `actual` of the
+  /// spot-checked member of `unit` must equal its synthesized rows byte for
+  /// byte.
+  util::Status CheckSpot(size_t unit, const Slot& actual);
 
   CampaignStore* store_;
   const CampaignData& campaign_;
@@ -123,6 +150,11 @@ class CampaignLoop {
   std::vector<std::vector<FaultInstance>> plans_;
   std::vector<int> plan_skips_;
   std::vector<Slot> slots_;  ///< one per unit
+  int spot_check_every_ = 0;  ///< 0: no spot checks
+  int64_t spot_eligible_ = 0;
+  size_t units_met_ = 0;  ///< classes whose first member has come up
+  std::vector<size_t> checks_;     ///< spot-checked units, in class order
+  std::vector<Slot> check_slots_;  ///< one per possible spot check
   FaultInjectionAlgorithms::Stats stats_;
   EquivalenceStats dedup_;
 };
@@ -154,16 +186,26 @@ util::Status CampaignLoop::Run(
   if (pending_.empty()) return util::Status::Ok();
   if (classing != nullptr) {
     GOOFI_RETURN_IF_ERROR(Classify(*classing, reference_state));
+    if (classing->spot_check_every > 0) {
+      spot_check_every_ = classing->spot_check_every;
+      check_slots_.resize(static_cast<size_t>(
+          (dedup_.classes_formed + spot_check_every_ - 1) / spot_check_every_));
+    }
   }
   slots_.resize(classer_ ? classer_->classes().size() : pending_.size());
 
   // Dispatch: with more than one target, each worker thread pulls units off
-  // a shared cursor and parks the results in per-unit slots.
+  // a shared cursor and parks the results in per-unit slots. Once the units
+  // run out it takes the spot checks the committer selects, until the
+  // committer closes the list.
   const bool threaded = targets.size() > 1;
   std::atomic<size_t> cursor{0};
   std::atomic<bool> cancel{false};
   std::mutex mutex;
-  std::condition_variable slot_ready;
+  std::condition_variable slot_ready;   // a unit or spot check finished
+  std::condition_variable check_ready;  // a check was selected, or closed
+  size_t checks_taken = 0;
+  bool checks_closed = spot_check_every_ == 0;
   std::optional<util::ThreadPool> pool;
   if (threaded) {
     pool.emplace(static_cast<int>(targets.size()));
@@ -171,11 +213,34 @@ util::Status CampaignLoop::Run(
       pool->Submit([&, target]() {
         while (!cancel.load(std::memory_order_relaxed)) {
           const size_t unit = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (unit >= slots_.size()) return;
-          Slot slot = Execute(*target, unit);
+          if (unit >= slots_.size()) break;
+          Slot slot = Execute(*target, Representative(unit));
           {
             std::lock_guard<std::mutex> lock(mutex);
             slots_[unit] = std::move(slot);
+          }
+          slot_ready.notify_one();
+        }
+        for (;;) {
+          size_t check = 0;
+          size_t unit = 0;
+          {
+            std::unique_lock<std::mutex> lock(mutex);
+            check_ready.wait(lock, [&]() {
+              return cancel.load(std::memory_order_relaxed) ||
+                     checks_taken < checks_.size() || checks_closed;
+            });
+            if (cancel.load(std::memory_order_relaxed) ||
+                checks_taken == checks_.size()) {
+              return;
+            }
+            check = checks_taken++;
+            unit = checks_[check];
+          }
+          Slot slot = Execute(*target, SpotCheckMember(unit));
+          {
+            std::lock_guard<std::mutex> lock(mutex);
+            check_slots_[check] = std::move(slot);
           }
           slot_ready.notify_one();
         }
@@ -202,13 +267,25 @@ util::Status CampaignLoop::Run(
       std::unique_lock<std::mutex> lock(mutex);
       slot_ready.wait(lock, [&]() { return slots_[unit].done; });
     } else if (!slots_[unit].done) {
-      slots_[unit] = Execute(*targets[0], unit);
+      slots_[unit] = Execute(*targets[0], Representative(unit));
     }
     // Past this point no worker touches the slot again.
     auto rows = RowsAt(pos, unit);
     if (!rows.ok()) {
       error = rows.status();
       break;
+    }
+    // Classes are numbered by their first member, so each class comes up
+    // here first in class order: the order the spot-check sample counts in.
+    if (unit == units_met_) {
+      ++units_met_;
+      if (SelectForSpotCheck(unit)) {
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          checks_.push_back(unit);
+        }
+        check_ready.notify_one();
+      }
     }
     LoggedState last_state;
     if (monitor_ != nullptr) last_state = rows.value().front().state;
@@ -231,14 +308,33 @@ util::Status CampaignLoop::Run(
       break;
     }
   }
-  cancel.store(true, std::memory_order_relaxed);
+
+  // Spot checks, compared in class order. Skipped after an error or early
+  // stop: classes past the stop never committed. Threaded, the workers
+  // re-execute them; inline, the one target does, after the last commit.
+  if (error.ok() && !stopped) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      checks_closed = true;
+    }
+    check_ready.notify_all();
+    for (size_t k = 0; k < checks_.size() && error.ok(); ++k) {
+      if (threaded) {
+        std::unique_lock<std::mutex> lock(mutex);
+        slot_ready.wait(lock, [&]() { return check_slots_[k].done; });
+      } else {
+        check_slots_[k] = Execute(*targets[0], SpotCheckMember(checks_[k]));
+      }
+      error = CheckSpot(checks_[k], check_slots_[k]);
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    cancel.store(true, std::memory_order_relaxed);
+  }
+  check_ready.notify_all();
   if (pool) pool->Shutdown();
 
-  // Skipped after an error or early stop: classes past the stop never
-  // committed.
-  if (classer_ && error.ok() && !stopped) {
-    error = SpotCheck(classing->spot_check_every);
-  }
   // Commit what completed in order before reporting any error — the same
   // prefix a serial run that failed at this experiment would have logged.
   const util::Status flushed = flush();
@@ -277,13 +373,11 @@ util::Status CampaignLoop::Classify(const Classing& classing,
   return util::Status::Ok();
 }
 
-Slot CampaignLoop::Execute(FaultInjectionAlgorithms& target, size_t unit) {
+Slot CampaignLoop::Execute(FaultInjectionAlgorithms& target, size_t pos) {
   const int dead_before = target.stats().injections_skipped_dead;
   util::Result<Rows> rows =
-      classer_ ? target.ExecutePlanned(
-                     pending_[classer_->classes()[unit].representative],
-                     plans_[classer_->classes()[unit].representative])
-               : target.ExecuteExperiment(pending_[unit]);
+      classer_ ? target.ExecutePlanned(pending_[pos], plans_[pos])
+               : target.ExecuteExperiment(pending_[pos]);
   Slot slot;
   slot.done = true;
   if (rows.ok()) {
@@ -311,35 +405,28 @@ util::Result<Rows> CampaignLoop::RowsAt(size_t pos, size_t unit) {
                               cls.suffix_filtered);
 }
 
-util::Status CampaignLoop::SpotCheck(int every) {
-  // The collision/logic backstop: re-execute one synthesized member of
-  // every n-th multi-member class and require its rows to be byte-identical
-  // to the synthesis.
-  if (every <= 0) return util::Status::Ok();
-  int64_t eligible = 0;
-  const std::vector<EquivalenceClasser::Class>& classes = classer_->classes();
-  for (size_t unit = 0; unit < classes.size(); ++unit) {
-    const EquivalenceClasser::Class& cls = classes[unit];
-    // Members of a capped class ran live; nothing was synthesized.
-    if (cls.members.size() < 2 || Capped(unit)) continue;
-    if ((eligible++ % every) != 0) continue;
-    const size_t member = static_cast<size_t>(
-        cls.members[0] != cls.representative ? cls.members[0]
-                                             : cls.members[1]);
-    ++dedup_.spot_checks_run;
-    auto actual = committer_->ExecutePlanned(pending_[member], plans_[member]);
-    if (!actual.ok()) return actual.status();
-    const Rows expected =
-        SynthesizeMemberRows(slots_[unit].rows, campaign_, pending_[member],
-                             plans_[member], cls.suffix_filtered);
-    if (!RowsIdentical(expected, actual.value())) {
-      return util::Internal(
-          "equivalence spot check failed: synthesized rows for " +
-          CampaignStore::ExperimentName(campaign_.name, pending_[member]) +
-          " differ from a live re-execution");
-    }
-    ++dedup_.spot_checks_passed;
+bool CampaignLoop::SelectForSpotCheck(size_t unit) {
+  if (spot_check_every_ <= 0) return false;
+  const EquivalenceClasser::Class& cls = classer_->classes()[unit];
+  // Members of a capped class ran live; nothing was synthesized.
+  if (cls.members.size() < 2 || Capped(unit)) return false;
+  return (spot_eligible_++ % spot_check_every_) == 0;
+}
+
+util::Status CampaignLoop::CheckSpot(size_t unit, const Slot& actual) {
+  ++dedup_.spot_checks_run;
+  if (!actual.status.ok()) return actual.status;
+  const size_t member = SpotCheckMember(unit);
+  const Rows expected = SynthesizeMemberRows(
+      slots_[unit].rows, campaign_, pending_[member], plans_[member],
+      classer_->classes()[unit].suffix_filtered);
+  if (!RowsIdentical(expected, actual.rows)) {
+    return util::Internal(
+        "equivalence spot check failed: synthesized rows for " +
+        CampaignStore::ExperimentName(campaign_.name, pending_[member]) +
+        " differ from a live re-execution");
   }
+  ++dedup_.spot_checks_passed;
   return util::Status::Ok();
 }
 

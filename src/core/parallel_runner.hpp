@@ -25,9 +25,10 @@
 //     ProgressMonitor sees it, and keeps no rows after their commit, so a
 //     killed run leaves whole experiments only;
 //   - N targets: one worker thread per target pulls units off a shared
-//     atomic cursor; the calling thread commits their results strictly in
-//     experiment order in ~64-row batches, and invokes the ProgressMonitor in
-//     order — monitors need no thread-safety;
+//     atomic cursor, then takes the equivalence spot checks; the calling
+//     thread commits their results strictly in experiment order in ~64-row
+//     batches, and invokes the ProgressMonitor in order — monitors need no
+//     thread-safety;
 //   - resume (Fig. 7 restart): experiments already logged are skipped
 //     before dispatch;
 //   - early stop (monitor returns false) cancels outstanding units; the
@@ -139,9 +140,12 @@ class ParallelCampaignRunner {
   }
 
   /// Spot-check sampling: every n-th multi-member class re-executes one
-  /// synthesized member on the committer's target after the commit loop and
-  /// verifies StateHasher blob equality of the full row set — the
-  /// collision/logic backstop. A mismatch fails the Run. 0 disables.
+  /// synthesized member and verifies StateHasher blob equality of the full
+  /// row set — the collision/logic backstop. The re-executions run on the
+  /// worker targets once the classes are dispatched (on the one target after
+  /// the commit loop when the run is inline); the committer compares them in
+  /// class order after the last commit. A mismatch fails the Run. 0
+  /// disables.
   void SetSpotCheckEvery(int every) { spot_check_every_ = every; }
 
   /// Dedup counters of the most recent Run (outside stats(), like

@@ -159,6 +159,8 @@ util::Result<std::unique_ptr<LivenessAnalyzer>> LivenessAnalyzer::BuildFromSpec(
   }
 
   int iterations = 0;
+  std::vector<uint32_t> outputs;  // exchange buffers, reused every iteration
+  std::vector<uint32_t> inputs;
   while (cpu.instructions_retired() < max_instr) {
     const uint32_t exec_pc = cpu.pc();
     const uint32_t exec_ir = cpu.ir();
@@ -190,14 +192,14 @@ util::Result<std::unique_ptr<LivenessAnalyzer>> LivenessAnalyzer::BuildFromSpec(
 
     if (environment && exec_pc == loop_end) {
       // Host-side exchange: actuator words are read, sensor words written.
-      std::vector<uint32_t> outputs;
+      outputs.clear();
       for (uint32_t i = 0; i < workload.output_words; ++i) {
         auto word = cpu.memory().HostRead(output_addr + i * 4);
         if (!word.ok()) return word.status();
         outputs.push_back(word.value());
         analyzer->memory_accesses_[(output_addr + i * 4) & ~3u].push_back({t, true});
       }
-      const std::vector<uint32_t> inputs = environment->Exchange(outputs);
+      environment->Exchange(outputs, &inputs);
       for (size_t i = 0; i < inputs.size(); ++i) {
         const uint32_t address = input_addr + static_cast<uint32_t>(i) * 4;
         GOOFI_RETURN_IF_ERROR(cpu.HostWriteWord(address, inputs[i]));

@@ -92,11 +92,11 @@ bool SimTargetCore::Terminated() const {
 }
 
 util::Status SimTargetCore::ServiceIteration() {
-  auto outputs = ReadWords(output_addr_, workload_.output_words);
-  if (!outputs.ok()) return outputs.status();
-  for (uint32_t word : outputs.value()) actuator_crc_.UpdateWord(word);
-  const std::vector<uint32_t> inputs = environment_->Exchange(outputs.value());
-  GOOFI_RETURN_IF_ERROR(WriteWords(input_addr_, inputs));
+  GOOFI_RETURN_IF_ERROR(
+      ReadWords(output_addr_, workload_.output_words, &actuator_words_));
+  for (uint32_t word : actuator_words_) actuator_crc_.UpdateWord(word);
+  environment_->Exchange(actuator_words_, &sensor_words_);
+  GOOFI_RETURN_IF_ERROR(WriteWords(input_addr_, sensor_words_));
   ++iterations_;
   return util::Status::Ok();
 }
@@ -370,17 +370,14 @@ util::Status SimTargetCore::ReadMemory() {
     outputs_.clear();
     return util::Status::Ok();
   }
-  auto words = ReadWords(result_addr_, workload_.result_words);
-  if (!words.ok()) return words.status();
-  outputs_ = std::move(words).value();
-  return util::Status::Ok();
+  return ReadWords(result_addr_, workload_.result_words, &outputs_);
 }
 
 util::Status SimTargetCore::ApplyMemoryFault(const FaultInstance& fault) {
-  auto word = ReadWords(fault.address, 1);
-  if (!word.ok()) return word.status();
+  std::vector<uint32_t> word;
+  GOOFI_RETURN_IF_ERROR(ReadWords(fault.address, 1, &word));
   const uint32_t mask = 1u << fault.bit;
-  const uint32_t value = word.value()[0];
+  const uint32_t value = word[0];
   return WriteWords(fault.address, {FaultyBit(fault, (value & mask) != 0)
                                         ? value | mask
                                         : value & ~mask});

@@ -90,9 +90,10 @@ class SimTargetCore : public FrameworkTarget {
   virtual util::Status Download(const isa::AssembledProgram& program) = 0;
   /// Declares the current memory contents the delta/hash baseline.
   virtual util::Status MarkMemoryBaseline() = 0;
-  /// Host word access to target memory, bypassing CPU protection.
-  virtual util::Result<std::vector<uint32_t>> ReadWords(uint32_t address,
-                                                        uint32_t count) = 0;
+  /// Host word access to target memory, bypassing CPU protection. ReadWords
+  /// fills the caller's buffer (resized to `count`; unspecified on error).
+  virtual util::Status ReadWords(uint32_t address, uint32_t count,
+                                 std::vector<uint32_t>* out) = 0;
   virtual util::Status WriteWords(uint32_t address,
                                   const std::vector<uint32_t>& words) = 0;
   /// A new checkpoint payload holding the machine snapshot; the core fills
@@ -138,7 +139,7 @@ class SimTargetCore : public FrameworkTarget {
   util::Status EnsureWorkload();
 
   /// Reads the actuator words, advances the environment, writes the sensor
-  /// words.
+  /// words, through buffers the core keeps across iterations.
   util::Status ServiceIteration();
 
   /// True when a termination condition has been reached.
@@ -220,6 +221,10 @@ class SimTargetCore : public FrameworkTarget {
   uint32_t result_addr_ = 0;
   util::Crc32 actuator_crc_;
   std::vector<uint32_t> outputs_;
+  /// ServiceIteration's exchange buffers: actuator words read from the
+  /// target, sensor words written back.
+  std::vector<uint32_t> actuator_words_;
+  std::vector<uint32_t> sensor_words_;
   LoggedState synth_state_;
 
   // Golden pass in progress: the product its boundaries capture into.

@@ -42,16 +42,15 @@ util::Status SwifiSimTarget::Download(const isa::AssembledProgram& program) {
   return cpu_->LoadProgram(program.base_address, program.words, text_bytes);
 }
 
-util::Result<std::vector<uint32_t>> SwifiSimTarget::ReadWords(uint32_t address,
-                                                              uint32_t count) {
-  std::vector<uint32_t> words;
-  words.reserve(count);
+util::Status SwifiSimTarget::ReadWords(uint32_t address, uint32_t count,
+                                       std::vector<uint32_t>* out) {
+  out->resize(count);
   for (uint32_t i = 0; i < count; ++i) {
     auto word = cpu_->memory().HostRead(address + i * 4);
     if (!word.ok()) return word.status();
-    words.push_back(word.value());
+    (*out)[i] = word.value();
   }
-  return words;
+  return util::Status::Ok();
 }
 
 util::Status SwifiSimTarget::WriteWords(uint32_t address,

@@ -64,8 +64,8 @@ class SwifiSimTarget : public SimTargetCore {
     cpu_->MarkMemoryBaseline();
     return util::Status::Ok();
   }
-  util::Result<std::vector<uint32_t>> ReadWords(uint32_t address,
-                                                uint32_t count) override;
+  util::Status ReadWords(uint32_t address, uint32_t count,
+                         std::vector<uint32_t>* out) override;
   util::Status WriteWords(uint32_t address,
                           const std::vector<uint32_t>& words) override;
   /// The CPU: registers, caches and memory delta.

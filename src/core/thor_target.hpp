@@ -46,9 +46,9 @@ class ThorRdTarget : public SimTargetCore {
   util::Status MarkMemoryBaseline() override {
     return card_->MarkMemoryBaseline();
   }
-  util::Result<std::vector<uint32_t>> ReadWords(uint32_t address,
-                                                uint32_t count) override {
-    return card_->ReadMemory(address, count);
+  util::Status ReadWords(uint32_t address, uint32_t count,
+                         std::vector<uint32_t>* out) override {
+    return card_->ReadMemoryInto(address, count, out);
   }
   util::Status WriteWords(uint32_t address,
                           const std::vector<uint32_t>& words) override {

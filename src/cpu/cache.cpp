@@ -15,38 +15,8 @@ ParityCache::ParityCache(uint32_t num_lines, uint32_t address_bits,
   // Word-address space is address_bits-2 bits wide.
   const uint32_t word_bits = address_bits > 2 ? address_bits - 2 : 1;
   tag_bits_ = word_bits > index_bits_ ? word_bits - index_bits_ : 1;
-}
-
-ParityCache::LookupResult ParityCache::Lookup(uint32_t word_address) {
-  LookupResult out;
-  Line& line = lines_[IndexOf(word_address)];
-  if (!line.valid || line.tag != TagOf(word_address)) {
-    ++misses_;
-    return out;
-  }
-  ++hits_;
-  out.hit = true;
-  out.value = line.data;
-  if (ComputeParity(line) != line.parity) {
-    out.parity_error = true;
-  }
-  return out;
-}
-
-void ParityCache::Fill(uint32_t word_address, uint32_t value) {
-  Line& line = lines_[IndexOf(word_address)];
-  line.valid = true;
-  line.tag = TagOf(word_address);
-  line.data = value;
-  line.parity = ComputeParity(line);
-}
-
-void ParityCache::WriteThrough(uint32_t word_address, uint32_t value) {
-  Line& line = lines_[IndexOf(word_address)];
-  if (line.valid && line.tag == TagOf(word_address)) {
-    line.data = value;
-    line.parity = ComputeParity(line);
-  }
+  index_mask_ = num_lines - 1;
+  tag_mask_ = tag_bits_ >= 32 ? ~0u : (1u << tag_bits_) - 1;
 }
 
 void ParityCache::Flush() {

@@ -34,7 +34,19 @@ class ParityCache {
   };
 
   /// Looks up a word address (byte address / 4). On a hit, verifies parity.
-  LookupResult Lookup(uint32_t word_address);
+  LookupResult Lookup(uint32_t word_address) {
+    LookupResult out;
+    const Line& line = lines_[IndexOf(word_address)];
+    if (!line.valid || line.tag != TagOf(word_address)) {
+      ++misses_;
+      return out;
+    }
+    ++hits_;
+    out.hit = true;
+    out.value = line.data;
+    out.parity_error = ComputeParity(line) != line.parity;
+    return out;
+  }
 
   /// Inline clean-hit probe for the superblock fast path: on a valid-line
   /// tag match with correct parity, counts the hit and returns the word.
@@ -52,11 +64,23 @@ class ParityCache {
   }
 
   /// Installs a word (read miss fill). Recomputes parity.
-  void Fill(uint32_t word_address, uint32_t value);
+  void Fill(uint32_t word_address, uint32_t value) {
+    Line& line = lines_[IndexOf(word_address)];
+    line.valid = true;
+    line.tag = TagOf(word_address);
+    line.data = value;
+    line.parity = ComputeParity(line);
+  }
 
   /// Write-through update: if the line holds this address, update the data
   /// and recompute parity; otherwise no allocation happens.
-  void WriteThrough(uint32_t word_address, uint32_t value);
+  void WriteThrough(uint32_t word_address, uint32_t value) {
+    Line& line = lines_[IndexOf(word_address)];
+    if (line.valid && line.tag == TagOf(word_address)) {
+      line.data = value;
+      line.parity = ComputeParity(line);
+    }
+  }
 
   /// Invalidates all lines.
   void Flush();
@@ -67,7 +91,7 @@ class ParityCache {
   uint32_t line_data(uint32_t index) const { return lines_[index].data; }
   bool line_parity(uint32_t index) const { return lines_[index].parity; }
   void set_line_valid(uint32_t index, bool v) { lines_[index].valid = v; }
-  void set_line_tag(uint32_t index, uint32_t v) { lines_[index].tag = v & TagMask(); }
+  void set_line_tag(uint32_t index, uint32_t v) { lines_[index].tag = v & tag_mask_; }
   void set_line_data(uint32_t index, uint32_t v) { lines_[index].data = v; }
   void set_line_parity(uint32_t index, bool v) { lines_[index].parity = v; }
 
@@ -108,16 +132,17 @@ class ParityCache {
   }
 
  private:
-
+  // The cache is on every fetch and data access of the fast path, so the
+  // line geometry is kept as masks fixed at construction.
   uint32_t IndexOf(uint32_t word_address) const {
-    return word_address & (num_lines() - 1);
+    return word_address & index_mask_;
   }
   uint32_t TagOf(uint32_t word_address) const {
-    return (word_address >> index_bits_) & TagMask();
+    return (word_address >> index_bits_) & tag_mask_;
   }
-  uint32_t TagMask() const { return (tag_bits_ >= 32) ? ~0u : ((1u << tag_bits_) - 1); }
 
-  /// Even parity over valid + tag + data. In the header so FastHit inlines.
+  /// Even parity over valid + tag + data. In the header so the hit paths
+  /// inline.
   static bool ComputeParity(const Line& line) {
     const uint32_t acc = line.data ^ line.tag ^ (line.valid ? 1u : 0u);
     return (__builtin_popcount(acc) & 1) != 0;
@@ -126,6 +151,8 @@ class ParityCache {
   std::vector<Line> lines_;
   uint32_t index_bits_ = 0;
   uint32_t tag_bits_ = 0;
+  uint32_t index_mask_ = 0;  ///< num_lines - 1
+  uint32_t tag_mask_ = 0;    ///< tag_bits low bits set
   EdmType parity_edm_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -157,7 +157,7 @@ void Cpu::HashExecutionState(StateHasher* hasher) {
   memory_.HashCanonicalState(hasher, /*scrub_clean_pages=*/true);
 }
 
-void Cpu::RaiseEdm(EdmType type, int32_t code, const std::string& detail) {
+void Cpu::RaiseEdm(EdmType type, int32_t code, std::string_view detail) {
   if (!config_.edms.Enabled(type)) return;
   if (edm_event_.Detected()) return;  // first detection wins
   edm_event_.type = type;
@@ -168,10 +168,14 @@ void Cpu::RaiseEdm(EdmType type, int32_t code, const std::string& detail) {
   halted_ = true;
 }
 
+void Cpu::RaiseAccessEdm(EdmType type, const char* what, uint32_t address) {
+  if (!config_.edms.Enabled(type) || edm_event_.Detected()) return;
+  RaiseEdm(type, 0, util::Format("%s 0x%08x", what, address));
+}
+
 void Cpu::Fetch(uint32_t address) {
   if (address % 4 != 0) {
-    RaiseEdm(EdmType::kMisalignedAccess, 0,
-             util::Format("fetch from 0x%08x", address));
+    RaiseAccessEdm(EdmType::kMisalignedAccess, "fetch from", address);
     // Even with the EDM disabled a misaligned fetch cannot proceed; force-align.
     address &= ~3u;
   }
@@ -179,8 +183,7 @@ void Cpu::Fetch(uint32_t address) {
   ParityCache::LookupResult hit = icache_.Lookup(word_address);
   if (hit.hit) {
     if (hit.parity_error) {
-      RaiseEdm(icache_.parity_edm(), 0,
-               util::Format("icache parity at 0x%08x", address));
+      RaiseAccessEdm(icache_.parity_edm(), "icache parity at", address);
       if (halted_) return;
       // Parity EDM disabled: the corrupted word is consumed as-is.
     }
@@ -190,7 +193,7 @@ void Cpu::Fetch(uint32_t address) {
   cycles_ += config_.cache_miss_penalty;
   const MemAccess access = memory_.Read(address);
   if (!access.ok()) {
-    RaiseEdm(access.violation, 0, util::Format("fetch from 0x%08x", address));
+    RaiseAccessEdm(access.violation, "fetch from", address);
     ir_ = 0;
     return;
   }
@@ -198,10 +201,14 @@ void Cpu::Fetch(uint32_t address) {
   ir_ = access.value;
 }
 
-bool Cpu::LoadWord(uint32_t address, uint32_t* value) {
+// Always inlined, with ExecuteValid below (see cpu.hpp); detections go
+// through the cold, out-of-line RaiseEdm/RaiseAccessEdm.
+
+[[gnu::always_inline]] inline bool Cpu::LoadWord(uint32_t address,
+                                                 uint32_t* value) {
   latch_mem_addr_ = address;
   if (address % 4 != 0) {
-    RaiseEdm(EdmType::kMisalignedAccess, 0, util::Format("load 0x%08x", address));
+    RaiseAccessEdm(EdmType::kMisalignedAccess, "load", address);
     if (halted_) return false;
     address &= ~3u;
   }
@@ -209,8 +216,7 @@ bool Cpu::LoadWord(uint32_t address, uint32_t* value) {
   ParityCache::LookupResult hit = dcache_.Lookup(word_address);
   if (hit.hit) {
     if (hit.parity_error) {
-      RaiseEdm(dcache_.parity_edm(), 0,
-               util::Format("dcache parity at 0x%08x", address));
+      RaiseAccessEdm(dcache_.parity_edm(), "dcache parity at", address);
       if (halted_) return false;
     }
     *value = hit.value;
@@ -220,7 +226,7 @@ bool Cpu::LoadWord(uint32_t address, uint32_t* value) {
   cycles_ += config_.cache_miss_penalty;
   const MemAccess access = memory_.Read(address);
   if (!access.ok()) {
-    RaiseEdm(access.violation, 0, util::Format("load 0x%08x", address));
+    RaiseAccessEdm(access.violation, "load", address);
     return false;
   }
   dcache_.Fill(word_address, access.value);
@@ -229,17 +235,18 @@ bool Cpu::LoadWord(uint32_t address, uint32_t* value) {
   return true;
 }
 
-bool Cpu::StoreWord(uint32_t address, uint32_t value) {
+[[gnu::always_inline]] inline bool Cpu::StoreWord(uint32_t address,
+                                                  uint32_t value) {
   latch_mem_addr_ = address;
   latch_mem_data_ = value;
   if (address % 4 != 0) {
-    RaiseEdm(EdmType::kMisalignedAccess, 0, util::Format("store 0x%08x", address));
+    RaiseAccessEdm(EdmType::kMisalignedAccess, "store", address);
     if (halted_) return false;
     address &= ~3u;
   }
   const MemAccess access = memory_.Write(address, value);
   if (!access.ok()) {
-    RaiseEdm(access.violation, 0, util::Format("store 0x%08x", address));
+    RaiseAccessEdm(access.violation, "store", address);
     return false;
   }
   dcache_.WriteThrough(address / 4, value);
@@ -249,11 +256,10 @@ bool Cpu::StoreWord(uint32_t address, uint32_t value) {
   return true;
 }
 
-bool Cpu::CheckControlFlow(uint32_t target) {
+[[gnu::always_inline]] inline bool Cpu::CheckControlFlow(uint32_t target) {
   if (text_end_ == text_start_) return true;  // no text segment registered
   if (target < text_start_ || target >= text_end_ || target % 4 != 0) {
-    RaiseEdm(EdmType::kControlFlowError, 0,
-             util::Format("control transfer to 0x%08x", target));
+    RaiseAccessEdm(EdmType::kControlFlowError, "control transfer to", target);
     return !halted_;
   }
   return true;
@@ -510,7 +516,8 @@ void Cpu::ExecuteIllegal(uint32_t word, isa::PredecodeFault fault) {
   ++instret_;
 }
 
-void Cpu::ExecuteValid(const isa::Instruction& ins, uint8_t base_cycles) {
+[[gnu::always_inline]] inline void Cpu::ExecuteValid(
+    const isa::Instruction& ins, uint8_t base_cycles) {
   using isa::Opcode;
 
   cycles_ += static_cast<uint64_t>(base_cycles);

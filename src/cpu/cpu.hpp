@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 
 #include "cpu/cache.hpp"
 #include "cpu/decode_cache.hpp"
@@ -238,8 +239,18 @@ class Cpu {
   /// raises EDMs on bad addresses / parity errors.
   void Fetch(uint32_t address);
 
-  /// Raises `type` if enabled; halts the core on detection.
-  void RaiseEdm(EdmType type, int32_t code, const std::string& detail);
+  /// Raises `type` if enabled; halts the core on detection. A detection
+  /// ends the run, so this stays out of line and off the hot paths.
+  [[gnu::cold]] void RaiseEdm(EdmType type, int32_t code,
+                              std::string_view detail);
+  /// RaiseEdm with the detail "<what> 0x<address>", formatted only when the
+  /// detection is recorded.
+  [[gnu::cold]] void RaiseAccessEdm(EdmType type, const char* what,
+                                    uint32_t address);
+
+  // ExecuteValid and the helpers it calls are defined inline in cpu.cpp, so
+  // the superblock loop of RunFastEx executes an instruction without a call;
+  // Step() reaches the same definitions through ExecuteInstruction().
 
   /// Data-path load/store through the dcache.
   bool LoadWord(uint32_t address, uint32_t* value);

@@ -89,12 +89,6 @@ void DecodeCache::Configure(uint32_t text_start, uint32_t text_end) {
   ++stats_.flushes;
 }
 
-void DecodeCache::InvalidateWord(uint32_t address) {
-  if (!Covers(address)) return;
-  entries_[(address - text_start_) >> 2].valid = false;
-  ++stats_.flushes;
-}
-
 void DecodeCache::InvalidateRange(uint32_t start, uint32_t end) {
   if (entries_.empty() || end <= text_start_ || start >= text_end_) return;
   const uint32_t lo = std::max(start, text_start_);

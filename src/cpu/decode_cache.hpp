@@ -78,7 +78,12 @@ class DecodeCache {
   }
 
   /// Drops the entry covering the word at `address` (no-op outside text).
-  void InvalidateWord(uint32_t address);
+  /// Inline: every CPU store calls it.
+  void InvalidateWord(uint32_t address) {
+    if (!Covers(address)) return;
+    entries_[(address - text_start_) >> 2].valid = false;
+    ++stats_.flushes;
+  }
 
   /// Drops all entries overlapping the byte range [start, end).
   void InvalidateRange(uint32_t start, uint32_t end);

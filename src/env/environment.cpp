@@ -15,15 +15,20 @@ void InvertedPendulum::Reset() {
   omega_ = 0.0;
 }
 
+void InvertedPendulum::SenseInto(std::vector<uint32_t>* inputs) const {
+  inputs->resize(num_inputs());
+  (*inputs)[0] = static_cast<uint32_t>(ToFixed(theta_));
+  (*inputs)[1] = static_cast<uint32_t>(ToFixed(omega_));
+}
+
 std::vector<uint32_t> InvertedPendulum::Sense() const {
-  std::vector<uint32_t> inputs(num_inputs());
-  inputs[0] = static_cast<uint32_t>(ToFixed(theta_));
-  inputs[1] = static_cast<uint32_t>(ToFixed(omega_));
+  std::vector<uint32_t> inputs;
+  SenseInto(&inputs);
   return inputs;
 }
 
-std::vector<uint32_t> InvertedPendulum::Exchange(
-    const std::vector<uint32_t>& outputs) {
+void InvertedPendulum::Exchange(const std::vector<uint32_t>& outputs,
+                                std::vector<uint32_t>* inputs) {
   assert(outputs.size() == num_outputs());
   // Saturate the actuator the way a physical torque source would; an
   // injected fault can make the controller emit huge commands, but the plant
@@ -32,7 +37,7 @@ std::vector<uint32_t> InvertedPendulum::Exchange(
   const double accel = params_.instability * theta_ + params_.gain * u;
   omega_ += accel * params_.dt;
   theta_ += omega_ * params_.dt;
-  return Sense();
+  SenseInto(inputs);
 }
 
 bool InvertedPendulum::Failed() const {
@@ -46,19 +51,24 @@ void CruiseControl::Reset() {
   steps_ = 0;
 }
 
+void CruiseControl::SenseInto(std::vector<uint32_t>* inputs) const {
+  inputs->resize(num_inputs());
+  (*inputs)[0] = static_cast<uint32_t>(ToFixed(params_.setpoint - speed_));
+}
+
 std::vector<uint32_t> CruiseControl::Sense() const {
-  std::vector<uint32_t> inputs(num_inputs());
-  inputs[0] = static_cast<uint32_t>(ToFixed(params_.setpoint - speed_));
+  std::vector<uint32_t> inputs;
+  SenseInto(&inputs);
   return inputs;
 }
 
-std::vector<uint32_t> CruiseControl::Exchange(
-    const std::vector<uint32_t>& outputs) {
+void CruiseControl::Exchange(const std::vector<uint32_t>& outputs,
+                             std::vector<uint32_t>* inputs) {
   assert(outputs.size() == num_outputs());
   const double u = std::clamp(FromFixed(WordToFixed(outputs[0])), 0.0, 100.0);
   speed_ += (-params_.drag * speed_ + params_.drive * u) * params_.dt;
   ++steps_;
-  return Sense();
+  SenseInto(inputs);
 }
 
 bool CruiseControl::Failed() const {

@@ -40,9 +40,12 @@ class EnvironmentSimulator {
   virtual void Reset() = 0;
 
   /// One exchange at a loop-iteration boundary: consumes the workload's
-  /// actuator outputs, advances the plant by one control period, returns the
-  /// new sensor inputs. Sizes must match num_outputs()/num_inputs().
-  virtual std::vector<uint32_t> Exchange(const std::vector<uint32_t>& outputs) = 0;
+  /// actuator outputs, advances the plant by one control period and writes
+  /// the new sensor inputs into the caller's `inputs`, resized to
+  /// num_inputs(). `outputs` must hold num_outputs() words. A caller that
+  /// keeps both buffers across iterations exchanges without allocating.
+  virtual void Exchange(const std::vector<uint32_t>& outputs,
+                        std::vector<uint32_t>* inputs) = 0;
 
   /// Current sensor words without advancing the plant (the "initial input
   /// data" downloaded before the workload starts).
@@ -89,7 +92,8 @@ class InvertedPendulum final : public EnvironmentSimulator {
 
   std::string Name() const override { return "inverted_pendulum"; }
   void Reset() override;
-  std::vector<uint32_t> Exchange(const std::vector<uint32_t>& outputs) override;
+  void Exchange(const std::vector<uint32_t>& outputs,
+                std::vector<uint32_t>* inputs) override;
   std::vector<uint32_t> Sense() const override;
   size_t num_inputs() const override { return 2; }
   size_t num_outputs() const override { return 1; }
@@ -104,6 +108,8 @@ class InvertedPendulum final : public EnvironmentSimulator {
   double omega() const { return omega_; }
 
  private:
+  void SenseInto(std::vector<uint32_t>* inputs) const;
+
   Params params_;
   double theta_ = 0.0;
   double omega_ = 0.0;
@@ -130,7 +136,8 @@ class CruiseControl final : public EnvironmentSimulator {
 
   std::string Name() const override { return "cruise_control"; }
   void Reset() override;
-  std::vector<uint32_t> Exchange(const std::vector<uint32_t>& outputs) override;
+  void Exchange(const std::vector<uint32_t>& outputs,
+                std::vector<uint32_t>* inputs) override;
   std::vector<uint32_t> Sense() const override;
   size_t num_inputs() const override { return 1; }
   size_t num_outputs() const override { return 1; }
@@ -146,6 +153,8 @@ class CruiseControl final : public EnvironmentSimulator {
   double speed() const { return speed_; }
 
  private:
+  void SenseInto(std::vector<uint32_t>* inputs) const;
+
   Params params_;
   double speed_ = 0.0;
   int steps_ = 0;

@@ -69,15 +69,21 @@ util::Status SimTestCard::WriteMemory(uint32_t address,
 
 util::Result<std::vector<uint32_t>> SimTestCard::ReadMemory(uint32_t address,
                                                             uint32_t num_words) {
-  extra_us_ += link_.op_overhead_us;
   std::vector<uint32_t> out;
-  out.reserve(num_words);
+  GOOFI_RETURN_IF_ERROR(ReadMemoryInto(address, num_words, &out));
+  return out;
+}
+
+util::Status SimTestCard::ReadMemoryInto(uint32_t address, uint32_t num_words,
+                                         std::vector<uint32_t>* out) {
+  extra_us_ += link_.op_overhead_us;
+  out->resize(num_words);
   for (uint32_t i = 0; i < num_words; ++i) {
     auto word = cpu_->memory().HostRead(address + i * 4);
     if (!word.ok()) return word.status();
-    out.push_back(word.value());
+    (*out)[i] = word.value();
   }
-  return out;
+  return util::Status::Ok();
 }
 
 int SimTestCard::AddTrigger(const scan::Trigger& trigger) {

@@ -61,6 +61,19 @@ class TestCard {
   virtual util::Result<std::vector<uint32_t>> ReadMemory(uint32_t address,
                                                          uint32_t num_words) = 0;
 
+  /// Like ReadMemory but fills a caller-owned buffer (resized to
+  /// `num_words`), so the per-iteration actuator read of a control loop
+  /// does not allocate. On error `*out` is unspecified. The default
+  /// forwards to ReadMemory, so a card that overrides only ReadMemory (a
+  /// forwarding or instrumenting card) still sees every read.
+  virtual util::Status ReadMemoryInto(uint32_t address, uint32_t num_words,
+                                      std::vector<uint32_t>* out) {
+    auto words = ReadMemory(address, num_words);
+    if (!words.ok()) return words.status();
+    *out = std::move(words).value();
+    return util::Status::Ok();
+  }
+
   /// Debug-event configuration (breakpoints / triggers).
   virtual int AddTrigger(const scan::Trigger& trigger) = 0;
   virtual void ClearTriggers() = 0;
@@ -169,6 +182,8 @@ class SimTestCard final : public TestCard, private scan::TapController::DrHandle
                            const std::vector<uint32_t>& words) override;
   util::Result<std::vector<uint32_t>> ReadMemory(uint32_t address,
                                                  uint32_t num_words) override;
+  util::Status ReadMemoryInto(uint32_t address, uint32_t num_words,
+                              std::vector<uint32_t>* out) override;
   int AddTrigger(const scan::Trigger& trigger) override;
   void ClearTriggers() override;
   scan::DebugRunResult Run(uint64_t max_cycles) override;

@@ -8,6 +8,7 @@
 #include "core/propagation.hpp"
 #include "core/thor_target.hpp"
 #include "db/sql_executor.hpp"
+#include "db/wal.hpp"
 #include "env/workloads.hpp"
 #include "util/strings.hpp"
 
@@ -623,8 +624,15 @@ util::Result<std::string> Shell::CmdLoad(const std::vector<std::string>& args) {
   if (args.size() != 1) return util::InvalidArgument("load <path>");
   // Load and vet the file in a database of its own, so an unreadable file or
   // one whose GOOFI tables differ from Fig. 4 leaves the session as it was.
+  // An archive's commits since its last fold live in <path>.wal: replay them
+  // as Archive::Open recovers them (a torn tail is dropped, a WAL of another
+  // epoch ignored), writing neither file.
   db::Database loaded;
-  GOOFI_RETURN_IF_ERROR(loaded.Load(args[0]));
+  uint64_t epoch = 0;
+  GOOFI_RETURN_IF_ERROR(loaded.Load(args[0], &epoch));
+  db::Wal wal;
+  auto replayed = wal.Replay(args[0] + ".wal", epoch, &loaded);
+  if (!replayed.ok()) return replayed.status();
   GOOFI_RETURN_IF_ERROR(core::CampaignStore::CheckSchema(loaded));
   std::string note;
   if (archive_ != nullptr) {

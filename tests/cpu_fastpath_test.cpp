@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -108,6 +109,50 @@ TEST(DecodeCacheTest, CountersAndInvalidation) {
   (void)cache.Resolve(0x2000, add);
   (void)cache.Resolve(0x2000, add);
   EXPECT_EQ(cache.stats().misses, misses_before + 2);
+}
+
+// --- parity cache geometry ---------------------------------------------------
+
+TEST(ParityCacheTest, LineMasksMatchTheGeometryFormulas) {
+  // The index and tag masks are fixed at construction; for every
+  // power-of-two line count they must place a word exactly where the
+  // formulas from the line count and tag width do.
+  util::Rng rng(0xCAC4E);
+  for (uint32_t address_bits : {20u, 32u}) {
+    for (uint32_t index_bits = 0; index_bits <= 16; ++index_bits) {
+      const uint32_t lines = 1u << index_bits;
+      ParityCache cache(lines, address_bits, EdmType::kCacheParityData);
+      ASSERT_EQ(cache.num_lines(), lines);
+      const uint32_t tag_bits = cache.tag_bits();
+      const uint32_t tag_mask =
+          tag_bits >= 32 ? ~0u : ((1u << tag_bits) - 1);
+      for (int sample = 0; sample < 64; ++sample) {
+        const uint32_t word_address =
+            sample < 2 ? (sample == 0 ? 0u : ~0u >> 2)
+                       : static_cast<uint32_t>(rng.Next()) >> 2;
+        const uint32_t index = word_address & (lines - 1);
+        const uint32_t tag = (word_address >> index_bits) & tag_mask;
+        const std::string where = "lines " + std::to_string(lines) +
+                                  " address_bits " +
+                                  std::to_string(address_bits) + " word " +
+                                  std::to_string(word_address);
+        cache.Flush();
+        cache.Fill(word_address, word_address ^ 0x5A5A5A5Au);
+        ASSERT_TRUE(cache.line_valid(index)) << where;
+        ASSERT_EQ(cache.line_tag(index), tag) << where;
+        ASSERT_EQ(cache.line_data(index), word_address ^ 0x5A5A5A5Au) << where;
+        uint32_t value = 0;
+        ASSERT_TRUE(cache.FastHit(word_address, &value)) << where;
+        ASSERT_EQ(value, word_address ^ 0x5A5A5A5Au) << where;
+        const ParityCache::LookupResult hit = cache.Lookup(word_address);
+        ASSERT_TRUE(hit.hit) << where;
+        ASSERT_FALSE(hit.parity_error) << where;
+        // A scan write of a wide tag keeps only the tag bits.
+        cache.set_line_tag(index, ~0u);
+        ASSERT_EQ(cache.line_tag(index), tag_mask) << where;
+      }
+    }
+  }
 }
 
 // --- lockstep differential fuzzer -------------------------------------------
@@ -212,9 +257,12 @@ uint32_t RandomWord(util::Rng& rng, uint32_t num_words) {
 }
 
 CpuConfig RandomConfig(util::Rng& rng) {
+  // Cache geometries from direct-mapped-to-one-line to wider than the test
+  // programs, so the fast path's line masks meet every index/tag split.
+  static constexpr uint32_t kLineCounts[] = {1, 2, 16, 64, 4096};
   CpuConfig config;
-  config.icache_lines = 16;
-  config.dcache_lines = 16;
+  config.icache_lines = kLineCounts[rng.NextBelow(std::size(kLineCounts))];
+  config.dcache_lines = kLineCounts[rng.NextBelow(std::size(kLineCounts))];
   config.cache_miss_penalty = 1 + static_cast<uint32_t>(rng.NextBelow(6));
   switch (rng.NextBelow(4)) {
     case 0: config.watchdog_limit = 0; break;

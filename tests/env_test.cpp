@@ -24,17 +24,19 @@ TEST(FixedPointTest, RoundTrip) {
 TEST(PendulumTest, FallsWithoutControl) {
   InvertedPendulum plant;
   std::vector<uint32_t> zero_torque = {0};
+  std::vector<uint32_t> inputs;
   for (int i = 0; i < 1000 && !plant.Failed(); ++i) {
-    (void)plant.Exchange(zero_torque);
+    plant.Exchange(zero_torque, &inputs);
   }
   EXPECT_TRUE(plant.Failed()) << "unstable plant must fall open-loop";
 }
 
 TEST(PendulumTest, HostSidePdControlStabilizes) {
   InvertedPendulum plant;
+  std::vector<uint32_t> inputs;
   for (int i = 0; i < 2000; ++i) {
     const double u = -(4.0 * plant.theta() + 2.0 * plant.omega());
-    (void)plant.Exchange({static_cast<uint32_t>(ToFixed(u))});
+    plant.Exchange({static_cast<uint32_t>(ToFixed(u))}, &inputs);
   }
   EXPECT_FALSE(plant.Failed());
   EXPECT_LT(std::abs(plant.theta()), 0.05);
@@ -51,7 +53,8 @@ TEST(PendulumTest, SenseDoesNotAdvance) {
 
 TEST(PendulumTest, ResetRestoresInitialState) {
   InvertedPendulum plant;
-  (void)plant.Exchange({static_cast<uint32_t>(ToFixed(50.0))});
+  std::vector<uint32_t> inputs;
+  plant.Exchange({static_cast<uint32_t>(ToFixed(50.0))}, &inputs);
   plant.Reset();
   EXPECT_DOUBLE_EQ(plant.theta(), 0.10);
   EXPECT_DOUBLE_EQ(plant.omega(), 0.0);
@@ -59,21 +62,23 @@ TEST(PendulumTest, ResetRestoresInitialState) {
 
 TEST(PendulumTest, ActuatorSaturates) {
   InvertedPendulum plant;
+  std::vector<uint32_t> inputs;
   // An absurd command must behave like the +/-64 physical limit.
-  (void)plant.Exchange({static_cast<uint32_t>(ToFixed(10000.0))});
+  plant.Exchange({static_cast<uint32_t>(ToFixed(10000.0))}, &inputs);
   InvertedPendulum reference;
-  (void)reference.Exchange({static_cast<uint32_t>(ToFixed(64.0))});
+  reference.Exchange({static_cast<uint32_t>(ToFixed(64.0))}, &inputs);
   EXPECT_DOUBLE_EQ(plant.theta(), reference.theta());
 }
 
 TEST(CruiseTest, PiControlConverges) {
   CruiseControl plant;
+  std::vector<uint32_t> inputs;
   double integral = 0;
   for (int i = 0; i < 400; ++i) {
     const double error = 20.0 - plant.speed();
     integral += error;
     const double u = std::clamp(2.0 * error + 0.0625 * integral, 0.0, 100.0);
-    (void)plant.Exchange({static_cast<uint32_t>(ToFixed(u))});
+    plant.Exchange({static_cast<uint32_t>(ToFixed(u))}, &inputs);
   }
   EXPECT_FALSE(plant.Failed());
   EXPECT_NEAR(plant.speed(), 20.0, 2.0);
@@ -81,10 +86,35 @@ TEST(CruiseTest, PiControlConverges) {
 
 TEST(CruiseTest, StuckActuatorFailsAfterSettling) {
   CruiseControl plant;
+  std::vector<uint32_t> inputs;
   for (int i = 0; i < 400; ++i) {
-    (void)plant.Exchange({0});  // no drive at all
+    plant.Exchange({0}, &inputs);  // no drive at all
   }
   EXPECT_TRUE(plant.Failed());
+}
+
+TEST(ExchangeTest, FillsTheCallerBufferWithTheNewSensorWords) {
+  // The in-place exchange writes exactly what Sense() reports after the
+  // step, resizes a buffer of any other size, and once sized reuses its
+  // storage (the per-iteration path does not allocate).
+  InvertedPendulum pendulum;
+  CruiseControl cruise;
+  for (EnvironmentSimulator* plant :
+       std::vector<EnvironmentSimulator*>{&pendulum, &cruise}) {
+    SCOPED_TRACE(plant->Name());
+    std::vector<uint32_t> inputs(7, 0xDEADBEEFu);
+    const std::vector<uint32_t> outputs(plant->num_outputs(),
+                                        static_cast<uint32_t>(ToFixed(3.0)));
+    plant->Exchange(outputs, &inputs);
+    ASSERT_EQ(inputs.size(), plant->num_inputs());
+    EXPECT_EQ(inputs, plant->Sense());
+    const uint32_t* storage = inputs.data();
+    for (int i = 0; i < 50; ++i) {
+      plant->Exchange(outputs, &inputs);
+      EXPECT_EQ(inputs, plant->Sense()) << "exchange " << i;
+      EXPECT_EQ(inputs.data(), storage) << "exchange " << i;
+    }
+  }
 }
 
 // --- workload registry --------------------------------------------------------
@@ -243,6 +273,7 @@ TEST_P(ControlWorkloadTest, ClosedLoopIsStableFaultFree) {
   }
 
   int iterations = 0;
+  std::vector<uint32_t> inputs;  // reused by every exchange, as the core does
   while (iterations < 400) {
     const uint32_t exec_pc = cpu.pc();
     const auto outcome = cpu.Step();
@@ -254,7 +285,7 @@ TEST_P(ControlWorkloadTest, ClosedLoopIsStableFaultFree) {
       for (uint32_t i = 0; i < spec.output_words; ++i) {
         outputs.push_back(cpu.memory().HostRead(output_addr + i * 4).ValueOrDie());
       }
-      const auto inputs = plant->Exchange(outputs);
+      plant->Exchange(outputs, &inputs);
       for (size_t i = 0; i < inputs.size(); ++i) {
         ASSERT_TRUE(cpu.HostWriteWord(input_addr + static_cast<uint32_t>(i) * 4,
                                       inputs[i])

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "core/goofi.hpp"
@@ -296,6 +297,167 @@ TEST(ParallelRunnerTest, LivenessFilterStatsMatchSerial) {
 
   ASSERT_TRUE(serial.stats.injections_skipped_dead > 0);
   ExpectIdentical(serial, parallel);
+}
+
+// --- spot checks on the worker targets -----------------------------------------
+//
+// Spot checks re-execute one synthesized member of every n-th multi-member
+// class: inline on the one target after the last commit, threaded on the
+// worker targets once the classes are dispatched. Either way the same members
+// are checked, in class order, with the same verdict.
+
+CampaignData SpotCheckCampaign() {
+  CampaignData campaign = ScifiCampaign();
+  campaign.name = "spot_scifi";
+  // Many flips into one register collide in (bit, access window) classes.
+  campaign.locations = {{"internal_regfile", "regfile.r2"}};
+  campaign.num_experiments = 40;
+  campaign.inject_max_instr = 400;
+  return campaign;
+}
+
+/// A Thor stack whose logged cycle count is skewed by the fault's injection
+/// time. Its rows are still a function of the experiment alone, whichever
+/// target runs it, but a synthesized member carries its representative's
+/// skew and so differs from its own live re-execution.
+class SkewedThorStack final : public ThorRdTarget {
+ public:
+  SkewedThorStack(CampaignStore* store,
+                  std::unique_ptr<testcard::SimTestCard> card)
+      : ThorRdTarget(store, card.get()), card_(std::move(card)) {}
+
+ protected:
+  util::Result<LoggedState> CollectState() override {
+    auto state = ThorRdTarget::CollectState();
+    if (state.ok() && !faults_.empty()) {
+      state.value().cycles += faults_.front().inject_instr;
+    }
+    return state;
+  }
+
+ private:
+  std::unique_ptr<testcard::SimTestCard> card_;
+};
+
+struct SpotCheckRun {
+  RunResult result;
+  EquivalenceStats dedup;
+};
+
+/// Builds a run's target factory over that run's own store.
+using FactoryMaker =
+    std::function<ParallelCampaignRunner::TargetFactory(CampaignStore*)>;
+
+ParallelCampaignRunner::TargetFactory SkewedFactory(CampaignStore* store) {
+  return [store]() -> std::unique_ptr<FaultInjectionAlgorithms> {
+    return std::make_unique<SkewedThorStack>(
+        store, std::make_unique<testcard::SimTestCard>());
+  };
+}
+
+SpotCheckRun RunClassed(const CampaignData& campaign, int workers,
+                        const FactoryMaker& make_factory,
+                        int spot_check_every,
+                        ProgressMonitor* monitor = nullptr) {
+  Session session(campaign);
+  ParallelCampaignRunner runner(&session.store, make_factory(&session.store),
+                                workers);
+  runner.SetProgressMonitor(monitor);
+  runner.SetEquivalenceClassing(true);
+  runner.SetSpotCheckEvery(spot_check_every);
+  runner.SetEquivalenceTimeline(
+      LivenessAnalyzer::Build(campaign.workload, cpu::CpuConfig()).ValueOrDie());
+  util::Status status = runner.Run(campaign.name);
+  SpotCheckRun run;
+  run.dedup = runner.dedup_stats();
+  run.result =
+      session.Snapshot(std::move(status), runner.stats(), campaign.name);
+  return run;
+}
+
+TEST(SpotCheckTest, MismatchFailsTheRunAtEveryWorkerCount) {
+  const CampaignData campaign = SpotCheckCampaign();
+  const SpotCheckRun inline_run =
+      RunClassed(campaign, 1, SkewedFactory, /*spot_check_every=*/1);
+  const util::Status& failed = inline_run.result.status;
+  ASSERT_EQ(failed.code(), util::StatusCode::kInternal) << failed.ToString();
+  EXPECT_NE(failed.message().find("equivalence spot check failed"),
+            std::string::npos)
+      << failed.ToString();
+  ASSERT_GT(inline_run.dedup.classes_formed, 0);
+  EXPECT_EQ(inline_run.dedup.spot_checks_passed + 1,
+            inline_run.dedup.spot_checks_run)
+      << "the run stops at the first mismatch";
+  // Every experiment committed before the verdict, as the serial path does.
+  EXPECT_EQ(inline_run.result.rows.size(),
+            static_cast<size_t>(campaign.num_experiments + 1));
+
+  for (int workers : {2, 3}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const SpotCheckRun threaded =
+        RunClassed(campaign, workers, SkewedFactory, /*spot_check_every=*/1);
+    EXPECT_EQ(threaded.result.status.code(), util::StatusCode::kInternal);
+    EXPECT_EQ(threaded.result.status.message(), failed.message())
+        << "the same member must fail first";
+    EXPECT_EQ(threaded.dedup, inline_run.dedup);
+    EXPECT_EQ(threaded.result.stats, inline_run.result.stats);
+    EXPECT_EQ(threaded.result.db_bytes, inline_run.result.db_bytes)
+        << "the committed prefix must equal the serial path's";
+  }
+}
+
+TEST(SpotCheckTest, EarlyStopSkipsTheChecksAtEveryWorkerCount) {
+  // Stopped after 30 of 40 experiments, several classes have come up and
+  // been selected, and threaded workers may be re-executing them; the stop
+  // must still end the run cleanly, with the serial path's rows and no
+  // verdict (the skewed target would fail any check that ran to a compare).
+  const CampaignData campaign = SpotCheckCampaign();
+  CountingMonitor inline_stopper(/*limit=*/30);
+  const SpotCheckRun inline_run = RunClassed(
+      campaign, 1, SkewedFactory, /*spot_check_every=*/1, &inline_stopper);
+  ASSERT_TRUE(inline_run.result.status.ok())
+      << inline_run.result.status.ToString();
+  EXPECT_EQ(inline_run.result.stats.experiments_run, 30);
+  EXPECT_EQ(inline_run.dedup.spot_checks_run, 0);
+  for (int workers : {2, 3}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    CountingMonitor stopper(/*limit=*/30);
+    const SpotCheckRun threaded = RunClassed(
+        campaign, workers, SkewedFactory, /*spot_check_every=*/1, &stopper);
+    ASSERT_TRUE(threaded.result.status.ok())
+        << threaded.result.status.ToString();
+    EXPECT_EQ(stopper.calls(), 30);
+    EXPECT_EQ(threaded.dedup.spot_checks_run, 0);
+    EXPECT_EQ(threaded.result.stats, inline_run.result.stats);
+    EXPECT_EQ(threaded.result.db_bytes, inline_run.result.db_bytes);
+  }
+}
+
+TEST(SpotCheckTest, SameChecksAtEveryWorkerCount) {
+  const CampaignData campaign = SpotCheckCampaign();
+  const FactoryMaker plain = [](CampaignStore* store) {
+    return MakeSimThorFactory(store);
+  };
+  const SpotCheckRun inline_run =
+      RunClassed(campaign, 1, plain, /*spot_check_every=*/2);
+  ASSERT_TRUE(inline_run.result.status.ok())
+      << inline_run.result.status.ToString();
+  ASSERT_GT(inline_run.dedup.spot_checks_run, 1);
+  EXPECT_EQ(inline_run.dedup.spot_checks_passed,
+            inline_run.dedup.spot_checks_run);
+  for (int workers : {2, 3}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const SpotCheckRun threaded =
+        RunClassed(campaign, workers, plain, /*spot_check_every=*/2);
+    ASSERT_TRUE(threaded.result.status.ok())
+        << threaded.result.status.ToString();
+    EXPECT_EQ(threaded.dedup.classes_formed, inline_run.dedup.classes_formed);
+    EXPECT_EQ(threaded.dedup.spot_checks_run,
+              inline_run.dedup.spot_checks_run);
+    EXPECT_EQ(threaded.dedup.spot_checks_passed,
+              inline_run.dedup.spot_checks_passed);
+    EXPECT_EQ(threaded.result.db_bytes, inline_run.result.db_bytes);
+  }
 }
 
 // --- one loop, every run command --------------------------------------------

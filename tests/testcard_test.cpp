@@ -6,7 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "core/goofi.hpp"
 #include "cpu/state_hash.hpp"
+#include "db/database.hpp"
 #include "env/workloads.hpp"
 #include "isa/assembler.hpp"
 #include "testcard/testcard.hpp"
@@ -153,6 +155,132 @@ TEST_F(TestCardTest, WorkloadEntryFollowsStartSymbol) {
                       "  halt\n"))
                   .ok());
   EXPECT_EQ(card_.workload_entry(), 4u);
+}
+
+// --- buffered host reads ---------------------------------------------------------
+
+TEST(BufferedReadTest, ReadMemoryIntoMatchesReadMemory) {
+  // Two cards driven alike, one reading through ReadMemory and one through
+  // ReadMemoryInto into a reused buffer: the same words, the same status on
+  // every failure, the same link time after every read.
+  SimTestCard vector_card;
+  SimTestCard buffer_card;
+  for (SimTestCard* card : {&vector_card, &buffer_card}) {
+    ASSERT_TRUE(card->Init().ok());
+    ASSERT_TRUE(card->WriteMemory(0x2000, {7, 8, 9, 10}).ok());
+  }
+  struct Read {
+    uint32_t address;
+    uint32_t words;
+  };
+  std::vector<uint32_t> buffer(5, 0xFFFFFFFFu);  // not the size of any read
+  for (const Read& read :
+       {Read{0x2000, 4}, Read{0x2004, 2}, Read{0x2000, 0}, Read{0x2008, 1},
+        Read{0xFFFFFFF0, 8}, Read{0x2002, 1}, Read{0x2000, 3}}) {
+    SCOPED_TRACE(read.address);
+    const auto expected = vector_card.ReadMemory(read.address, read.words);
+    const util::Status got =
+        buffer_card.ReadMemoryInto(read.address, read.words, &buffer);
+    EXPECT_EQ(got.code(), expected.status().code());
+    EXPECT_EQ(got.message(), expected.status().message());
+    if (expected.ok()) {
+      EXPECT_EQ(buffer, expected.value());
+      for (uint32_t i = 0; i < read.words; ++i) {
+        EXPECT_EQ(buffer[i], buffer_card.cpu()
+                                 .memory()
+                                 .HostRead(read.address + i * 4)
+                                 .ValueOrDie());
+      }
+    }
+    EXPECT_EQ(buffer_card.link_time_us(), vector_card.link_time_us());
+  }
+  EXPECT_EQ(vector_card.ReadMemory(0xFFFFFFF0, 8).status().code(),
+            util::StatusCode::kOutOfRange);
+}
+
+/// Forwards every call to a SimTestCard and counts ReadMemory calls. Like an
+/// instrumenting card, it overrides ReadMemory but not ReadMemoryInto.
+class ReadCountingCard final : public TestCard {
+ public:
+  int reads() const { return reads_; }
+
+  util::Status Init() override { return inner_.Init(); }
+  util::Status LoadWorkload(const isa::AssembledProgram& program) override {
+    return inner_.LoadWorkload(program);
+  }
+  util::Status ResetTarget() override { return inner_.ResetTarget(); }
+  util::Status WriteMemory(uint32_t address,
+                           const std::vector<uint32_t>& words) override {
+    return inner_.WriteMemory(address, words);
+  }
+  util::Result<std::vector<uint32_t>> ReadMemory(uint32_t address,
+                                                 uint32_t num_words) override {
+    ++reads_;
+    return inner_.ReadMemory(address, num_words);
+  }
+  int AddTrigger(const scan::Trigger& trigger) override {
+    return inner_.AddTrigger(trigger);
+  }
+  void ClearTriggers() override { inner_.ClearTriggers(); }
+  scan::DebugRunResult Run(uint64_t max_cycles) override {
+    return inner_.Run(max_cycles);
+  }
+  cpu::StepOutcome SingleStep() override { return inner_.SingleStep(); }
+  util::Result<util::BitVec> ReadScanChain(const std::string& chain,
+                                           bool restore) override {
+    return inner_.ReadScanChain(chain, restore);
+  }
+  util::Status WriteScanChain(const std::string& chain,
+                              const util::BitVec& image) override {
+    return inner_.WriteScanChain(chain, image);
+  }
+  util::Status MarkMemoryBaseline() override {
+    return inner_.MarkMemoryBaseline();
+  }
+  const scan::ScanChainSet& chains() const override { return inner_.chains(); }
+  const cpu::Cpu& cpu() const override { return inner_.cpu(); }
+  cpu::Cpu& mutable_cpu() override { return inner_.mutable_cpu(); }
+  double link_time_us() const override { return inner_.link_time_us(); }
+
+ private:
+  SimTestCard inner_;
+  int reads_ = 0;
+};
+
+TEST(BufferedReadTest, ACardOverridingOnlyReadMemorySeesEveryIterationRead) {
+  db::Database db;
+  core::CampaignStore store(&db);
+  ReadCountingCard card;
+  ASSERT_TRUE(store
+                  .PutTargetSystem(core::ThorRdTarget::DescribeTarget(
+                      card, core::ThorRdTarget::kTargetName))
+                  .ok());
+  core::CampaignData campaign;
+  campaign.name = "reads";
+  campaign.target_name = core::ThorRdTarget::kTargetName;
+  campaign.technique = core::Technique::kScifi;
+  campaign.workload = "pendulum_pd";
+  campaign.locations = {{"internal_regfile", ""}};
+  campaign.num_experiments = 6;
+  campaign.max_iterations = 40;
+  campaign.inject_min_instr = 1;
+  campaign.inject_max_instr = 400;
+  campaign.timeout_cycles = 200000;
+  ASSERT_TRUE(store.PutCampaign(campaign).ok());
+  core::ThorRdTarget target(&store, &card);
+  target.SetCheckpointInterval(0);  // no golden pass: experiments only
+  ASSERT_TRUE(target.RunCampaign(campaign.name).ok());
+
+  // A control workload's only host reads are the actuator reads, one per
+  // serviced loop iteration.
+  const auto rows = store.ExperimentsOf(campaign.name).ValueOrDie();
+  ASSERT_EQ(rows.size(), static_cast<size_t>(campaign.num_experiments + 1));
+  int iterations = 0;
+  for (const core::CampaignStore::ExperimentRow& row : rows) {
+    iterations += row.state.iterations;
+  }
+  EXPECT_GE(iterations, campaign.max_iterations);
+  EXPECT_EQ(card.reads(), iterations);
 }
 
 TEST(TestCardNoiseTest, BitErrorsCorruptScanTraffic) {

@@ -471,6 +471,52 @@ TEST_F(ShellTest, LoadClosesOpenArchiveFirst) {
   std::remove((arch + ".wal").c_str());
 }
 
+TEST_F(ShellTest, LoadReplaysTheArchiveWal) {
+  // Commits since an archive's last fold live in <path>.wal; `load` must
+  // recover them the way `archive open` does, and write neither file.
+  const std::string path = testing::TempDir() + "shell_load_wal.db";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  const auto file_bytes = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  MustRun("archive open " + path);
+  MustRun("campaign set keepx workload=bubblesort experiments=2");
+  MustRun("archive close");
+  const std::string snapshot = file_bytes(path);
+  const std::string wal = file_bytes(path + ".wal");
+  ASSERT_GT(wal.size(), 13u) << "the campaign must sit in the WAL";
+
+  MustRun("load " + path);
+  EXPECT_EQ(MustRun("list campaigns"), "keepx\n");
+  EXPECT_EQ(file_bytes(path), snapshot);
+  EXPECT_EQ(file_bytes(path + ".wal"), wal);
+
+  // A torn tail is dropped: the whole records before it still load.
+  {
+    std::ofstream out(path + ".wal", std::ios::binary | std::ios::app);
+    out << "torn";
+  }
+  MustRun("load " + path);
+  EXPECT_EQ(MustRun("list campaigns"), "keepx\n");
+  EXPECT_EQ(file_bytes(path + ".wal"), wal + "torn");
+
+  // A WAL of another epoch is already folded into some snapshot: ignored.
+  std::string stale = wal;
+  stale[5] = static_cast<char>(stale[5] ^ 1);  // epoch, after magic+version
+  {
+    std::ofstream out(path + ".wal", std::ios::binary | std::ios::trunc);
+    out << stale;
+  }
+  MustRun("load " + path);
+  EXPECT_EQ(MustRun("list campaigns"), "");
+  EXPECT_EQ(file_bytes(path), snapshot);
+  EXPECT_EQ(file_bytes(path + ".wal"), stale);
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+}
+
 TEST_F(ShellTest, ForeignSnapshotIsRefused) {
   // A snapshot whose CampaignData is not the Fig. 4 table.
   const std::string path = testing::TempDir() + "shell_foreign.db";
