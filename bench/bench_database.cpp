@@ -8,9 +8,13 @@
 // byte-identical before its timing is reported, and the table row counts
 // are checked unchanged after the sweep.
 //
+// The range sweep probes a sorted index on experimentName that this bench
+// creates itself (the store's standard indexes do not include one).
+//
 // Also measured: prepared-statement execution (bind `?` params, cached plan)
-// vs re-parsing the SQL text per call, and insert throughput with the three
-// LoggedSystemState indexes maintained incrementally vs an unindexed table.
+// vs re-parsing the SQL text per call, and insert throughput with the
+// store's LoggedSystemState indexes maintained incrementally vs an unindexed
+// table.
 //
 // `--json <path>` additionally writes the headline metrics as a flat JSON
 // object (see scripts/bench.sh).
@@ -169,11 +173,12 @@ void BenchPrepared(Database& database, JsonReport* report) {
   report->Add("prepared_speedup", reparse_us / bound_us);
 }
 
-/// Insert throughput with the CampaignStore's three LoggedSystemState
-/// indexes maintained incrementally, vs the same rows into a copy of the
-/// schema with no secondary indexes.
+/// Insert throughput with the CampaignStore's LoggedSystemState indexes
+/// maintained incrementally, vs the same rows into a copy of the schema with
+/// no secondary indexes.
 void BenchInsertMaintenance(JsonReport* report) {
   constexpr int kInsertRows = 20000;
+  size_t store_indexes = 0;
   auto run = [&](bool indexed) {
     Database database;
     core::CampaignStore store(&database);
@@ -186,6 +191,7 @@ void BenchInsertMaintenance(JsonReport* report) {
     campaign.workload = "w";
     if (!store.PutCampaign(campaign).ok()) std::abort();
     db::Table* table = database.GetTable("LoggedSystemState");
+    if (indexed) store_indexes = table->indexes().size();
     if (!indexed) {
       while (!table->indexes().empty()) {
         if (!table->DropIndex(table->indexes().front()->name).ok())
@@ -205,8 +211,10 @@ void BenchInsertMaintenance(JsonReport* report) {
   const double plain = run(false);
   const double indexed = run(true);
   std::printf("%-34s %10.1f krows/s\n", "insert (no secondary indexes)", plain);
-  std::printf("%-34s %10.1f krows/s  (%.0f%% of plain)\n",
-              "insert (3 indexes maintained)", indexed, 100.0 * indexed / plain);
+  std::string label = Tagged("insert (", store_indexes);
+  label += " indexes maintained)";
+  std::printf("%-34s %10.1f krows/s  (%.0f%% of plain)\n", label.c_str(),
+              indexed, 100.0 * indexed / plain);
   report->Add("insert_krows_per_s_plain", plain);
   report->Add("insert_krows_per_s_indexed", indexed);
 }
@@ -215,6 +223,12 @@ int Main(int argc, char** argv) {
   std::printf("E16: indexed query engine vs full scans, %d rows, %d campaigns\n\n",
               kRows, kCampaigns);
   Database database = MakeCampaignArchive();
+  if (!database
+           .CreateIndex("LoggedSystemState", "bench_lss_name",
+                        {"experimentName"}, db::IndexKind::kSorted)
+           .ok()) {
+    std::abort();
+  }
   const size_t lss_before = database.GetTable("LoggedSystemState")->size();
   const size_t campaigns_before = database.GetTable("CampaignData")->size();
 

@@ -63,13 +63,13 @@ echo "== tier-1: ASan pass (equivalence-classing spot-check fuzzer) =="
 echo "== tier-1: ASan pass (static analyzer differential + run-static identity) =="
 "$ASAN_DIR"/tests/static_analysis_test
 
-echo "== tier-1: ASan pass (indexed-vs-scan SQL differential suite) =="
+echo "== tier-1: ASan pass (indexed-vs-scan SQL differential suite + smallest-probe choice (SmallestProbeMatchesScanAsPostingListsShift)) =="
 "$ASAN_DIR"/tests/sql_index_test
 
 echo "== tier-1: ASan pass (archive codec/snapshot/WAL-recovery suite + serial kill/tear + hostile counts) =="
 "$ASAN_DIR"/tests/archive_test
 
-echo "== tier-1: ASan pass (SQL expression depth bound + missing/foreign GOOFI tables) =="
+echo "== tier-1: ASan pass (SQL expression depth bound + missing/foreign GOOFI tables + stored rows read in place: column resolution, borrowed operands, store-query probes) =="
 "$ASAN_DIR"/tests/sql_test
 "$ASAN_DIR"/tests/campaign_store_test
 
@@ -82,7 +82,7 @@ echo "== tier-1: ASan pass (word-parallel scan shifts vs. per-bit Clock) =="
 "$ASAN_DIR"/tests/scan_test
 "$ASAN_DIR"/tests/testcard_test
 
-echo "== tier-1: ASan pass (carry-less CRC-32 vs. table kernel + insert path, batch rollback) =="
+echo "== tier-1: ASan pass (carry-less CRC-32 vs. table kernel + insert path, batch rollback + inline ASCII case folding) =="
 "$ASAN_DIR"/tests/util_test
 "$ASAN_DIR"/tests/db_test
 
@@ -92,7 +92,7 @@ echo "== tier-1: ASan pass (in-place environment exchange into caller-owned buff
 echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer) =="
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "$UBSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=undefined
-cmake --build "$UBSAN_DIR" -j "$JOBS" --target cpu_fastpath_test util_test scan_test testcard_test sql_test archive_test
+cmake --build "$UBSAN_DIR" -j "$JOBS" --target cpu_fastpath_test util_test scan_test testcard_test sql_test sql_index_test archive_test
 "$UBSAN_DIR"/tests/cpu_fastpath_test
 
 echo "== tier-1: UBSan pass (shift-and-mask bit fields + word-parallel scan shifts) =="
@@ -100,8 +100,9 @@ echo "== tier-1: UBSan pass (shift-and-mask bit fields + word-parallel scan shif
 "$UBSAN_DIR"/tests/scan_test
 "$UBSAN_DIR"/tests/testcard_test
 
-echo "== tier-1: UBSan pass (SQL expression depth bound + hostile snapshot/WAL counts) =="
+echo "== tier-1: UBSan pass (SQL expression depth bound + hostile snapshot/WAL counts + reads through pointers into table storage) =="
 "$UBSAN_DIR"/tests/sql_test
+"$UBSAN_DIR"/tests/sql_index_test
 "$UBSAN_DIR"/tests/archive_test --gtest_filter='*HugeCounts*:*TextFileIsRefused*:*NullOnlyRows*'
 
 echo "== tier-1: checkpoint fast-forward benchmark (BENCH_checkpoint.json) =="

@@ -134,9 +134,10 @@ util::Status CampaignStore::EnsureSchema() {
     }
   }
   // Secondary indexes backing the analysis queries (§3.4): equality on
-  // campaignName (AnalyzeCampaign, the analysis join), equality and IS NULL
-  // on parentExperiment (detail traces; top-level experiment filters), and
-  // range on experimentName (per-campaign name prefixes sort together).
+  // campaignName (AnalyzeCampaign, the analysis join), and equality and
+  // IS NULL on parentExperiment (detail traces; top-level experiment
+  // filters). Lookups by experimentName use the primary key. An archive
+  // written with a sorted index on experimentName loads with it.
   struct IndexSpec {
     const char* table;
     const char* name;
@@ -148,8 +149,6 @@ util::Status CampaignStore::EnsureSchema() {
        db::IndexKind::kHash},
       {"LoggedSystemState", "idx_lss_parent", {"parentExperiment"},
        db::IndexKind::kHash},
-      {"LoggedSystemState", "idx_lss_name", {"experimentName"},
-       db::IndexKind::kSorted},
       {"CampaignData", "idx_campaign_target", {"targetName"},
        db::IndexKind::kHash},
   };
@@ -427,8 +426,9 @@ CampaignStore::ExperimentsOf(const std::string& campaign_name) const {
 
 util::Result<std::vector<CampaignStore::ExperimentRow>>
 CampaignStore::TopLevelRowsOf(const std::string& campaign_name) const {
-  // The campaign index probe yields every row of the campaign; the residual
-  // IS NULL filter runs on the stored rows, so detail rows are not copied.
+  // The executor probes whichever of idx_lss_campaign (the campaign's rows)
+  // and idx_lss_parent's NULL key (every campaign's top-level rows) has
+  // fewer slots, and runs the rest of the WHERE clause on the stored rows.
   return ExperimentQuery(
       "SELECT experimentName, parentExperiment, campaignName, experimentData, "
       "stateVector FROM LoggedSystemState "

@@ -136,15 +136,28 @@ IndexAccess PlanBaseAccess(const Table& table, const std::vector<Sarg>& sargs) {
       return access;
     }
   }
-  // Equality probe on any fully-covered index (hash preferred — declared
-  // order breaks ties, and EnsureSchema declares hash indexes first).
+  // Equality probes on every fully covered index, then IS NULL probes on
+  // single-column indexes, each in declared order. The executor takes the one
+  // with the fewest slots, the earlier one on a tie.
+  std::vector<IndexProbe> eq_probes;
+  std::vector<IndexProbe> null_probes;
   for (const auto& index : table.indexes()) {
     bool covered = true;
     for (size_t idx : index->columns) covered = covered && eq[idx] != nullptr;
-    if (!covered) continue;
-    access.kind = IndexAccess::Kind::kIndexEq;
-    access.index = index.get();
-    for (size_t idx : index->columns) access.eq_exprs.push_back(eq[idx]);
+    if (covered) {
+      IndexProbe& probe = eq_probes.emplace_back();
+      probe.index = index.get();
+      for (size_t idx : index->columns) probe.eq_exprs.push_back(eq[idx]);
+    }
+    if (index->columns.size() == 1 && is_null[index->columns[0]]) {
+      null_probes.push_back(IndexProbe{index.get(), {}});
+    }
+  }
+  if (!eq_probes.empty()) {
+    access.kind = IndexAccess::Kind::kIndexProbe;
+    access.probes = std::move(eq_probes);
+    access.probes.insert(access.probes.end(), null_probes.begin(),
+                         null_probes.end());
     return access;
   }
   // Range probe on a sorted index.
@@ -160,14 +173,11 @@ IndexAccess PlanBaseAccess(const Table& table, const std::vector<Sarg>& sargs) {
     access.upper_inclusive = upper[col].inclusive;
     return access;
   }
-  // IS NULL probe on a single-column index.
-  for (const auto& index : table.indexes()) {
-    if (index->columns.size() != 1 || !is_null[index->columns[0]]) continue;
-    access.kind = IndexAccess::Kind::kIndexNull;
-    access.index = index.get();
-    return access;
+  if (!null_probes.empty()) {
+    access.kind = IndexAccess::Kind::kIndexProbe;
+    access.probes = std::move(null_probes);
   }
-  return access;  // full scan
+  return access;  // full scan unless an IS NULL probe applies
 }
 
 JoinPlan PlanJoin(const Table& right, const Resolver& resolver,
@@ -293,9 +303,17 @@ std::string DescribePlan(const Database& database, const SelectStmt& stmt,
     case IndexAccess::Kind::kPrimaryKey:
       out << "primary-key probe (" << PkNames(schema) << ")";
       break;
-    case IndexAccess::Kind::kIndexEq:
-      out << "index equality probe " << plan.base.index->name << " ("
-          << ColumnNames(schema, plan.base.index->columns) << ")";
+    case IndexAccess::Kind::kIndexProbe:
+      // Every candidate; the one with the fewest slots runs.
+      if (plan.base.probes.size() > 1) out << "smallest of ";
+      for (size_t i = 0; i < plan.base.probes.size(); ++i) {
+        const IndexProbe& probe = plan.base.probes[i];
+        if (i > 0) out << ", ";
+        out << (probe.eq_exprs.empty() ? "index IS NULL probe "
+                                       : "index equality probe ")
+            << probe.index->name << " ("
+            << ColumnNames(schema, probe.index->columns) << ")";
+      }
       break;
     case IndexAccess::Kind::kIndexRange:
       out << "index range probe " << plan.base.index->name << " ("
@@ -304,10 +322,6 @@ std::string DescribePlan(const Database& database, const SelectStmt& stmt,
           << ", "
           << (plan.base.upper != nullptr ? "bounded above" : "unbounded above")
           << ")";
-      break;
-    case IndexAccess::Kind::kIndexNull:
-      out << "index IS NULL probe " << plan.base.index->name << " ("
-          << ColumnNames(schema, plan.base.index->columns) << ")";
       break;
   }
   out << "\n";

@@ -6,7 +6,10 @@
 // each JOIN, and the executor re-evaluates the full WHERE/ON expressions on
 // those candidates. That residual evaluation is what keeps indexed
 // execution byte-identical to a full scan — the index only has to deliver a
-// superset of the matching rows, in ascending slot (= insertion) order.
+// superset of the matching rows, in ascending slot (= insertion) order. When
+// several equality or IS NULL probes apply to the FROM table, the plan lists
+// them all and the executor takes the one with the fewest slots: the sizes
+// are known only at execution, when `?` keys are bound.
 //
 // Plans hold raw pointers into the statement's AST and into the database's
 // Table/SecondaryIndex objects. They stay valid while the statement is
@@ -15,6 +18,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "db/database.hpp"
@@ -33,6 +37,11 @@ struct TableBinding {
 
 /// Resolves column references against the bound tables and carries the
 /// bound `?` parameter values during execution.
+///
+/// One Resolver serves one execution. It remembers each column expression it
+/// resolved until the next Bind, since a table bound later can make a name
+/// ambiguous; the memo lives here, not in the statement's AST or its cached
+/// plan, because prepared statements execute those without a lock.
 class Resolver {
  public:
   void Bind(std::string alias, const Schema& schema) {
@@ -42,6 +51,7 @@ class Resolver {
     b.base_offset = total_columns_;
     total_columns_ += schema.num_columns();
     bindings_.push_back(std::move(b));
+    resolved_.clear();
   }
 
   size_t total_columns() const { return total_columns_; }
@@ -69,20 +79,47 @@ class Resolver {
     return *found;
   }
 
+  /// Resolve() for a kColumn expression, remembered until the next Bind.
+  /// Errors are not remembered: each call reports them afresh. A query
+  /// references few columns, so the memo is a short list searched in order;
+  /// past kMaxResolved entries, further columns are resolved by name.
+  util::Result<size_t> ResolveColumn(const Expr& column) const {
+    for (const auto& [expr, offset] : resolved_) {
+      if (expr == &column) return offset;
+    }
+    auto idx = Resolve(column.qualifier, column.column);
+    if (idx.ok() && resolved_.size() < kMaxResolved) {
+      resolved_.emplace_back(&column, idx.value());
+    }
+    return idx;
+  }
+
   void SetParams(const std::vector<Value>* params) { params_ = params; }
 
-  util::Result<Value> Param(size_t index) const {
+  /// The value bound to the `?` with this ordinal, read in place.
+  util::Result<const Value*> Param(size_t index) const {
     if (params_ == nullptr || index >= params_->size()) {
       return util::InvalidArgument("unbound parameter ?" +
                                    std::to_string(index + 1));
     }
-    return (*params_)[index];
+    return &(*params_)[index];
   }
 
  private:
+  static constexpr size_t kMaxResolved = 64;
+
   std::vector<TableBinding> bindings_;
   size_t total_columns_ = 0;
   const std::vector<Value>* params_ = nullptr;
+  mutable std::vector<std::pair<const Expr*, size_t>> resolved_;
+};
+
+/// One posting-list probe of a FROM-table index: equality on the key that
+/// `eq_exprs` give (in the index's column order), or, with no `eq_exprs`,
+/// IS NULL on a single-column index.
+struct IndexProbe {
+  const SecondaryIndex* index = nullptr;
+  std::vector<const Expr*> eq_exprs;  ///< row-independent (params allowed)
 };
 
 /// How the executor produces candidate slots for the FROM table.
@@ -90,14 +127,17 @@ struct IndexAccess {
   enum class Kind {
     kFullScan,    ///< every live slot
     kPrimaryKey,  ///< pk_index probe; eq_exprs give the key, in PK order
-    kIndexEq,     ///< secondary-index equality probe; eq_exprs in key order
+    kIndexProbe,  ///< the probe in `probes` with the fewest slots
     kIndexRange,  ///< sorted-index range probe via lower/upper
-    kIndexNull,   ///< IS NULL probe on a single-column index
   };
   Kind kind = Kind::kFullScan;
-  const SecondaryIndex* index = nullptr;  ///< null for kPrimaryKey
-  /// Row-independent expressions producing the key values (params allowed).
+  /// kPrimaryKey: row-independent expressions producing the key values.
   std::vector<const Expr*> eq_exprs;
+  /// kIndexProbe: every equality probe on a fully covered index, then every
+  /// IS NULL probe, in the planner's order. The executor sizes them all and
+  /// takes the smallest; on a tie, the earlier one.
+  std::vector<IndexProbe> probes;
+  const SecondaryIndex* index = nullptr;  ///< kIndexRange only
   const Expr* lower = nullptr;
   bool lower_inclusive = false;
   const Expr* upper = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <sstream>
 
 #include "db/sql_parser.hpp"
@@ -26,6 +27,33 @@ struct GroupContext {
 util::Result<Value> Eval(const Expr& expr, const Resolver& resolver,
                          const Row& row, const GroupContext* group);
 
+bool IsLeaf(const Expr& expr) {
+  return expr.kind == Expr::Kind::kLiteral || expr.kind == Expr::Kind::kParam ||
+         expr.kind == Expr::Kind::kColumn;
+}
+
+/// A leaf (column, `?` or literal) read in place, without a copy.
+util::Result<const Value*> Borrow(const Expr& leaf, const Resolver& resolver,
+                                  const Row& row) {
+  if (leaf.kind == Expr::Kind::kLiteral) return &leaf.literal;
+  if (leaf.kind == Expr::Kind::kParam) return resolver.Param(leaf.param_index);
+  auto idx = resolver.ResolveColumn(leaf);
+  if (!idx.ok()) return idx.status();
+  return &row[idx.value()];
+}
+
+/// An operand: a leaf read in place, or any other expression evaluated into
+/// `*scratch`.
+util::Result<const Value*> Operand(const Expr& expr, const Resolver& resolver,
+                                   const Row& row, const GroupContext* group,
+                                   Value* scratch) {
+  if (IsLeaf(expr)) return Borrow(expr, resolver, row);
+  auto v = Eval(expr, resolver, row, group);
+  if (!v.ok()) return v.status();
+  *scratch = std::move(v).value();
+  return scratch;
+}
+
 util::Result<Value> EvalAggregate(const Expr& expr, const Resolver& resolver,
                                   const GroupContext& group) {
   const auto& members = *group.members;
@@ -33,10 +61,11 @@ util::Result<Value> EvalAggregate(const Expr& expr, const Resolver& resolver,
     if (expr.star) return Value::Int(static_cast<int64_t>(members.size()));
     if (expr.args.size() != 1) return util::InvalidArgument("COUNT takes 1 arg");
     int64_t count = 0;
+    Value scratch;
     for (const Row* member : members) {
-      auto v = Eval(*expr.args[0], resolver, *member, nullptr);
-      if (!v.ok()) return v;
-      if (!v.value().is_null()) ++count;
+      auto v = Operand(*expr.args[0], resolver, *member, nullptr, &scratch);
+      if (!v.ok()) return v.status();
+      if (!v.value()->is_null()) ++count;
     }
     return Value::Int(count);
   }
@@ -48,10 +77,11 @@ util::Result<Value> EvalAggregate(const Expr& expr, const Resolver& resolver,
   double sum = 0.0;
   int64_t isum = 0;
   Value best;
+  Value scratch;
   for (const Row* member : members) {
-    auto v = Eval(*expr.args[0], resolver, *member, nullptr);
-    if (!v.ok()) return v;
-    const Value& value = v.value();
+    auto v = Operand(*expr.args[0], resolver, *member, nullptr, &scratch);
+    if (!v.ok()) return v.status();
+    const Value& value = *v.value();
     if (value.is_null()) continue;
     if (value.type() == ValueType::kText &&
         (expr.func == "SUM" || expr.func == "AVG")) {
@@ -84,31 +114,34 @@ util::Result<Value> EvalAggregate(const Expr& expr, const Resolver& resolver,
 
 util::Result<Value> EvalBinary(const Expr& expr, const Resolver& resolver,
                                const Row& row, const GroupContext* group) {
+  // Operands are read in place where they are columns, `?`s or literals.
+  Value lhs_scratch;
+  Value rhs_scratch;
   // IS NULL / IS NOT NULL never propagate NULL.
   if (expr.op == "ISNULL" || expr.op == "ISNOTNULL") {
-    auto v = Eval(*expr.args[0], resolver, row, group);
-    if (!v.ok()) return v;
-    const bool is_null = v.value().is_null();
+    auto v = Operand(*expr.args[0], resolver, row, group, &lhs_scratch);
+    if (!v.ok()) return v.status();
+    const bool is_null = v.value()->is_null();
     return Value::Bool(expr.op == "ISNULL" ? is_null : !is_null);
   }
   // AND/OR with SQL-ish short-circuit (NULL treated as false).
   if (expr.op == "AND" || expr.op == "OR") {
-    auto lhs = Eval(*expr.args[0], resolver, row, group);
-    if (!lhs.ok()) return lhs;
-    const bool l = lhs.value().Truthy();
+    auto lhs = Operand(*expr.args[0], resolver, row, group, &lhs_scratch);
+    if (!lhs.ok()) return lhs.status();
+    const bool l = lhs.value()->Truthy();
     if (expr.op == "AND" && !l) return Value::Bool(false);
     if (expr.op == "OR" && l) return Value::Bool(true);
-    auto rhs = Eval(*expr.args[1], resolver, row, group);
-    if (!rhs.ok()) return rhs;
-    return Value::Bool(rhs.value().Truthy());
+    auto rhs = Operand(*expr.args[1], resolver, row, group, &rhs_scratch);
+    if (!rhs.ok()) return rhs.status();
+    return Value::Bool(rhs.value()->Truthy());
   }
 
-  auto lhs = Eval(*expr.args[0], resolver, row, group);
-  if (!lhs.ok()) return lhs;
-  auto rhs = Eval(*expr.args[1], resolver, row, group);
-  if (!rhs.ok()) return rhs;
-  const Value& a = lhs.value();
-  const Value& b = rhs.value();
+  auto lhs = Operand(*expr.args[0], resolver, row, group, &lhs_scratch);
+  if (!lhs.ok()) return lhs.status();
+  auto rhs = Operand(*expr.args[1], resolver, row, group, &rhs_scratch);
+  if (!rhs.ok()) return rhs.status();
+  const Value& a = *lhs.value();
+  const Value& b = *rhs.value();
 
   // Comparisons: NULL compared to anything is NULL (false in WHERE).
   static const char* const kCmps[] = {"=", "!=", "<", "<=", ">", ">="};
@@ -164,18 +197,17 @@ util::Result<Value> Eval(const Expr& expr, const Resolver& resolver,
                          const Row& row, const GroupContext* group) {
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
-      return expr.literal;
     case Expr::Kind::kParam:
-      return resolver.Param(expr.param_index);
     case Expr::Kind::kColumn: {
-      auto idx = resolver.Resolve(expr.qualifier, expr.column);
-      if (!idx.ok()) return idx.status();
-      return row[idx.value()];
+      auto v = Borrow(expr, resolver, row);
+      if (!v.ok()) return v.status();
+      return *v.value();
     }
     case Expr::Kind::kUnary: {
-      auto v = Eval(*expr.args[0], resolver, row, group);
-      if (!v.ok()) return v;
-      const Value& a = v.value();
+      Value scratch;
+      auto v = Operand(*expr.args[0], resolver, row, group, &scratch);
+      if (!v.ok()) return v.status();
+      const Value& a = *v.value();
       if (expr.op == "NOT") {
         if (a.is_null()) return Value::Null();
         return Value::Bool(!a.Truthy());
@@ -193,9 +225,10 @@ util::Result<Value> Eval(const Expr& expr, const Resolver& resolver,
         if (expr.args.size() != 1) {
           return util::InvalidArgument(expr.func + " takes 1 arg");
         }
-        auto v = Eval(*expr.args[0], resolver, row, group);
-        if (!v.ok()) return v;
-        const Value& a = v.value();
+        Value scratch;
+        auto v = Operand(*expr.args[0], resolver, row, group, &scratch);
+        if (!v.ok()) return v.status();
+        const Value& a = *v.value();
         if (a.is_null()) return Value::Null();
         if (expr.func == "ABS") {
           if (a.type() == ValueType::kInt) return Value::Int(std::abs(a.as_int()));
@@ -232,13 +265,14 @@ std::string DeriveItemName(const SelectItem& item, size_t index) {
   return "expr" + std::to_string(index);
 }
 
-/// Candidate slots for the FROM table per the plan's base access, ascending.
+/// Candidate slots for the FROM table per the plan's base access, ascending:
+/// a posting list read in place, or slots gathered into `*scratch`.
 /// nullopt requests a plain full scan (e.g. a probe expression failed to
 /// evaluate — any real error then resurfaces through normal evaluation);
-/// an empty vector means the probe proved there are no matches.
-std::optional<std::vector<size_t>> GatherBaseSlots(const Table& table,
-                                                   const IndexAccess& access,
-                                                   const Resolver& resolver) {
+/// an empty span means the probe proved there are no matches.
+std::optional<std::span<const size_t>> GatherBaseSlots(
+    const Table& table, const IndexAccess& access, const Resolver& resolver,
+    std::vector<size_t>* scratch) {
   const Row no_row;
   auto eval_key = [&](const std::vector<const Expr*>& exprs)
       -> std::optional<Row> {
@@ -262,16 +296,40 @@ std::optional<std::vector<size_t>> GatherBaseSlots(const Table& table,
       const auto key = eval_key(access.eq_exprs);
       if (!key) return std::nullopt;
       // `col = NULL` is NULL, never true: provably empty.
-      if (has_null(*key)) return std::vector<size_t>{};
-      std::vector<size_t> slots;
-      if (const auto slot = table.FindByPrimaryKey(*key)) slots.push_back(*slot);
-      return slots;
+      if (has_null(*key)) return std::span<const size_t>{};
+      if (const auto slot = table.FindByPrimaryKey(*key)) {
+        scratch->push_back(*slot);
+      }
+      return std::span<const size_t>(*scratch);
     }
-    case IndexAccess::Kind::kIndexEq: {
-      const auto key = eval_key(access.eq_exprs);
-      if (!key) return std::nullopt;
-      if (has_null(*key)) return std::vector<size_t>{};
-      return table.IndexEqualSlots(*access.index, *key);
+    case IndexAccess::Kind::kIndexProbe: {
+      // Every key is evaluated before any probe runs, so a key that fails to
+      // evaluate sends the query to a full scan whichever probe is smallest.
+      std::vector<Row> keys;
+      keys.reserve(access.probes.size());
+      bool provably_empty = false;
+      for (const IndexProbe& probe : access.probes) {
+        if (probe.eq_exprs.empty()) {  // IS NULL: the index's NULL key
+          keys.push_back(Row{Value::Null()});
+          continue;
+        }
+        auto key = eval_key(probe.eq_exprs);
+        if (!key) return std::nullopt;
+        provably_empty = provably_empty || has_null(*key);
+        keys.push_back(std::move(*key));
+      }
+      if (provably_empty) return std::span<const size_t>{};
+      // Each posting list lists its slots ascending, so the smallest one
+      // replays the scan's order as well as any other would.
+      const std::vector<size_t>* smallest = nullptr;
+      for (size_t i = 0; i < access.probes.size(); ++i) {
+        const std::vector<size_t>& slots =
+            table.IndexEqualSlots(*access.probes[i].index, keys[i]);
+        if (smallest == nullptr || slots.size() < smallest->size()) {
+          smallest = &slots;
+        }
+      }
+      return std::span<const size_t>(*smallest);
     }
     case IndexAccess::Kind::kIndexRange: {
       Value lower_value;
@@ -281,26 +339,25 @@ std::optional<std::vector<size_t>> GatherBaseSlots(const Table& table,
       if (access.lower != nullptr) {
         auto v = Eval(*access.lower, resolver, no_row, nullptr);
         if (!v.ok()) return std::nullopt;
-        if (v.value().is_null()) return std::vector<size_t>{};  // col > NULL
+        // col > NULL is never true.
+        if (v.value().is_null()) return std::span<const size_t>{};
         lower_value = std::move(v).value();
         lower = &lower_value;
       }
       if (access.upper != nullptr) {
         auto v = Eval(*access.upper, resolver, no_row, nullptr);
         if (!v.ok()) return std::nullopt;
-        if (v.value().is_null()) return std::vector<size_t>{};
+        if (v.value().is_null()) return std::span<const size_t>{};
         upper_value = std::move(v).value();
         upper = &upper_value;
       }
-      std::vector<size_t> slots =
-          table.IndexRangeSlots(*access.index, lower, access.lower_inclusive,
-                                upper, access.upper_inclusive);
+      *scratch = table.IndexRangeSlots(*access.index, lower,
+                                       access.lower_inclusive, upper,
+                                       access.upper_inclusive);
       // The range walk yields key order; restore physical scan order.
-      std::sort(slots.begin(), slots.end());
-      return slots;
+      std::sort(scratch->begin(), scratch->end());
+      return std::span<const size_t>(*scratch);
     }
-    case IndexAccess::Kind::kIndexNull:
-      return table.IndexEqualSlots(*access.index, Row{Value::Null()});
   }
   return std::nullopt;
 }
@@ -331,34 +388,34 @@ util::Result<QueryResult> ExecuteSelect(Database& database,
     }
   }
 
-  // Materialize the FROM table's candidate rows. Without joins, the WHERE
-  // clause runs against rows in place so only matching rows are copied.
+  // The FROM table's candidate rows, read in place. Without joins, the WHERE
+  // clause runs here, so only matching rows are kept.
   const bool filter_in_place = stmt.where != nullptr && stmt.joins.empty();
-  std::vector<Row> combined;
+  std::vector<const Row*> rows;
   {
     const std::vector<Row>& slots = from->slots();
     const std::vector<bool>& live = from->live();
-    auto admit = [&](const Row& row) -> util::Result<bool> {
-      if (!filter_in_place) return true;
-      auto keep = Eval(*stmt.where, resolver, row, nullptr);
-      if (!keep.ok()) return keep.status();
-      return keep.value().Truthy();
-    };
-    const auto base_slots = GatherBaseSlots(*from, plan->base, resolver);
-    if (base_slots) {
-      combined.reserve(base_slots->size());
-      for (const size_t slot : *base_slots) {
-        auto keep = admit(slots[slot]);
+    auto admit = [&](const Row& row) -> util::Status {
+      if (filter_in_place) {
+        auto keep = Eval(*stmt.where, resolver, row, nullptr);
         if (!keep.ok()) return keep.status();
-        if (keep.value()) combined.push_back(slots[slot]);
+        if (!keep.value().Truthy()) return util::Status::Ok();
+      }
+      rows.push_back(&row);
+      return util::Status::Ok();
+    };
+    std::vector<size_t> scratch;
+    const auto base_slots =
+        GatherBaseSlots(*from, plan->base, resolver, &scratch);
+    if (base_slots) {
+      rows.reserve(base_slots->size());
+      for (const size_t slot : *base_slots) {
+        GOOFI_RETURN_IF_ERROR(admit(slots[slot]));
       }
     } else {
-      combined.reserve(from->size());
+      rows.reserve(from->size());
       for (size_t slot = 0; slot < slots.size(); ++slot) {
-        if (!live[slot]) continue;
-        auto keep = admit(slots[slot]);
-        if (!keep.ok()) return keep.status();
-        if (keep.value()) combined.push_back(slots[slot]);
+        if (live[slot]) GOOFI_RETURN_IF_ERROR(admit(slots[slot]));
       }
     }
   }
@@ -368,7 +425,9 @@ util::Result<QueryResult> ExecuteSelect(Database& database,
   // the full ON expression on every merged row; index matches arrive in
   // ascending slot order, so results are a byte-identical subsequence-ordered
   // match for the nested loop. A key-expression evaluation error falls back
-  // to the nested loop so errors surface exactly as in a scan.
+  // to the nested loop so errors surface exactly as in a scan. Merged rows
+  // live in `joined`, and `rows` points at them.
+  std::vector<Row> joined;
   for (size_t j = 0; j < stmt.joins.size(); ++j) {
     const JoinClause& join = stmt.joins[j];
     const Table* right = database.GetTable(join.table);
@@ -393,10 +452,10 @@ util::Result<QueryResult> ExecuteSelect(Database& database,
     };
     auto run_nested_loop = [&]() -> util::Status {
       next.clear();
-      for (const Row& left_row : combined) {
+      for (const Row* left_row : rows) {
         for (size_t slot = 0; slot < right_slots.size(); ++slot) {
           if (!right_live[slot]) continue;
-          GOOFI_RETURN_IF_ERROR(merge_and_filter(left_row, right_slots[slot]));
+          GOOFI_RETURN_IF_ERROR(merge_and_filter(*left_row, right_slots[slot]));
         }
       }
       return util::Status::Ok();
@@ -408,12 +467,12 @@ util::Result<QueryResult> ExecuteSelect(Database& database,
       GOOFI_RETURN_IF_ERROR(run_nested_loop());
     } else {
       bool fell_back = false;
-      for (const Row& left_row : combined) {
+      for (const Row* left_row : rows) {
         Row key;
         key.reserve(jp.outer_exprs.size());
         bool null_key = false;
         for (const Expr* e : jp.outer_exprs) {
-          auto v = Eval(*e, resolver, left_row, nullptr);
+          auto v = Eval(*e, resolver, *left_row, nullptr);
           if (!v.ok()) {
             fell_back = true;
             break;
@@ -428,29 +487,32 @@ util::Result<QueryResult> ExecuteSelect(Database& database,
         if (null_key) continue;  // `col = NULL` never matches
         if (jp.kind == JoinPlan::Kind::kPrimaryKey) {
           if (const auto slot = right->FindByPrimaryKey(key)) {
-            GOOFI_RETURN_IF_ERROR(merge_and_filter(left_row, right_slots[*slot]));
+            GOOFI_RETURN_IF_ERROR(
+                merge_and_filter(*left_row, right_slots[*slot]));
           }
         } else {
           for (const size_t slot : right->IndexEqualSlots(*jp.index, key)) {
-            GOOFI_RETURN_IF_ERROR(merge_and_filter(left_row, right_slots[slot]));
+            GOOFI_RETURN_IF_ERROR(
+                merge_and_filter(*left_row, right_slots[slot]));
           }
         }
       }
       if (fell_back) GOOFI_RETURN_IF_ERROR(run_nested_loop());
     }
-    combined = std::move(next);
+    joined = std::move(next);
+    rows.clear();
+    for (const Row& row : joined) rows.push_back(&row);
   }
 
   // WHERE (already applied in place when there are no joins).
   if (stmt.where != nullptr && !filter_in_place) {
-    std::vector<Row> filtered;
-    filtered.reserve(combined.size());
-    for (Row& row : combined) {
-      auto keep = Eval(*stmt.where, resolver, row, nullptr);
+    size_t kept = 0;
+    for (const Row* row : rows) {
+      auto keep = Eval(*stmt.where, resolver, *row, nullptr);
       if (!keep.ok()) return keep.status();
-      if (keep.value().Truthy()) filtered.push_back(std::move(row));
+      if (keep.value().Truthy()) rows[kept++] = row;
     }
-    combined = std::move(filtered);
+    rows.resize(kept);
   }
 
   const bool has_aggregate =
@@ -486,45 +548,47 @@ util::Result<QueryResult> ExecuteSelect(Database& database,
   std::vector<OutRow> out_rows;
 
   if (!has_aggregate) {
-    out_rows.reserve(combined.size());
-    for (const Row& row : combined) {
+    // Each returned value is copied once, from the stored or merged row.
+    out_rows.reserve(rows.size());
+    for (const Row* row : rows) {
       OutRow out;
       for (const SelectItem& item : stmt.items) {
         if (item.star) {
-          out.values.insert(out.values.end(), row.begin(), row.end());
+          out.values.insert(out.values.end(), row->begin(), row->end());
           continue;
         }
-        auto v = Eval(*item.expr, resolver, row, nullptr);
+        auto v = Eval(*item.expr, resolver, *row, nullptr);
         if (!v.ok()) return v.status();
         out.values.push_back(std::move(v).value());
       }
       for (const OrderItem& ord : stmt.order_by) {
-        auto v = Eval(*ord.expr, resolver, row, nullptr);
+        auto v = Eval(*ord.expr, resolver, *row, nullptr);
         if (!v.ok()) return v.status();
         out.keys.push_back(std::move(v).value());
       }
       out_rows.push_back(std::move(out));
     }
   } else {
-    // Group combined rows by the GROUP BY key (whole input is one group when
+    // Group the rows by the GROUP BY key (whole input is one group when
     // GROUP BY is absent).
     std::map<std::vector<std::string>, std::vector<const Row*>> groups;
     if (stmt.group_by.empty()) {
-      auto& members = groups[{}];
-      for (const Row& row : combined) members.push_back(&row);
+      groups[{}] = std::move(rows);
     } else {
-      for (const Row& row : combined) {
+      for (const Row* row : rows) {
         std::vector<std::string> key;
         key.reserve(stmt.group_by.size());
         for (const ExprPtr& expr : stmt.group_by) {
-          auto v = Eval(*expr, resolver, row, nullptr);
+          auto v = Eval(*expr, resolver, *row, nullptr);
           if (!v.ok()) return v.status();
           key.push_back(v.value().Serialize());
         }
-        groups[std::move(key)].push_back(&row);
+        groups[std::move(key)].push_back(row);
       }
     }
-    const Row empty_row;
+    // The representative of an ungrouped aggregate over no rows: every
+    // column NULL, so a bare column in it reads NULL.
+    const Row empty_row(resolver.total_columns(), Value::Null());
     for (const auto& [key, members] : groups) {
       // A grouped query emits no row for an empty group, but an ungrouped
       // aggregate over zero input rows emits exactly one row (SUM -> NULL,

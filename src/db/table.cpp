@@ -224,13 +224,6 @@ void Table::ForEach(const std::function<void(const Row&)>& fn) const {
   }
 }
 
-std::vector<Row> Table::Rows() const {
-  std::vector<Row> out;
-  out.reserve(live_count_);
-  ForEach([&out](const Row& row) { out.push_back(row); });
-  return out;
-}
-
 // --- secondary indexes -------------------------------------------------------
 
 util::Status Table::CreateIndex(const std::string& name,
@@ -283,16 +276,15 @@ const SecondaryIndex* Table::FindIndex(const std::string& name) const {
   return nullptr;
 }
 
-std::vector<size_t> Table::IndexEqualSlots(const SecondaryIndex& index,
-                                           const Row& key) const {
+const std::vector<size_t>& Table::IndexEqualSlots(const SecondaryIndex& index,
+                                                  const Row& key) const {
+  static const std::vector<size_t> kNoSlots;
   if (index.kind == IndexKind::kSorted) {
     const auto it = index.sorted.find(key[0]);
-    if (it == index.sorted.end()) return {};
-    return it->second;
+    return it == index.sorted.end() ? kNoSlots : it->second;
   }
   const auto it = index.hash.find(key);
-  if (it == index.hash.end()) return {};
-  return it->second;
+  return it == index.hash.end() ? kNoSlots : it->second;
 }
 
 std::vector<size_t> Table::IndexRangeSlots(const SecondaryIndex& index,

@@ -175,9 +175,6 @@ class Table {
   /// Calls `fn` for every live row. `fn` must not mutate the table.
   void ForEach(const std::function<void(const Row&)>& fn) const;
 
-  /// Snapshot of all live rows (used by SELECT).
-  std::vector<Row> Rows() const;
-
   /// Raw access for persistence: live rows only.
   const std::vector<Row>& slots() const { return rows_; }
   const std::vector<bool>& live() const { return live_; }
@@ -200,10 +197,11 @@ class Table {
     return indexes_;
   }
 
-  /// Slots whose key equals `key`, ascending; empty vector when none.
-  /// Works for both index kinds (kSorted takes a single-value key).
-  std::vector<size_t> IndexEqualSlots(const SecondaryIndex& index,
-                                      const Row& key) const;
+  /// Slots whose key equals `key`, ascending; empty when none. Works for
+  /// both index kinds (kSorted takes a single-value key). The posting list
+  /// is read in place: it stays valid until the table is next mutated.
+  const std::vector<size_t>& IndexEqualSlots(const SecondaryIndex& index,
+                                             const Row& key) const;
 
   /// Slots of a kSorted index whose key falls in the given bounds, in
   /// ascending *key* order (caller must re-sort by slot for scan-order

@@ -49,26 +49,38 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+namespace {
+
+// ASCII case folding, inline. In the "C" locale, the only one this program
+// runs in (nothing calls setlocale), std::tolower and std::toupper change
+// exactly 'A'-'Z' and 'a'-'z', so these agree with them on every byte
+// without a libc call per character.
+char FoldLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
+}
+char FoldUpper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - ('a' - 'A')) : c;
+}
+
+}  // namespace
+
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (FoldLower(a[i]) != FoldLower(b[i])) return false;
   }
   return true;
 }
 
 std::string ToLower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = FoldLower(c);
   return out;
 }
 
 std::string ToUpper(std::string_view text) {
   std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  for (char& c : out) c = FoldUpper(c);
   return out;
 }
 

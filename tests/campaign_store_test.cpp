@@ -1,7 +1,11 @@
 // Tests for CampaignStore: the GOOFI database bindings of paper Fig. 4.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+
 #include "core/campaign_store.hpp"
+#include "db/sql_executor.hpp"
 
 namespace goofi::core {
 namespace {
@@ -215,6 +219,115 @@ TEST_F(CampaignStoreTest, MergeRejectsEmptyAndMissing) {
 
 TEST_F(CampaignStoreTest, ReferenceNameConvention) {
   EXPECT_EQ(CampaignStore::ReferenceName("camp"), "camp/ref");
+}
+
+TEST_F(CampaignStoreTest, StandardIndexesServeTheStoreQueries) {
+  std::vector<std::string> names;
+  for (const auto& index : db_.GetTable("LoggedSystemState")->indexes()) {
+    names.push_back(index->name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"idx_lss_campaign",
+                                             "idx_lss_parent"}));
+  // The SELECTs of ExperimentsOf, TopLevelRowsOf and DetailRowsOf.
+  const std::string select =
+      "SELECT experimentName, parentExperiment, campaignName, experimentData, "
+      "stateVector FROM LoggedSystemState WHERE ";
+  auto explain = [&](const std::string& where) {
+    auto plan = db::ExplainSql(db_, select + where);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() ? plan.value() : std::string();
+  };
+  const std::string residual = "\nWHERE: residual filter on candidates\n";
+  EXPECT_EQ(explain("campaignName = ?"),
+            "FROM LoggedSystemState: index equality probe idx_lss_campaign "
+            "(campaignName)" + residual);
+  EXPECT_EQ(explain("campaignName = ? AND parentExperiment IS NULL"),
+            "FROM LoggedSystemState: smallest of index equality probe "
+            "idx_lss_campaign (campaignName), index IS NULL probe "
+            "idx_lss_parent (parentExperiment)" + residual);
+  EXPECT_EQ(explain("parentExperiment = ?"),
+            "FROM LoggedSystemState: index equality probe idx_lss_parent "
+            "(parentExperiment)" + residual);
+}
+
+TEST_F(CampaignStoreTest, TopLevelRowsOfReturnsOneCampaignsRowsInOrder) {
+  ASSERT_TRUE(store_.PutTargetSystem(Target()).ok());
+  ASSERT_TRUE(store_.PutCampaign(Campaign("a")).ok());
+  ASSERT_TRUE(store_.PutCampaign(Campaign("b")).ok());
+  std::map<std::string, std::vector<std::string>> top;
+  // Interleaved campaigns; every other experiment gets a detail re-run laid
+  // out as RerunDetailed writes one: `<e>/detail` under `<e>`, and its
+  // per-instruction rows under `<e>/detail`.
+  auto put = [&](const std::string& campaign, int i, bool rerun) {
+    const std::string name = campaign + "/e" + std::to_string(i);
+    LoggedState state;
+    state.cycles = static_cast<uint64_t>(i);
+    ASSERT_TRUE(
+        store_.PutExperiment(name, "", campaign, "faults=", state).ok());
+    top[campaign].push_back(name);
+    if (!rerun) return;
+    const std::string detail = name + "/detail";
+    ASSERT_TRUE(store_.PutExperiment(detail, name, campaign, "", state).ok());
+    for (int k = 0; k < 4; ++k) {
+      ASSERT_TRUE(store_
+                      .PutExperiment(detail + "/d" + std::to_string(k), detail,
+                                     campaign, "detail_step", state)
+                      .ok());
+    }
+  };
+  auto names_of = [&](const std::string& campaign) {
+    std::vector<std::string> names;
+    for (const auto& row : store_.TopLevelRowsOf(campaign).ValueOrDie()) {
+      EXPECT_EQ(row.campaign_name, campaign);
+      EXPECT_EQ(row.parent_experiment, "");
+      names.push_back(row.experiment_name);
+    }
+    return names;
+  };
+  for (int i = 0; i < 6; ++i) {
+    put("a", i, i % 2 == 0);
+    put("b", i, i % 3 == 0);
+  }
+  // Each campaign has more rows (6 top-level, re-runs and their detail rows)
+  // than all campaigns have top-level rows (12): the IS NULL probe is smaller.
+  EXPECT_EQ(names_of("a"), top["a"]);
+  EXPECT_EQ(names_of("b"), top["b"]);
+  // Many more top-level rows in b: now a's campaign probe is the smaller.
+  for (int i = 6; i < 60; ++i) put("b", i, false);
+  EXPECT_EQ(names_of("a"), top["a"]);
+  EXPECT_EQ(names_of("b"), top["b"]);
+  EXPECT_TRUE(names_of("none").empty());
+}
+
+TEST_F(CampaignStoreTest, AnArchiveWithTheFormerNameIndexLoadsWithIt) {
+  // Archives written before the store stopped creating idx_lss_name carry it.
+  ASSERT_TRUE(db_.CreateIndex("LoggedSystemState", "idx_lss_name",
+                              {"experimentName"}, db::IndexKind::kSorted)
+                  .ok());
+  ASSERT_TRUE(store_.PutTargetSystem(Target()).ok());
+  ASSERT_TRUE(store_.PutCampaign(Campaign()).ok());
+  ASSERT_TRUE(store_.PutExperiment("c1/e0", "", "c1", "", LoggedState{}).ok());
+  ASSERT_TRUE(store_
+                  .PutExperiment("c1/e0/detail", "c1/e0", "c1", "",
+                                 LoggedState{})
+                  .ok());
+  const std::string path = testing::TempDir() + "campaign_store_name_index.db";
+  ASSERT_TRUE(db_.Save(path).ok());
+  db::Database loaded;
+  ASSERT_TRUE(loaded.Load(path).ok());
+  std::remove(path.c_str());
+  CampaignStore store(&loaded);
+  ASSERT_TRUE(store.EnsureSchema().ok());
+  const db::Table* lss = loaded.GetTable("LoggedSystemState");
+  EXPECT_NE(lss->FindIndex("idx_lss_name"), nullptr);
+  EXPECT_NE(lss->FindIndex("idx_lss_campaign"), nullptr);
+  EXPECT_NE(lss->FindIndex("idx_lss_parent"), nullptr);
+  std::string error;
+  EXPECT_TRUE(lss->ValidateIndexes(&error)) << error;
+  EXPECT_EQ(store.TopLevelRowsOf("c1").ValueOrDie().size(), 1u);
+  EXPECT_EQ(store.DetailRowsOf("c1/e0").ValueOrDie().size(), 1u);
+  EXPECT_EQ(store.GetExperiment("c1/e0/detail").ValueOrDie().parent_experiment,
+            "c1/e0");
 }
 
 /// FailedPrecondition naming `table`: what every accessor returns when its

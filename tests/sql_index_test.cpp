@@ -3,11 +3,13 @@
 // the default) and off (forced full scans / nested loops). Randomized
 // generation covers NULL three-valued logic, joins, GROUP BY and ORDER BY;
 // incremental index maintenance is validated against a from-scratch rebuild
-// after every mutation. Also covers prepared statements, the statement
-// cache, CREATE/DROP INDEX SQL and `explain` plan text.
+// after every mutation. Also covers the executor's choice among several
+// probes as posting lists shift, prepared statements, the statement cache,
+// CREATE/DROP INDEX SQL and `explain` plan text.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -392,6 +394,134 @@ TEST(SqlIndexTest, ExplainDescribesAccessPaths) {
   auto ddl = ExplainSql(db, "DELETE FROM t WHERE id = 1");
   ASSERT_TRUE(ddl.ok());
   EXPECT_NE(ddl.value().find("no plan"), std::string::npos);
+}
+
+/// p(id INT PK, a INT, b TEXT), both nullable, with a sorted index on a and
+/// a hash index on b: two single-column indexes whose posting lists the
+/// executor weighs against each other.
+void PopulateTwoIndexes(Database* db, util::Rng* rng, int n) {
+  ASSERT_TRUE(db->CreateTable(Schema("p",
+                                     {{"id", ValueType::kInt, true},
+                                      {"a", ValueType::kInt, false},
+                                      {"b", ValueType::kText, false}},
+                                     {"id"}))
+                  .ok());
+  ASSERT_TRUE(ExecuteSql(*db, "CREATE INDEX idx_a ON p (a)").ok());
+  ASSERT_TRUE(db->CreateIndex("p", "idx_b", {"b"}, IndexKind::kHash).ok());
+  for (int id = 0; id < n; ++id) {
+    const Value a = rng->NextBool(0.15)
+                        ? Value::Null()
+                        : Value::Int(static_cast<int64_t>(rng->NextBelow(4)));
+    const Value b = rng->NextBool(0.15)
+                        ? Value::Null()
+                        : Value::Text("v" + std::to_string(rng->NextBelow(4)));
+    ASSERT_TRUE(db->Insert("p", {Value::Int(id), a, b}).ok());
+  }
+}
+
+TEST(SqlIndexTest, SmallestProbeMatchesScanAsPostingListsShift) {
+  util::Rng rng(2718);
+  Database db;
+  PopulateTwoIndexes(&db, &rng, 300);
+  const Table& table = *db.GetTable("p");
+  const SecondaryIndex& idx_a = *table.FindIndex("idx_a");
+  const SecondaryIndex& idx_b = *table.FindIndex("idx_b");
+  // One conjunct per column: equality with a key or IS NULL. `key` is the
+  // posting list's key, empty for `a = NULL`, which matches nothing.
+  auto a_term = [&](std::optional<Value>* key) {
+    if (rng.NextBool(0.3)) {
+      *key = Value::Null();
+      return std::string("a IS NULL");
+    }
+    if (rng.NextBool(0.05)) {
+      key->reset();
+      return std::string("a = NULL");
+    }
+    const int k = static_cast<int>(rng.NextBelow(5));
+    *key = Value::Int(k);
+    return util::Format("a = %d", k);
+  };
+  auto b_term = [&](Value* key) {
+    if (rng.NextBool(0.3)) {
+      *key = Value::Null();
+      return std::string("b IS NULL");
+    }
+    const int k = static_cast<int>(rng.NextBelow(5));
+    *key = Value::Text("v" + std::to_string(k));
+    return util::Format("b = 'v%d'", k);
+  };
+  int a_smaller = 0;
+  int b_smaller = 0;
+  int ties = 0;
+  for (int round = 0; round < 60; ++round) {
+    for (int q = 0; q < 12; ++q) {
+      std::optional<Value> a_key;
+      Value b_key;
+      const std::string a = a_term(&a_key);
+      const std::string b = b_term(&b_key);
+      std::string where = rng.NextBool() ? a + " AND " + b : b + " AND " + a;
+      if (rng.NextBool(0.3)) {
+        where += util::Format(" AND id %s %d", rng.NextBool() ? "<" : ">=",
+                              static_cast<int>(rng.NextBelow(400)));
+      }
+      static const char* const kHeads[] = {
+          "SELECT * FROM p WHERE ", "SELECT id, b FROM p WHERE ",
+          "SELECT COUNT(*), MIN(id) FROM p WHERE "};
+      std::string sql = kHeads[rng.NextBelow(3)] + where;
+      if (sql.find("COUNT") == std::string::npos && rng.NextBool()) {
+        sql += " ORDER BY id DESC";
+      }
+      ExpectSame(db, sql);
+      if (!a_key) continue;
+      const size_t na = table.IndexEqualSlots(idx_a, {*a_key}).size();
+      const size_t nb = table.IndexEqualSlots(idx_b, {b_key}).size();
+      (na < nb ? a_smaller : nb < na ? b_smaller : ties) += 1;
+    }
+    // Shift rows between keys so the smaller posting list changes sides.
+    const int k = static_cast<int>(rng.NextBelow(4));
+    const int r = static_cast<int>(rng.NextBelow(3));
+    std::vector<std::string> mutations;
+    switch (rng.NextBelow(5)) {
+      case 0:
+        mutations.push_back(
+            util::Format("UPDATE p SET a = %d WHERE id %% 3 = %d", k, r));
+        break;
+      case 1:
+        mutations.push_back(
+            util::Format("UPDATE p SET b = 'v%d' WHERE id %% 3 = %d", k, r));
+        break;
+      case 2:
+        mutations.push_back(
+            util::Format("UPDATE p SET %s = NULL WHERE id %% 4 = %d",
+                         rng.NextBool() ? "a" : "b", r));
+        break;
+      case 3:
+        mutations.push_back(
+            util::Format("DELETE FROM p WHERE id %% 7 = %d AND a = %d", r, k));
+        break;
+      default:
+        for (int i = 0; i < 20; ++i) {
+          mutations.push_back(
+              util::Format("INSERT INTO p VALUES (%d, %d, 'v%d')",
+                           1000 + round * 20 + i, k, (k + i) % 4));
+        }
+        break;
+    }
+    for (const std::string& sql : mutations) {
+      ASSERT_TRUE(ExecuteSql(db, sql).ok()) << sql;
+    }
+    ExpectValidIndexes(db, "p");
+  }
+  // Both probes won at some point, so the choice flipped between them.
+  EXPECT_GT(a_smaller, 20);
+  EXPECT_GT(b_smaller, 20);
+  EXPECT_GT(ties, 0);
+  const auto plan =
+      ExplainSql(db, "SELECT * FROM p WHERE b = 'v1' AND a IS NULL");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan.value(),
+            "FROM p: smallest of index equality probe idx_b (b), index IS NULL "
+            "probe idx_a (a)\nWHERE: residual filter on candidates\n");
 }
 
 TEST(SqlIndexTest, IndexSurvivesUpdateOfKeyColumns) {

@@ -1,6 +1,7 @@
 // Tests for the SQL dialect: tokenizer, parser and executor.
 #include <gtest/gtest.h>
 
+#include "db/prepared.hpp"
 #include "db/sql_executor.hpp"
 #include "db/sql_parser.hpp"
 #include "db/sql_tokenizer.hpp"
@@ -309,6 +310,187 @@ TEST_F(SqlExecTest, ColumnIndexLookup) {
   const auto result = Exec("SELECT name, cycles FROM exp LIMIT 1");
   EXPECT_EQ(result.ColumnIndex("CYCLES"), 1u);
   EXPECT_FALSE(result.ColumnIndex("zzz").has_value());
+}
+
+// --- column resolution and operands -----------------------------------------
+
+/// The values of a one-column result, as display text.
+std::vector<std::string> Column0(const QueryResult& result) {
+  std::vector<std::string> out;
+  for (const Row& row : result.rows) out.push_back(row[0].ToString());
+  return out;
+}
+
+TEST_F(SqlExecTest, AJoinedTableMakesAnUnqualifiedNameAmbiguousInWhere) {
+  Exec("CREATE TABLE l (k INTEGER, a INTEGER)");
+  Exec("CREATE TABLE r (k2 INTEGER, b INTEGER)");
+  Exec("CREATE TABLE s (k3 INTEGER, b INTEGER)");
+  Exec("INSERT INTO l VALUES (1, 10), (2, 20)");
+  Exec("INSERT INTO r VALUES (1, 5), (2, 6)");
+  Exec("INSERT INTO s VALUES (1, 7), (2, 8)");
+  // `b` names r.b alone while r is the last table joined, in its ON clause
+  // and in WHERE...
+  EXPECT_EQ(Column0(Exec("SELECT a FROM l JOIN r ON k = k2 AND b > 5 "
+                         "WHERE b < 9 ORDER BY a")),
+            std::vector<std::string>{"20"});
+  // ... and becomes ambiguous once s is joined too, though the first ON
+  // clause still resolves it to r.b.
+  const std::string sql =
+      "SELECT a FROM l JOIN r ON k = k2 AND b > 5 JOIN s ON k2 = k3 "
+      "WHERE b < 9";
+  for (const bool use_indexes : {true, false}) {
+    ExecOptions options;
+    options.use_indexes = use_indexes;
+    const auto result = ExecuteSql(db_, sql, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().ToString(),
+              "invalid_argument: ambiguous column b");
+  }
+  auto prepared = PreparedStatement::Prepare(sql);
+  ASSERT_TRUE(prepared.ok());
+  for (int i = 0; i < 2; ++i) {
+    const auto result = prepared.value()->Execute(db_);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().ToString(),
+              "invalid_argument: ambiguous column b");
+  }
+}
+
+TEST_F(SqlExecTest, OnePreparedStatementResolvesEachDatabaseAfresh) {
+  // Resolved columns are remembered per execution, not in the statement: the
+  // same text runs against two tables whose columns are in different orders.
+  Database other;
+  ASSERT_TRUE(ExecuteSql(other, "CREATE TABLE exp (cycles INTEGER, score REAL, "
+                                "outcome TEXT, name TEXT PRIMARY KEY)")
+                  .ok());
+  ASSERT_TRUE(ExecuteSql(other, "INSERT INTO exp VALUES (7, 0.5, 'latent', "
+                                "'x1')")
+                  .ok());
+  auto prepared = PreparedStatement::Prepare(
+      "SELECT name, cycles FROM exp WHERE outcome = ? ORDER BY name");
+  ASSERT_TRUE(prepared.ok());
+  for (int i = 0; i < 2; ++i) {
+    const auto mine =
+        prepared.value()->Execute(db_, {Value::Text("detected")}).ValueOrDie();
+    ASSERT_EQ(mine.rows.size(), 2u);
+    EXPECT_EQ(mine.rows[1][0].as_text(), "e3");
+    EXPECT_EQ(mine.rows[1][1].as_int(), 50);
+    const auto theirs =
+        prepared.value()->Execute(other, {Value::Text("latent")}).ValueOrDie();
+    ASSERT_EQ(theirs.rows.size(), 1u);
+    EXPECT_EQ(theirs.rows[0][0].as_text(), "x1");
+    EXPECT_EQ(theirs.rows[0][1].as_int(), 7);
+  }
+}
+
+TEST_F(SqlExecTest, UnknownColumnsAndUnboundParamsKeepTheirErrors) {
+  struct Case {
+    const char* sql;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"SELECT name FROM exp WHERE nope = 1", "not_found: unknown column nope"},
+      {"SELECT name FROM exp WHERE exp.nope IS NULL",
+       "not_found: unknown column exp.nope"},
+      {"SELECT nope FROM exp", "not_found: unknown column nope"},
+      {"SELECT name, cycles + nope FROM exp", "not_found: unknown column nope"},
+      {"SELECT name FROM exp ORDER BY nope", "not_found: unknown column nope"},
+      {"SELECT name FROM exp WHERE cycles = ?",
+       "invalid_argument: unbound parameter ?1"},
+      {"SELECT name FROM exp WHERE ? IS NULL",
+       "invalid_argument: unbound parameter ?1"},
+      {"SELECT ? FROM exp", "invalid_argument: unbound parameter ?1"},
+      {"SELECT name FROM exp ORDER BY cycles, ?",
+       "invalid_argument: unbound parameter ?1"},
+  };
+  for (const Case& c : cases) {
+    for (const bool use_indexes : {true, false}) {
+      ExecOptions options;
+      options.use_indexes = use_indexes;
+      const auto result = ExecuteSql(db_, c.sql, options);
+      ASSERT_FALSE(result.ok()) << c.sql;
+      EXPECT_EQ(result.status().ToString(), c.error) << c.sql;
+    }
+  }
+}
+
+TEST_F(SqlExecTest, ColumnsCompareWithThemselvesParamsAndLiterals) {
+  auto run = [this](const std::string& sql, std::vector<Value> params = {}) {
+    ExecOptions options;
+    options.params = &params;
+    const auto result = ExecuteSql(db_, sql, options);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    return result.ok() ? Column0(result.value()) : std::vector<std::string>{};
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(run("SELECT name FROM exp WHERE cycles = cycles ORDER BY name"),
+            (Names{"e1", "e2", "e3", "e4"}));
+  // NULL = NULL is NULL, not true.
+  EXPECT_EQ(run("SELECT name FROM exp WHERE score = score ORDER BY name"),
+            (Names{"e1", "e2", "e4"}));
+  EXPECT_EQ(run("SELECT name FROM exp WHERE cycles < cycles"), Names{});
+  EXPECT_EQ(run("SELECT name FROM exp WHERE cycles > ? ORDER BY name",
+                {Value::Int(60)}),
+            (Names{"e1", "e2", "e4"}));
+  EXPECT_EQ(run("SELECT name FROM exp WHERE ? = outcome ORDER BY name",
+                {Value::Text("detected")}),
+            (Names{"e1", "e3"}));
+  EXPECT_EQ(run("SELECT name FROM exp WHERE score <= ? ORDER BY name",
+                {Value::Int(1)}),
+            Names{"e1"});
+  EXPECT_EQ(run("SELECT name FROM exp WHERE outcome = ?", {Value::Null()}),
+            Names{});
+  EXPECT_EQ(run("SELECT name FROM exp WHERE 100 = cycles"), Names{"e1"});
+  EXPECT_EQ(run("SELECT name FROM exp WHERE 'escaped' != outcome "
+                "ORDER BY name"),
+            (Names{"e1", "e3", "e4"}));
+  EXPECT_EQ(run("SELECT name FROM exp WHERE score IS NULL"), Names{"e3"});
+  EXPECT_EQ(run("SELECT name FROM exp WHERE ? IS NOT NULL ORDER BY name",
+                {Value::Int(0)}),
+            (Names{"e1", "e2", "e3", "e4"}));
+  EXPECT_EQ(run("SELECT name FROM exp WHERE ? = ? ORDER BY name",
+                {Value::Int(2), Value::Real(2.0)}),
+            (Names{"e1", "e2", "e3", "e4"}));
+  // The same `?` read in place twice, and an operand that is computed.
+  EXPECT_EQ(run("SELECT name FROM exp WHERE cycles - ? >= ? ORDER BY name",
+                {Value::Int(40), Value::Int(40)}),
+            (Names{"e1", "e2"}));
+}
+
+TEST_F(SqlExecTest, QueriesWithMoreColumnReferencesThanTheMemoHolds) {
+  // 100 references to `cycles` and 100 to `name`: the resolver remembers the
+  // first 64 and resolves the rest by name on every row.
+  std::string sum = "cycles";
+  std::string test = "name = 'e2'";
+  for (int i = 1; i < 100; ++i) {
+    sum += " + cycles";
+    test += " OR name = 'e2'";
+  }
+  const auto result =
+      Exec("SELECT name, " + sum + " FROM exp WHERE " + test + " OR " + sum +
+           " = 5000 ORDER BY name");
+  ASSERT_EQ(result.rows.size(), 2u);
+  EXPECT_EQ(result.rows[0][0].as_text(), "e2");
+  EXPECT_EQ(result.rows[0][1].as_int(), 25000);
+  EXPECT_EQ(result.rows[1][0].as_text(), "e3");
+  EXPECT_EQ(result.rows[1][1].as_int(), 5000);
+}
+
+TEST_F(SqlExecTest, BareColumnOfAnAggregateOverNoRowsIsNull) {
+  const auto result =
+      Exec("SELECT name, COUNT(*), MAX(cycles) FROM exp WHERE cycles > 1000");
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_TRUE(result.rows[0][0].is_null());
+  EXPECT_EQ(result.rows[0][1].as_int(), 0);
+  EXPECT_TRUE(result.rows[0][2].is_null());
+  Exec("CREATE TABLE empty (a INTEGER, b TEXT)");
+  const auto joined = Exec(
+      "SELECT empty.b, exp.name, COUNT(*) FROM exp JOIN empty ON exp.cycles = "
+      "empty.a");
+  ASSERT_EQ(joined.rows.size(), 1u);
+  EXPECT_TRUE(joined.rows[0][0].is_null());
+  EXPECT_TRUE(joined.rows[0][1].is_null());
+  EXPECT_EQ(joined.rows[0][2].as_int(), 0);
 }
 
 // --- expression depth bound --------------------------------------------------

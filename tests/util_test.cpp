@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <random>
 #include <set>
 #include <vector>
@@ -370,6 +371,21 @@ TEST(StringsTest, EqualsIgnoreCase) {
 TEST(StringsTest, CaseConversion) {
   EXPECT_EQ(ToLower("MiXeD123"), "mixed123");
   EXPECT_EQ(ToUpper("MiXeD123"), "MIXED123");
+}
+
+TEST(StringsTest, CaseFoldingAgreesWithLibcOnEveryByte) {
+  for (int a = 0; a < 256; ++a) {
+    const std::string sa(1, static_cast<char>(a));
+    ASSERT_EQ(ToLower(sa), std::string(1, static_cast<char>(std::tolower(a))))
+        << a;
+    ASSERT_EQ(ToUpper(sa), std::string(1, static_cast<char>(std::toupper(a))))
+        << a;
+    for (int b = 0; b < 256; ++b) {
+      const std::string sb(1, static_cast<char>(b));
+      ASSERT_EQ(EqualsIgnoreCase(sa, sb), std::tolower(a) == std::tolower(b))
+          << a << " vs " << b;
+    }
+  }
 }
 
 TEST(StringsTest, ParseIntDecimalHexNegative) {
