@@ -49,7 +49,6 @@ uint64_t ProbeGoldenLength() {
   Session session;
   core::CampaignData campaign = Campaign("cp_probe", 1, 1000);
   if (!session.store.PutCampaign(campaign).ok()) std::abort();
-  session.target.SetCheckpointInterval(0);
   if (!session.target.PrepareCampaign(campaign).ok()) std::abort();
   auto rows = session.target.ExecuteExperiment(-1);
   if (!rows.ok()) {
@@ -161,7 +160,6 @@ void Main(int argc, char** argv) {
   Session session;
   core::CampaignData campaign = Campaign("cp_ff_mem", 1, golden - 1);
   if (!session.store.PutCampaign(campaign).ok()) std::abort();
-  session.target.SetCheckpointInterval(0);
   if (!session.target.PrepareCampaign(campaign).ok()) std::abort();
   for (uint64_t interval : intervals) {
     core::CheckpointCache cache(interval);

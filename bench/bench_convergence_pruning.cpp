@@ -56,7 +56,6 @@ uint64_t ProbeGoldenLength() {
   core::CampaignData campaign =
       Campaign("cv_probe", {"internal_regfile", ""}, 1, 1000);
   if (!session.store.PutCampaign(campaign).ok()) std::abort();
-  session.target.SetCheckpointInterval(0);
   if (!session.target.PrepareCampaign(campaign).ok()) std::abort();
   auto rows = session.target.ExecuteExperiment(-1);
   if (!rows.ok()) {

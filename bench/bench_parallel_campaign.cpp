@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "util/thread_pool.hpp"
 
 namespace goofi::bench {
 namespace {
@@ -61,7 +60,7 @@ double RunParallel(int workers) {
 void Main() {
   std::printf("Parallel campaign engine: %d SCIFI experiments, bubblesort, "
               "internal_regfile (host reports %d hardware threads)\n\n",
-              kExperiments, util::ThreadPool::DefaultWorkers());
+              kExperiments, core::ParallelCampaignRunner::DefaultWorkers());
 
   const double serial_s = RunSerial();
   std::printf("%-18s %10s %16s %9s\n", "configuration", "time [s]",
@@ -70,7 +69,7 @@ void Main() {
               kExperiments / serial_s, "1.00x");
 
   std::vector<int> worker_counts = {1, 2, 4};
-  const int hw = util::ThreadPool::DefaultWorkers();
+  const int hw = core::ParallelCampaignRunner::DefaultWorkers();
   if (hw > 4) worker_counts.push_back(hw);
   for (int workers : worker_counts) {
     const double elapsed = RunParallel(workers);

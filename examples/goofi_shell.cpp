@@ -10,7 +10,7 @@
 //   target describe thor-rd-sim
 //   campaign set demo workload=bubblesort locations=internal_regfile
 //       experiments=100 window=1:1000      (one line in the shell)
-//   run demo
+//   run demo 4                          (4 workers; default 1)
 //   analyze demo
 //   sql SELECT COUNT(*) FROM LoggedSystemState
 
@@ -30,14 +30,13 @@ using namespace goofi;
 int main(int argc, char** argv) {
   db::Database database;
   core::CampaignStore store(&database);
-  testcard::SimTestCard card;
-  core::ThorRdTarget target(&store, &card);
+  testcard::SimTestCard card;  // the scan-chain layout `list chains` shows
   core::ConsoleProgressMonitor progress(50);
-  target.SetProgressMonitor(&progress);
 
   tool::Shell shell(&database, &store);
-  shell.AddTarget(core::ThorRdTarget::kTargetName, &target, &card,
+  shell.AddTarget(core::ThorRdTarget::kTargetName, &card,
                   core::MakeSimThorFactory(&store));
+  shell.SetProgressMonitor(&progress);
   // Register the target description up front so campaigns can be defined
   // immediately (configuration phase, Fig. 5).
   if (auto st = shell.Execute(std::string("target describe ") +

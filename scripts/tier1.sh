@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: full build + test suite, then a ThreadSanitizer pass over the
-# concurrency-sensitive tests (thread pool + parallel campaign determinism).
+# concurrency-sensitive tests (the campaign loop's worker threads, driven
+# directly and through the shell's run commands), ASan/UBSan passes and the
+# benches.
 #
 # Usage: scripts/tier1.sh [build-dir]     (default: build)
 set -euo pipefail
@@ -31,12 +33,12 @@ else
   echo "clang-tidy not installed; skipping lint stanza (gcc -Werror still ran)"
 fi
 
-echo "== tier-1: ThreadSanitizer pass (parallel runner + worker spot checks (SpotCheckTest) + thread pool + checkpoints + convergence + equivalence + archive commits + COW golden sharing + static pruning + reference-trace memo) =="
+echo "== tier-1: ThreadSanitizer pass (parallel runner on std::jthread workers + worker exceptions + worker spot checks (SpotCheckTest) + shell run commands on runner threads + checkpoints + convergence + equivalence + archive commits + COW golden sharing + static pruning + reference-trace memo) =="
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j "$JOBS" --target thread_pool_test parallel_runner_test checkpoint_test convergence_test equivalence_test archive_test memory_cow_test static_analysis_test propagation_test
-"$TSAN_DIR"/tests/thread_pool_test
+cmake --build "$TSAN_DIR" -j "$JOBS" --target parallel_runner_test tool_test checkpoint_test convergence_test equivalence_test archive_test memory_cow_test static_analysis_test propagation_test
 "$TSAN_DIR"/tests/parallel_runner_test
+"$TSAN_DIR"/tests/tool_test
 "$TSAN_DIR"/tests/checkpoint_test
 "$TSAN_DIR"/tests/convergence_test
 "$TSAN_DIR"/tests/equivalence_test

@@ -1,6 +1,5 @@
 #include "core/algorithms.hpp"
 
-#include "core/parallel_runner.hpp"
 #include "util/strings.hpp"
 
 namespace goofi::core {
@@ -101,34 +100,6 @@ util::Status FaultInjectionAlgorithms::RunBody(ExperimentBody body) {
     }
   }
   return (this->*body)();
-}
-
-util::Status FaultInjectionAlgorithms::BuildGoldenProducts(
-    uint64_t interval, bool force_warm_start, bool convergence_pruning,
-    std::shared_ptr<const CheckpointCache>* cache,
-    std::shared_ptr<const GoldenTrace>* trace) {
-  cache->reset();
-  trace->reset();
-  if (interval == 0 || !SupportsCheckpoints()) return util::Status::Ok();
-  // Warm start applies to the stop-inject-resume techniques, and by default
-  // only when every fault injects at or after the first checkpoint interval,
-  // so each experiment is guaranteed to skip at least one interval's worth
-  // of re-simulation. Any technique can prune: even pre-runtime SWIFI data
-  // faults can rejoin the golden trajectory.
-  const bool want_cache =
-      (campaign_.technique == Technique::kScifi ||
-       campaign_.technique == Technique::kSwifiRuntime) &&
-      (force_warm_start || campaign_.inject_min_instr >= interval);
-  if (!want_cache && !convergence_pruning) return util::Status::Ok();
-  std::shared_ptr<CheckpointCache> new_cache;
-  if (want_cache) new_cache = std::make_shared<CheckpointCache>(interval);
-  std::shared_ptr<GoldenTrace> new_trace;
-  if (convergence_pruning) new_trace = std::make_shared<GoldenTrace>();
-  GOOFI_RETURN_IF_ERROR(
-      BuildGoldenRun(interval, new_cache.get(), new_trace.get()));
-  *cache = std::move(new_cache);
-  *trace = std::move(new_trace);
-  return util::Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -249,16 +220,6 @@ util::Status FaultInjectionAlgorithms::PrepareCampaign(
     fault_space_.insert(fault_space_.end(), part.value().begin(),
                         part.value().end());
   }
-
-  // Build the golden-run products once per campaign. A campaign driven by
-  // ParallelCampaignRunner suppresses this (interval 0 on the workers) and
-  // installs shared products instead.
-  GOOFI_RETURN_IF_ERROR(BuildGoldenProducts(
-      checkpoint_interval_, force_warm_start_, convergence_pruning_,
-      &checkpoint_cache_, &golden_trace_));
-  if (golden_trace_ != nullptr && convergence_memo_ == nullptr) {
-    convergence_memo_ = std::make_shared<ConvergenceMemo>();
-  }
   return util::Status::Ok();
 }
 
@@ -314,18 +275,8 @@ FaultInjectionAlgorithms::BodyForTechnique(Technique technique) {
   return &FaultInjectionAlgorithms::ScifiExperiment;
 }
 
-util::Status FaultInjectionAlgorithms::RunCampaign(
-    const std::string& campaign_name) {
-  // readCampaignData(campaignNr) — Fig. 2.
-  auto campaign = store_->GetCampaign(campaign_name);
-  if (!campaign.ok()) return campaign.status();
-  GOOFI_RETURN_IF_ERROR(PrepareCampaign(campaign.value()));
-  // makeReferenceRun() and the experiment loop — Fig. 2. A campaign that was
-  // paused or stopped can be restarted (the progress window of Fig. 7 offers
-  // exactly that): rows already in LoggedSystemState are kept and their
-  // experiments skipped.
-  return RunCampaignInline(store_, campaign_, this, monitor_, &stats_);
-}
+// RunCampaign lives in core/parallel_runner.cpp, beside the one campaign loop
+// and the run preparation it shares with ParallelCampaignRunner.
 
 util::Status FaultInjectionAlgorithms::RunCampaignOf(
     Technique technique, const std::string& campaign_name) {

@@ -84,10 +84,11 @@ class FaultInjectionAlgorithms {
 
   // --- campaign drivers (concrete, Fig. 2) --------------------------------
   //
-  // Each driver prepares this target for the campaign and runs the one
-  // campaign loop of core/parallel_runner inline on it: the reference run,
-  // then every experiment not yet logged, each committed as one
-  // PutExperiments before the progress monitor sees it.
+  // Each runs the campaign the way ParallelCampaignRunner does, on this
+  // target alone and inline (core/parallel_runner): it prepares the
+  // target, builds the golden-run products this target's settings ask for,
+  // then runs the reference run and every experiment not yet logged, each
+  // committed as one PutExperiments before the progress monitor sees it.
 
   /// Scan-chain implemented fault injection. Rejects a campaign whose stored
   /// technique is another, as do the two SWIFI drivers.
@@ -125,7 +126,8 @@ class FaultInjectionAlgorithms {
   // and batched centrally.
 
   /// Binds this target to `campaign` and enumerates its fault space. Resets
-  /// stats(). Does not touch the store.
+  /// stats() and drops any installed golden-run products; builds none. Does
+  /// not touch the store.
   util::Status PrepareCampaign(const CampaignData& campaign);
 
   /// Runs experiment `index` of the prepared campaign — or the fault-free
@@ -163,7 +165,8 @@ class FaultInjectionAlgorithms {
 
   // --- checkpoint fast-forward ---------------------------------------------
   //
-  // During PrepareCampaign the target (if it SupportsCheckpoints) runs the
+  // Before its reference run, a run (RunCampaign here, or the
+  // ParallelCampaignRunner) has one target that SupportsCheckpoints run the
   // fault-free workload once, snapshotting full target state every
   // `checkpoint_interval` retired instructions. Each experiment then warm-
   // starts from the nearest checkpoint strictly before its inject_instr
@@ -172,14 +175,15 @@ class FaultInjectionAlgorithms {
 
   static constexpr uint64_t kDefaultCheckpointInterval = 4096;
 
-  /// Retired instructions between golden-run snapshots; 0 disables
-  /// checkpointing entirely.
+  /// Retired instructions between RunCampaign's golden-run snapshots; 0
+  /// disables checkpointing (and convergence pruning) entirely.
   void SetCheckpointInterval(uint64_t interval) {
     checkpoint_interval_ = interval;
   }
 
-  /// Forces warm-start even for campaigns whose faults may inject before the
-  /// first checkpoint interval. By default warm-start engages only when
+  /// Forces RunCampaign's warm start even for campaigns whose faults may
+  /// inject before the first checkpoint interval. By default warm start
+  /// engages only for SCIFI and runtime SWIFI campaigns with
   /// inject_min_instr >= checkpoint_interval (all faults inject after the
   /// first snapshot, so building the cache is guaranteed to pay off).
   void SetForceWarmStart(bool force) { force_warm_start_ = force; }
@@ -219,28 +223,17 @@ class FaultInjectionAlgorithms {
         "this target does not support checkpointing");
   }
 
-  /// Decides and builds the golden-run products of the prepared campaign,
-  /// for serial and parallel runs alike: a checkpoint cache when warm start
-  /// pays off (a SCIFI or runtime-SWIFI campaign whose faults all inject at
-  /// or after the first `interval`, or `force_warm_start`), and a golden
-  /// trace when `convergence_pruning`. Both come from one BuildGoldenRun;
-  /// each stays null when not wanted, and both do when `interval` is 0 or
-  /// the target cannot checkpoint.
-  util::Status BuildGoldenProducts(
-      uint64_t interval, bool force_warm_start, bool convergence_pruning,
-      std::shared_ptr<const CheckpointCache>* cache,
-      std::shared_ptr<const GoldenTrace>* trace);
-
   // --- convergence pruning -------------------------------------------------
   //
-  // With pruning enabled, PrepareCampaign additionally records a GoldenTrace
-  // during the golden run. Experiments then compare their full-state digest
+  // With pruning enabled, the run additionally records a GoldenTrace during
+  // the golden run. Experiments then compare their full-state digest
   // against the golden digest at every checkpoint boundary after injection;
   // on a (blob-verified) match the run terminates immediately and its
   // remaining rows are synthesized from the recorded golden data — the
   // database stays byte-identical to a full run. See core/convergence.hpp.
 
-  /// Master switch; off by default. Set before PrepareCampaign.
+  /// Master switch; off by default. Read by RunCampaign, and by the
+  /// target-level run loops alongside an installed trace.
   void SetConvergencePruning(bool enabled) { convergence_pruning_ = enabled; }
 
   /// Installs a prebuilt golden trace (shared read-only across parallel
@@ -251,15 +244,14 @@ class FaultInjectionAlgorithms {
   }
 
   /// Installs a cross-experiment suffix memo (shared mutable, thread-safe).
-  /// PrepareCampaign creates a private one when pruning is on and none is
-  /// installed afterwards.
+  /// A run installs one beside its golden trace. PrepareCampaign resets it.
   void SetConvergenceMemo(std::shared_ptr<ConvergenceMemo> memo) {
     convergence_memo_ = std::move(memo);
   }
 
   /// Ensures the worker-local prerequisites for hashing against an installed
-  /// golden trace (memory baseline etc.) without rebuilding the trace.
-  /// ParallelCampaignRunner calls this on each worker after SetGoldenTrace.
+  /// golden trace (memory baseline etc.) without rebuilding the trace. A run
+  /// calls this on each of its targets after SetGoldenTrace.
   virtual util::Status PrepareGoldenBaseline() { return util::Status::Ok(); }
 
   /// Pruning observability. Like warm_starts(), deliberately outside Stats:

@@ -8,9 +8,9 @@
 // preparation and start each experiment from the nearest checkpoint before
 // its injection point.
 //
-// A CheckpointCache is built once (FaultInjectionAlgorithms::PrepareCampaign
-// or ParallelCampaignRunner::Run) and is immutable afterwards, so workers
-// share it read-only with no synchronization. Payloads are opaque here: each
+// A CheckpointCache is built once per run, on the run's first target
+// (core/parallel_runner.cpp), and is immutable afterwards, so workers share
+// it read-only with no synchronization. Payloads are opaque here: each
 // target stores whatever it needs (CPU + card + environment + bookkeeping)
 // behind CheckpointPayload and downcasts on restore.
 #pragma once

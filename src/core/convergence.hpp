@@ -5,7 +5,7 @@
 // run's state *at the same retired-instruction count*, the remainder of the
 // experiment is bit-for-bit identical to the golden remainder — the fault
 // was overwritten or masked, and simulating further cannot produce a
-// different outcome. PrepareCampaign therefore records a cheap incremental
+// different outcome. A run therefore records a cheap incremental
 // state hash (plus the exact hashed byte stream as a collision guard) at
 // every checkpoint boundary of the golden run, together with the golden
 // final readouts; experiments compare their own hash at those boundaries and
@@ -50,8 +50,8 @@ inline bool ConvergenceMatch(const GoldenBoundary& boundary, uint64_t hash,
 /// Everything recorded about the golden run for convergence pruning:
 /// per-boundary state digests, the golden final LoggedState (the outcome an
 /// experiment converging at any boundary would reach), and — for detail-mode
-/// campaigns — the golden per-instruction readout rows. Built once by
-/// PrepareCampaign / ParallelCampaignRunner, then shared read-only.
+/// campaigns — the golden per-instruction readout rows. Built once per run
+/// (core/parallel_runner.cpp), then shared read-only.
 class GoldenTrace {
  public:
   void set_interval(uint64_t interval) { interval_ = interval; }

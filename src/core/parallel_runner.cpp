@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <stop_token>
+#include <thread>
 #include <vector>
 
 #include "core/swifi_target.hpp"
@@ -13,7 +17,6 @@
 #include "db/archive.hpp"
 #include "testcard/testcard.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace goofi::core {
 
@@ -94,7 +97,7 @@ class CampaignLoop {
   /// one, as extra work after the last class with more. `committer` plans
   /// fault lists and re-executes members of detail-capped classes; it is
   /// only used with `classing`.
-  util::Status Run(const std::vector<FaultInjectionAlgorithms*>& targets,
+  util::Status Run(std::span<FaultInjectionAlgorithms* const> targets,
                    FaultInjectionAlgorithms* committer,
                    const Classing* classing);
 
@@ -160,7 +163,7 @@ class CampaignLoop {
 };
 
 util::Status CampaignLoop::Run(
-    const std::vector<FaultInjectionAlgorithms*>& targets,
+    std::span<FaultInjectionAlgorithms* const> targets,
     FaultInjectionAlgorithms* committer, const Classing* classing) {
   committer_ = committer;
   // With a durable archive attached, WAL group commits follow our commits:
@@ -197,21 +200,22 @@ util::Status CampaignLoop::Run(
   // Dispatch: with more than one target, each worker thread pulls units off
   // a shared cursor and parks the results in per-unit slots. Once the units
   // run out it takes the spot checks the committer selects, until the
-  // committer closes the list.
+  // committer closes the list or stops the worker.
   const bool threaded = targets.size() > 1;
   std::atomic<size_t> cursor{0};
-  std::atomic<bool> cancel{false};
   std::mutex mutex;
-  std::condition_variable slot_ready;   // a unit or spot check finished
-  std::condition_variable check_ready;  // a check was selected, or closed
+  std::condition_variable slot_ready;       // a unit or spot check finished
+  std::condition_variable_any check_ready;  // a check was selected, or closed
   size_t checks_taken = 0;
   bool checks_closed = spot_check_every_ == 0;
-  std::optional<util::ThreadPool> pool;
+  // Declared after everything the workers use, so that a committer error
+  // thrown past this frame still stops and joins them first.
+  std::vector<std::jthread> workers;
   if (threaded) {
-    pool.emplace(static_cast<int>(targets.size()));
+    workers.reserve(targets.size());
     for (FaultInjectionAlgorithms* target : targets) {
-      pool->Submit([&, target]() {
-        while (!cancel.load(std::memory_order_relaxed)) {
+      workers.emplace_back([&, target](const std::stop_token& stop) {
+        while (!stop.stop_requested()) {
           const size_t unit = cursor.fetch_add(1, std::memory_order_relaxed);
           if (unit >= slots_.size()) break;
           Slot slot = Execute(*target, Representative(unit));
@@ -226,12 +230,10 @@ util::Status CampaignLoop::Run(
           size_t unit = 0;
           {
             std::unique_lock<std::mutex> lock(mutex);
-            check_ready.wait(lock, [&]() {
-              return cancel.load(std::memory_order_relaxed) ||
-                     checks_taken < checks_.size() || checks_closed;
+            check_ready.wait(lock, stop, [&]() {
+              return checks_taken < checks_.size() || checks_closed;
             });
-            if (cancel.load(std::memory_order_relaxed) ||
-                checks_taken == checks_.size()) {
+            if (stop.stop_requested() || checks_taken == checks_.size()) {
               return;
             }
             check = checks_taken++;
@@ -328,12 +330,8 @@ util::Status CampaignLoop::Run(
       error = CheckSpot(checks_[k], check_slots_[k]);
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    cancel.store(true, std::memory_order_relaxed);
-  }
-  check_ready.notify_all();
-  if (pool) pool->Shutdown();
+  for (std::jthread& worker : workers) worker.request_stop();
+  workers.clear();  // joins
 
   // Commit what completed in order before reporting any error — the same
   // prefix a serial run that failed at this experiment would have logged.
@@ -375,15 +373,25 @@ util::Status CampaignLoop::Classify(const Classing& classing,
 
 Slot CampaignLoop::Execute(FaultInjectionAlgorithms& target, size_t pos) {
   const int dead_before = target.stats().injections_skipped_dead;
-  util::Result<Rows> rows =
-      classer_ ? target.ExecutePlanned(pending_[pos], plans_[pos])
-               : target.ExecuteExperiment(pending_[pos]);
   Slot slot;
   slot.done = true;
-  if (rows.ok()) {
-    slot.rows = std::move(rows).value();
-  } else {
-    slot.status = rows.status();
+  // A target that throws (a user-written one, or std::bad_alloc) fails its
+  // experiment like any other error, so an inline and a threaded run end
+  // with the same status after committing the same prefix.
+  try {
+    util::Result<Rows> rows =
+        classer_ ? target.ExecutePlanned(pending_[pos], plans_[pos])
+                 : target.ExecuteExperiment(pending_[pos]);
+    if (rows.ok()) {
+      slot.rows = std::move(rows).value();
+    } else {
+      slot.status = rows.status();
+    }
+  } catch (const std::exception& e) {
+    slot.status = util::Internal(
+        "experiment " +
+        CampaignStore::ExperimentName(campaign_.name, pending_[pos]) +
+        " threw: " + e.what());
   }
   slot.skipped_dead = target.stats().injections_skipped_dead - dead_before;
   return slot;
@@ -430,17 +438,86 @@ util::Status CampaignLoop::CheckSpot(size_t unit, const Slot& actual) {
   return util::Status::Ok();
 }
 
+/// The golden-run products a run asks for (see RunOnTargets).
+struct GoldenRequest {
+  uint64_t interval = 0;  ///< retired instructions between snapshots; 0: none
+  bool force_warm_start = false;
+  bool convergence_pruning = false;
+};
+
+/// The rest of every campaign run, RunCampaign and the runner alike: prepares
+/// `targets` for `campaign`; decides and builds the golden-run products once,
+/// on the first target; installs them read-only on all targets; and runs
+/// `loop` on the first `workers` of them (the last target plans fault lists
+/// under `classing`).
+util::Status RunOnTargets(CampaignLoop* loop, const CampaignData& campaign,
+                          const std::vector<FaultInjectionAlgorithms*>& targets,
+                          size_t workers, const GoldenRequest& golden,
+                          const Classing* classing) {
+  for (FaultInjectionAlgorithms* target : targets) {
+    GOOFI_RETURN_IF_ERROR(target->PrepareCampaign(campaign));
+  }
+  // Warm start applies to the stop-inject-resume techniques, and by default
+  // only when every fault injects at or after the first checkpoint interval,
+  // so each experiment is guaranteed to skip at least one interval's worth
+  // of re-simulation. Any technique can prune: even pre-runtime SWIFI data
+  // faults can rejoin the golden trajectory.
+  FaultInjectionAlgorithms& first = *targets.front();
+  const bool can_build = golden.interval > 0 && first.SupportsCheckpoints();
+  const bool want_cache =
+      can_build &&
+      (campaign.technique == Technique::kScifi ||
+       campaign.technique == Technique::kSwifiRuntime) &&
+      (golden.force_warm_start || campaign.inject_min_instr >= golden.interval);
+  const bool want_trace = can_build && golden.convergence_pruning;
+  if (want_cache || want_trace) {
+    std::shared_ptr<CheckpointCache> cache;
+    if (want_cache) cache = std::make_shared<CheckpointCache>(golden.interval);
+    std::shared_ptr<GoldenTrace> trace;
+    if (want_trace) trace = std::make_shared<GoldenTrace>();
+    GOOFI_RETURN_IF_ERROR(
+        first.BuildGoldenRun(golden.interval, cache.get(), trace.get()));
+    // One memo for the whole run: a suffix outcome memoized by any worker
+    // prunes matching experiments on every worker (single-writer inserts
+    // under the memo's lock, shared lock-guarded lookups).
+    auto memo =
+        trace != nullptr ? std::make_shared<ConvergenceMemo>() : nullptr;
+    for (FaultInjectionAlgorithms* target : targets) {
+      if (cache != nullptr) target->SetCheckpointCache(cache);
+      if (trace == nullptr) continue;
+      target->SetConvergencePruning(true);
+      target->SetGoldenTrace(trace);
+      target->SetConvergenceMemo(memo);
+      // Each target needs its own memory baseline for canonical hashing.
+      GOOFI_RETURN_IF_ERROR(target->PrepareGoldenBaseline());
+    }
+  }
+  return loop->Run(std::span(targets).first(workers), targets.back(),
+                   classing);
+}
+
 }  // namespace
 
-util::Status RunCampaignInline(CampaignStore* store,
-                               const CampaignData& campaign,
-                               FaultInjectionAlgorithms* target,
-                               ProgressMonitor* monitor,
-                               FaultInjectionAlgorithms::Stats* stats) {
-  CampaignLoop loop(store, campaign, monitor);
-  const util::Status status = loop.Run({target}, target, nullptr);
-  *stats = loop.stats();
+util::Status FaultInjectionAlgorithms::RunCampaign(
+    const std::string& campaign_name) {
+  // readCampaignData(campaignNr) — Fig. 2.
+  auto campaign = store_->GetCampaign(campaign_name);
+  if (!campaign.ok()) return campaign.status();
+  // makeReferenceRun() and the experiment loop — Fig. 2. A campaign that was
+  // paused or stopped can be restarted (the progress window of Fig. 7 offers
+  // exactly that): rows already in LoggedSystemState are kept and their
+  // experiments skipped.
+  CampaignLoop loop(store_, campaign.value(), monitor_);
+  const util::Status status = RunOnTargets(
+      &loop, campaign.value(), {this}, 1,
+      {checkpoint_interval_, force_warm_start_, convergence_pruning_}, nullptr);
+  stats_ = loop.stats();
   return status;
+}
+
+int ParallelCampaignRunner::DefaultWorkers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 4 : static_cast<int>(hw);
 }
 
 ParallelCampaignRunner::ParallelCampaignRunner(CampaignStore* store,
@@ -448,8 +525,7 @@ ParallelCampaignRunner::ParallelCampaignRunner(CampaignStore* store,
                                                int num_workers)
     : store_(store),
       factory_(std::move(factory)),
-      num_workers_(num_workers > 0 ? num_workers
-                                   : util::ThreadPool::DefaultWorkers()) {}
+      num_workers_(num_workers > 0 ? num_workers : DefaultWorkers()) {}
 
 util::Status ParallelCampaignRunner::Run(const std::string& campaign_name) {
   stats_ = FaultInjectionAlgorithms::Stats{};
@@ -463,59 +539,34 @@ util::Status ParallelCampaignRunner::Run(const std::string& campaign_name) {
   CampaignLoop loop(store_, campaign, monitor_);
 
   // Build the target stacks up front; a factory or fault-space error
-  // surfaces here before any thread starts. A threaded run under classing
-  // gets one more target for the committer thread.
+  // surfaces before any thread starts. A threaded run under classing gets
+  // one more target for the committer thread.
   workers_used_ = static_cast<int>(std::clamp<size_t>(
       loop.pending(), 1, static_cast<size_t>(num_workers_)));
   const bool threaded = workers_used_ > 1;
   const int target_count =
       workers_used_ + (threaded && equivalence_classing_ ? 1 : 0);
   std::vector<std::unique_ptr<FaultInjectionAlgorithms>> owned;
+  std::vector<FaultInjectionAlgorithms*> targets;
   for (int w = 0; w < target_count; ++w) {
     std::unique_ptr<FaultInjectionAlgorithms> target = factory_();
     if (target == nullptr) {
       return util::Internal("parallel runner: target factory returned null");
     }
     if (liveness_filter_) target->SetLivenessFilter(liveness_filter_);
-    // Suppress the per-target auto-build: a shared cache (below) replaces N
-    // redundant golden runs with one.
-    target->SetCheckpointInterval(0);
-    GOOFI_RETURN_IF_ERROR(target->PrepareCampaign(campaign));
+    targets.push_back(target.get());
     owned.push_back(std::move(target));
   }
-
-  // Build the golden run once, on the committer thread, and share its
-  // products read-only across all targets; the same decision as the serial
-  // driver's.
-  std::shared_ptr<const CheckpointCache> cache;
-  std::shared_ptr<const GoldenTrace> trace;
-  GOOFI_RETURN_IF_ERROR(owned[0]->BuildGoldenProducts(
-      checkpoint_interval_, force_warm_start_, convergence_pruning_, &cache,
-      &trace));
-  // One memo for the whole run: a suffix outcome memoized by any worker
-  // prunes matching experiments on every worker (single-writer inserts
-  // under the memo's lock, shared lock-guarded lookups).
-  auto memo = trace != nullptr ? std::make_shared<ConvergenceMemo>() : nullptr;
-  for (auto& target : owned) {
-    if (cache != nullptr) target->SetCheckpointCache(cache);
-    if (trace == nullptr) continue;
-    target->SetConvergencePruning(true);
-    target->SetGoldenTrace(trace);
-    target->SetConvergenceMemo(memo);
-    // Each target needs its own memory baseline for canonical hashing.
-    GOOFI_RETURN_IF_ERROR(target->PrepareGoldenBaseline());
-  }
-
-  std::vector<FaultInjectionAlgorithms*> targets;
-  for (int w = 0; w < workers_used_; ++w) targets.push_back(owned[w].get());
   const Classing classing{equivalence_timeline_.get(),
                           equivalence_static_.get(), spot_check_every_};
-  const util::Status status = loop.Run(
-      targets, owned.back().get(), equivalence_classing_ ? &classing : nullptr);
+  const util::Status status = RunOnTargets(
+      &loop, campaign, targets, static_cast<size_t>(workers_used_),
+      {checkpoint_interval_, force_warm_start_, convergence_pruning_},
+      equivalence_classing_ ? &classing : nullptr);
   stats_ = loop.stats();
   dedup_stats_ = loop.dedup_stats();
   cpu::MemoryUsageAggregator memory_usage;
-  for (const auto& target : owned) {
+  for (const FaultInjectionAlgorithms* target : targets) {
     warm_starts_ += target->warm_starts();
     prune_stats_ += target->prune_stats();
     if (const cpu::Memory* memory = target->TargetMemory()) {

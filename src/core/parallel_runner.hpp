@@ -1,10 +1,13 @@
 // The one campaign loop, and ParallelCampaignRunner on top of it.
 //
 // Every campaign run goes through one dispatch-and-commit loop
-// (parallel_runner.cpp). The Fig. 2 drivers of FaultInjectionAlgorithms run
-// it inline on their own target; ParallelCampaignRunner::Run runs it on
-// targets built by a factory. The loop partitions the pending experiments
-// into units, executes one representative per unit and commits every
+// (parallel_runner.cpp). FaultInjectionAlgorithms::RunCampaign (and the
+// Fig. 2 FaultInjector* methods on top of it) runs it inline on its own
+// target; ParallelCampaignRunner::Run runs it on targets built by a factory.
+// Either way the run itself prepares its targets, decides and builds the
+// golden-run products once (on the first target) and shares them read-only
+// across all of them. The loop partitions the pending experiments into
+// units, executes one representative per unit and commits every
 // experiment's rows strictly in experiment order, so any run leaves the
 // database byte-identical to a cold serial run of the same campaign. A plain
 // run is the trivial partition: each experiment is its own unit, executed
@@ -24,7 +27,7 @@
 //     its own CampaignStore::PutExperiments (one WAL group commit) before the
 //     ProgressMonitor sees it, and keeps no rows after their commit, so a
 //     killed run leaves whole experiments only;
-//   - N targets: one worker thread per target pulls units off a shared
+//   - N targets: one std::jthread per target pulls units off a shared
 //     atomic cursor, then takes the equivalence spot checks; the calling
 //     thread commits their results strictly in experiment order in ~64-row
 //     batches, and invokes the ProgressMonitor in order — monitors need no
@@ -33,7 +36,10 @@
 //     before dispatch;
 //   - early stop (monitor returns false) cancels outstanding units; the
 //     speculative results of later experiments are discarded, so the
-//     database again matches a serially-stopped run.
+//     database again matches a serially-stopped run;
+//   - an experiment that fails — an error status, or a std::exception thrown
+//     by its target — ends the run with that error after the experiments
+//     before it are committed, inline and threaded alike.
 #pragma once
 
 #include <functional>
@@ -46,16 +52,6 @@
 
 namespace goofi::core {
 
-/// Runs `campaign` on `target` alone, on the calling thread: the path of
-/// FaultInjectionAlgorithms::RunCampaign and the Fig. 2 drivers. `target`
-/// must be prepared for `campaign` (PrepareCampaign), with whatever golden
-/// products it built for itself. `stats` receives the run's counters.
-util::Status RunCampaignInline(CampaignStore* store,
-                               const CampaignData& campaign,
-                               FaultInjectionAlgorithms* target,
-                               ProgressMonitor* monitor,
-                               FaultInjectionAlgorithms::Stats* stats);
-
 class ParallelCampaignRunner {
  public:
   /// Builds one worker's private target stack. Called on the committer
@@ -63,11 +59,14 @@ class ParallelCampaignRunner {
   using TargetFactory =
       std::function<std::unique_ptr<FaultInjectionAlgorithms>()>;
 
-  /// `num_workers` <= 0 selects ThreadPool::DefaultWorkers(). The worker
-  /// count is additionally capped by the number of pending experiments; a
-  /// count of 1 runs inline, without threads.
+  /// `num_workers` <= 0 selects DefaultWorkers(). The worker count is
+  /// additionally capped by the number of pending experiments; a count of 1
+  /// runs inline, without threads.
   ParallelCampaignRunner(CampaignStore* store, TargetFactory factory,
                          int num_workers = 0);
+
+  /// The machine's hardware thread count, or 4 when it is unknown.
+  static int DefaultWorkers();
 
   /// Progress callbacks arrive on the committer thread, strictly in
   /// experiment order (the Fig. 7 progress window semantics, including
@@ -81,10 +80,11 @@ class ParallelCampaignRunner {
     liveness_filter_ = std::move(filter);
   }
 
-  /// Checkpoint fast-forward: when the target supports it, the committer
-  /// thread builds one golden-run CheckpointCache during preparation and
-  /// shares it read-only across all workers, so each experiment warm-starts
-  /// from the nearest snapshot before its injection time. 0 disables.
+  /// Checkpoint fast-forward: when the target supports it and warm start
+  /// pays off (see FaultInjectionAlgorithms::SetCheckpointInterval), the run
+  /// builds one golden-run CheckpointCache on its first target and shares it
+  /// read-only across all workers, so each experiment warm-starts from the
+  /// nearest snapshot before its injection time. 0 disables.
   void SetCheckpointInterval(uint64_t interval) {
     checkpoint_interval_ = interval;
   }
@@ -99,9 +99,9 @@ class ParallelCampaignRunner {
   int warm_starts() const { return warm_starts_; }
 
   /// Golden-trace convergence pruning: when enabled (and the target supports
-  /// checkpoints), the committer thread records one GoldenTrace during
-  /// preparation and shares it read-only across all workers, together with a
-  /// shared cross-experiment ConvergenceMemo. Experiments whose
+  /// checkpoints), the run records one GoldenTrace on its first target and
+  /// shares it read-only across all workers, together with a shared
+  /// cross-experiment ConvergenceMemo. Experiments whose
   /// post-injection state rejoins the golden trajectory terminate at the
   /// matching boundary with their remaining rows synthesized — byte-identical
   /// to a full run.
@@ -161,9 +161,9 @@ class ParallelCampaignRunner {
   }
 
   /// Runs `campaign_name` to completion (technique dispatched from the
-  /// stored campaign, as in RunCampaign). On a worker error, experiments
-  /// committed so far stay in the database — exactly what a failed serial
-  /// run leaves behind — and the first error is returned.
+  /// stored campaign, as in RunCampaign). On an experiment's error,
+  /// experiments committed so far stay in the database — exactly what a
+  /// failed serial run leaves behind — and the first error is returned.
   util::Status Run(const std::string& campaign_name);
 
   /// Aggregated over all workers, counting only committed experiments, so a

@@ -142,13 +142,8 @@ util::Result<std::unique_ptr<LivenessAnalyzer>> LivenessAnalyzer::BuildFromSpec(
   analyzer->register_accesses_.resize(isa::kNumRegisters);
 
   cpu::Cpu cpu(config);
-  uint32_t text_bytes = 0;
-  const auto etext = program.symbols.find("_etext");
-  if (etext != program.symbols.end() && etext->second > program.base_address) {
-    text_bytes = etext->second - program.base_address;
-  }
   GOOFI_RETURN_IF_ERROR(cpu.LoadProgram(program.base_address, program.words,
-                                        text_bytes));
+                                        program.text_bytes()));
   cpu.Reset(program.entry);
   if (environment) {
     const std::vector<uint32_t> inputs = environment->Sense();

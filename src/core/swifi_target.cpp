@@ -34,12 +34,8 @@ TargetSystemData SwifiSimTarget::Describe(const std::string& name) {
 }
 
 util::Status SwifiSimTarget::Download(const isa::AssembledProgram& program) {
-  uint32_t text_bytes = 0;
-  const auto etext = program.symbols.find("_etext");
-  if (etext != program.symbols.end() && etext->second > program.base_address) {
-    text_bytes = etext->second - program.base_address;
-  }
-  return cpu_->LoadProgram(program.base_address, program.words, text_bytes);
+  return cpu_->LoadProgram(program.base_address, program.words,
+                           program.text_bytes());
 }
 
 util::Status SwifiSimTarget::ReadWords(uint32_t address, uint32_t count,

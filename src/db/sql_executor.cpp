@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <span>
 #include <sstream>
@@ -54,6 +55,19 @@ util::Result<const Value*> Operand(const Expr& expr, const Resolver& resolver,
   return scratch;
 }
 
+/// `x op y` for op +, - or *. Integer arithmetic never wraps: a result
+/// outside int64 is an error, as in SQLite.
+util::Result<Value> CheckedInt(const std::string& op, int64_t x, int64_t y) {
+  int64_t result = 0;
+  const bool overflow = op == "+"   ? __builtin_add_overflow(x, y, &result)
+                        : op == "-" ? __builtin_sub_overflow(x, y, &result)
+                                    : __builtin_mul_overflow(x, y, &result);
+  if (overflow) return util::InvalidArgument("integer overflow");
+  return Value::Int(result);
+}
+
+util::Result<Value> NegateInt(int64_t x) { return CheckedInt("-", 0, x); }
+
 util::Result<Value> EvalAggregate(const Expr& expr, const Resolver& resolver,
                                   const GroupContext& group) {
   const auto& members = *group.members;
@@ -75,7 +89,9 @@ util::Result<Value> EvalAggregate(const Expr& expr, const Resolver& resolver,
   bool any = false;
   bool all_int = true;
   double sum = 0.0;
-  int64_t isum = 0;
+  // Exact: fewer than 2^64 rows of int64 values cannot overflow it, so only
+  // a total outside int64 is an overflow.
+  __int128 isum = 0;
   Value best;
   Value scratch;
   for (const Row* member : members) {
@@ -106,7 +122,12 @@ util::Result<Value> EvalAggregate(const Expr& expr, const Resolver& resolver,
   if (!any) return Value::Null();  // SQL: aggregates over empty input are NULL
   if (expr.func == "MIN" || expr.func == "MAX") return best;
   if (expr.func == "SUM") {
-    return all_int ? Value::Int(isum) : Value::Real(sum);
+    if (!all_int) return Value::Real(sum);
+    if (isum < std::numeric_limits<int64_t>::min() ||
+        isum > std::numeric_limits<int64_t>::max()) {
+      return util::InvalidArgument("integer overflow");
+    }
+    return Value::Int(static_cast<int64_t>(isum));
   }
   // AVG
   return Value::Real(sum / static_cast<double>(members.size()));
@@ -173,15 +194,20 @@ util::Result<Value> EvalBinary(const Expr& expr, const Resolver& resolver,
   if (expr.op == "%") {
     if (!both_int) return util::InvalidArgument("% requires integers");
     if (b.as_int() == 0) return Value::Null();
-    return Value::Int(a.as_int() % b.as_int());
+    // Every x % -1 is 0; computing INT64_MIN % -1 would trap.
+    return Value::Int(b.as_int() == -1 ? 0 : a.as_int() % b.as_int());
   }
   if (both_int) {
     const int64_t x = a.as_int();
     const int64_t y = b.as_int();
-    if (expr.op == "+") return Value::Int(x + y);
-    if (expr.op == "-") return Value::Int(x - y);
-    if (expr.op == "*") return Value::Int(x * y);
-    if (expr.op == "/") return y == 0 ? Value::Null() : Value::Int(x / y);
+    if (expr.op == "+" || expr.op == "-" || expr.op == "*") {
+      return CheckedInt(expr.op, x, y);
+    }
+    if (expr.op == "/") {
+      if (y == 0) return Value::Null();
+      // INT64_MIN / -1 is the one quotient outside int64.
+      return y == -1 ? NegateInt(x) : Value::Int(x / y);
+    }
   } else {
     const double x = a.as_real();
     const double y = b.as_real();
@@ -214,7 +240,7 @@ util::Result<Value> Eval(const Expr& expr, const Resolver& resolver,
       }
       // NEG
       if (a.is_null()) return Value::Null();
-      if (a.type() == ValueType::kInt) return Value::Int(-a.as_int());
+      if (a.type() == ValueType::kInt) return NegateInt(a.as_int());
       if (a.type() == ValueType::kReal) return Value::Real(-a.as_real());
       return util::InvalidArgument("unary minus on TEXT");
     }
@@ -231,7 +257,9 @@ util::Result<Value> Eval(const Expr& expr, const Resolver& resolver,
         const Value& a = *v.value();
         if (a.is_null()) return Value::Null();
         if (expr.func == "ABS") {
-          if (a.type() == ValueType::kInt) return Value::Int(std::abs(a.as_int()));
+          if (a.type() == ValueType::kInt) {
+            return a.as_int() < 0 ? NegateInt(a.as_int()) : a;
+          }
           if (a.type() == ValueType::kReal) return Value::Real(std::fabs(a.as_real()));
           return util::InvalidArgument("ABS on TEXT");
         }

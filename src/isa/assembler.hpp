@@ -49,6 +49,18 @@ struct AssembledProgram {
 
   /// Value of a symbol, or error.
   util::Result<uint32_t> Symbol(const std::string& name) const;
+
+  /// Byte size of the write-protected text segment for cpu::Cpu::LoadProgram.
+  /// By convention a workload marks the end of its code with an `_etext`
+  /// label and everything after it is writable data: `_etext` minus the base
+  /// when `_etext` lies past the base, else 0 (LoadProgram then protects the
+  /// whole image).
+  uint32_t text_bytes() const {
+    const auto etext = symbols.find("_etext");
+    return etext != symbols.end() && etext->second > base_address
+               ? etext->second - base_address
+               : 0;
+  }
 };
 
 /// Assembles `source`. Errors carry a line number.

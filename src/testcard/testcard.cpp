@@ -36,16 +36,8 @@ util::Status SimTestCard::Init() {
 
 util::Status SimTestCard::LoadWorkload(const isa::AssembledProgram& program) {
   extra_us_ += link_.op_overhead_us;
-  // By convention a workload marks the end of its code with an `_etext`
-  // label; everything after it is writable data. Without the label the whole
-  // image is protected text.
-  uint32_t text_bytes = 0;
-  const auto etext = program.symbols.find("_etext");
-  if (etext != program.symbols.end() && etext->second > program.base_address) {
-    text_bytes = etext->second - program.base_address;
-  }
-  GOOFI_RETURN_IF_ERROR(
-      cpu_->LoadProgram(program.base_address, program.words, text_bytes));
+  GOOFI_RETURN_IF_ERROR(cpu_->LoadProgram(program.base_address, program.words,
+                                          program.text_bytes()));
   entry_ = program.entry;
   return util::Status::Ok();
 }

@@ -29,13 +29,12 @@ const char* const kHelpText =
     "          logmode=normal|detail observe=a,b burst=len:spacing\n"
     "  campaign show <name>                   print stored campaign data\n"
     "  campaign merge <new> <src>...          merge campaigns (3.2)\n"
-    "  run <campaign>                         fault-injection phase (Fig. 2)\n"
-    "  run-parallel <campaign> [workers]      sharded run, deterministic replay\n"
+    "  run <campaign> [workers]               fault-injection phase (Fig. 2)\n"
     "  run-warm <campaign> [workers] [interval]  checkpoint fast-forward run\n"
     "  run-pruned <campaign> [workers] [interval]  run-warm + convergence pruning\n"
     "  run-dedup <campaign> [workers]         run-pruned + equivalence classing\n"
     "  run-static <campaign> [workers]        run-pruned + static no-effect classes\n"
-    "  stats                                  counters of the last run command\n"
+    "  stats                                  counters of the last run only\n"
     "  analyze <campaign>                     classification report (3.4)\n"
     "  analyze <workload>                     static CFG/liveness/prune report\n"
     "  report <campaign> <path>               write the report to a file\n"
@@ -54,12 +53,10 @@ const char* const kHelpText =
 Shell::Shell(db::Database* db, core::CampaignStore* store)
     : db_(db), store_(store) {}
 
-void Shell::AddTarget(const std::string& name,
-                      core::FaultInjectionAlgorithms* algorithms,
-                      const testcard::TestCard* card,
+void Shell::AddTarget(const std::string& name, const testcard::TestCard* card,
                       core::ParallelCampaignRunner::TargetFactory factory,
                       cpu::CpuConfig analyzer_config) {
-  targets_[name] = Target{algorithms, card, std::move(factory), analyzer_config};
+  targets_[name] = Target{card, std::move(factory), analyzer_config};
 }
 
 util::Result<std::string> Shell::CmdHelp() const { return std::string(kHelpText); }
@@ -303,52 +300,33 @@ util::Result<Shell::Target> Shell::FindTargetFor(
   return it->second;
 }
 
-util::Result<std::string> Shell::CmdRun(const std::vector<std::string>& args) {
-  if (args.size() != 1) return util::InvalidArgument("run <campaign>");
-  auto target = FindTargetFor(args[0]);
-  if (!target.ok()) return target.status();
-  core::FaultInjectionAlgorithms& algorithms = *target.value().algorithms;
-  GOOFI_RETURN_IF_ERROR(algorithms.RunCampaign(args[0]));
-  cpu::MemoryUsageAggregator memory_usage;
-  if (const cpu::Memory* memory = algorithms.TargetMemory()) {
-    memory_usage.Add(*memory);
-  }
-  last_run_ = LastRun{true, args[0], "run", algorithms.stats(),
-                      algorithms.warm_starts(), algorithms.prune_stats(), {},
-                      memory_usage.totals()};
-  return util::Format("campaign %s: %d experiments run, %d resumed\n",
-                      args[0].c_str(), algorithms.stats().experiments_run,
-                      algorithms.stats().experiments_resumed);
-}
-
-/// One runner command: `<command> <campaign> [workers]`, plus `[interval]`
-/// where `interval` is set. The summary line reports the counters of the
-/// reducers the preset engages.
+/// One run command: `<command> <campaign> [workers]` (default 1: inline),
+/// plus `[interval]` where `interval` is set. The summary line reports the
+/// counters of the reducers the preset engages.
 struct Shell::RunPreset {
   enum Classes { kNone, kTimeline, kStatic };
   const char* command;
-  int default_workers;  ///< 0: ThreadPool::DefaultWorkers()
-  bool warm;            ///< force warm start from golden-run checkpoints
-  bool interval;        ///< takes [interval] and reports warm starts
-  bool pruned;          ///< golden-trace convergence pruning
-  Classes classes;      ///< equivalence classing and its class source
+  bool warm;        ///< force warm start from golden-run checkpoints
+  bool interval;    ///< takes [interval] and reports warm starts
+  bool pruned;      ///< golden-trace convergence pruning
+  Classes classes;  ///< equivalence classing and its class source
 };
 
 const Shell::RunPreset Shell::kRunPresets[] = {
-    // Sharded across worker-owned target stacks, ordered commits.
-    {"run-parallel", 0, false, false, false, RunPreset::kNone},
+    // The Fig. 2 campaign loop; warm start only where it is sure to pay off.
+    {"run", false, false, false, RunPreset::kNone},
     // One golden run builds the snapshot cache; each experiment warm-starts
     // from the nearest checkpoint before its injection time.
-    {"run-warm", 1, true, true, false, RunPreset::kNone},
+    {"run-warm", true, true, false, RunPreset::kNone},
     // run-warm plus convergence pruning: experiments whose state rejoins the
     // golden trajectory at a boundary stop there, the rest synthesized.
-    {"run-pruned", 1, true, true, true, RunPreset::kNone},
+    {"run-pruned", true, true, true, RunPreset::kNone},
     // run-pruned plus equivalence classing over a fault-free access
     // timeline: flips in one access window execute once.
-    {"run-dedup", 1, true, false, true, RunPreset::kTimeline},
+    {"run-dedup", true, false, true, RunPreset::kTimeline},
     // run-pruned plus the static no-effect classes alone: flips into
     // statically never-accessed registers or never-read words; no pre-run.
-    {"run-static", 1, true, false, true, RunPreset::kStatic},
+    {"run-static", true, false, true, RunPreset::kStatic},
 };
 
 util::Result<std::string> Shell::CmdRunPreset(
@@ -358,7 +336,7 @@ util::Result<std::string> Shell::CmdRunPreset(
                                  " <campaign> [workers]" +
                                  (preset.interval ? " [interval]" : ""));
   }
-  int workers = preset.default_workers;
+  int workers = 1;
   if (args.size() >= 2) {
     const auto parsed = util::ParseInt(args[1]);
     if (!parsed || *parsed < 1) {
@@ -376,12 +354,8 @@ util::Result<std::string> Shell::CmdRunPreset(
   }
   auto target = FindTargetFor(args[0]);
   if (!target.ok()) return target.status();
-  if (!target.value().factory) {
-    return util::FailedPrecondition(
-        "target of campaign " + args[0] +
-        " was registered without a parallel target factory");
-  }
   core::ParallelCampaignRunner runner(store_, target.value().factory, workers);
+  runner.SetProgressMonitor(monitor_);
   runner.SetCheckpointInterval(interval);
   runner.SetForceWarmStart(preset.warm);
   runner.SetConvergencePruning(preset.pruned);
@@ -586,7 +560,12 @@ util::Result<std::string> Shell::CmdRerunDetail(
   if (!row.ok()) return row.status();
   auto target = FindTargetFor(row.value().campaign_name);
   if (!target.ok()) return target.status();
-  GOOFI_RETURN_IF_ERROR(target.value().algorithms->RerunDetailed(args[0]));
+  std::unique_ptr<core::FaultInjectionAlgorithms> algorithms =
+      target.value().factory();
+  if (algorithms == nullptr) {
+    return util::Internal("target factory returned null");
+  }
+  GOOFI_RETURN_IF_ERROR(algorithms->RerunDetailed(args[0]));
   return "detail re-run logged as " + args[0] + "/detail\n";
 }
 
@@ -724,7 +703,6 @@ util::Result<std::string> Shell::Execute(const std::string& line) {
   if (command == "list") return CmdList(args);
   if (command == "target") return CmdTarget(args);
   if (command == "campaign") return CmdCampaign(args);
-  if (command == "run") return CmdRun(args);
   for (const RunPreset& preset : kRunPresets) {
     if (command == preset.command) return CmdRunPreset(preset, args);
   }

@@ -7,7 +7,8 @@
 //
 //   Fig. 5 (configure target)   ->  `target describe`, `list chains`
 //   Fig. 6 (define campaign)    ->  `campaign set`, `campaign show/merge`
-//   Fig. 7 (progress window)    ->  `run` with periodic progress lines
+//   Fig. 7 (progress window)    ->  every run command reports to the
+//                                   shell's ProgressMonitor
 //   §3.4  (analysis scripts)    ->  `analyze`, `sql`, `propagation`
 //
 // Commands are line-oriented; see `help` for the full list. The shell is
@@ -35,18 +36,23 @@ class Shell {
   /// `db` and `store` must outlive the shell.
   Shell(db::Database* db, core::CampaignStore* store);
 
-  /// Registers a target system under `name`. The algorithms object (one per
-  /// TargetSystemInterface) must outlive the shell. `card` may be null for
-  /// targets without scan-chain access. `factory` (optional) enables
-  /// `run-parallel` for campaigns on this target by building worker-owned
-  /// target stacks (see core::MakeSimThorFactory). `analyzer_config` is the
-  /// CPU configuration `run-dedup` rebuilds fault-free access timelines with;
-  /// it must match the configuration the factory's targets simulate.
-  void AddTarget(const std::string& name,
-                 core::FaultInjectionAlgorithms* algorithms,
-                 const testcard::TestCard* card,
-                 core::ParallelCampaignRunner::TargetFactory factory = nullptr,
+  /// Registers a target system under `name`. `card` (for `list chains` and
+  /// `target describe`) may be null for targets without scan-chain access
+  /// and must otherwise outlive the shell. `factory` (required) builds the
+  /// target stacks every run command and `rerun-detail` execute on (see
+  /// core::MakeSimThorFactory). `analyzer_config` is the CPU configuration
+  /// `run-dedup` rebuilds fault-free access timelines with; it must match the
+  /// configuration the factory's targets simulate.
+  void AddTarget(const std::string& name, const testcard::TestCard* card,
+                 core::ParallelCampaignRunner::TargetFactory factory,
                  cpu::CpuConfig analyzer_config = {});
+
+  /// The progress window of Fig. 7: every run command reports each committed
+  /// experiment to `monitor`, in experiment order, and ends early when it
+  /// returns false. Null (the default) reports nowhere.
+  void SetProgressMonitor(core::ProgressMonitor* monitor) {
+    monitor_ = monitor;
+  }
 
   /// Executes one command line; returns its printable output.
   util::Result<std::string> Execute(const std::string& line);
@@ -59,7 +65,6 @@ class Shell {
 
  private:
   struct Target {
-    core::FaultInjectionAlgorithms* algorithms = nullptr;
     const testcard::TestCard* card = nullptr;
     core::ParallelCampaignRunner::TargetFactory factory;
     cpu::CpuConfig config;  ///< analyzer configuration for run-dedup
@@ -69,17 +74,16 @@ class Shell {
   util::Result<std::string> CmdList(const std::vector<std::string>& args) const;
   util::Result<std::string> CmdTarget(const std::vector<std::string>& args);
   util::Result<std::string> CmdCampaign(const std::vector<std::string>& args);
-  /// `run <campaign>`: the Fig. 2 driver, inline on the registered target.
-  util::Result<std::string> CmdRun(const std::vector<std::string>& args);
-  /// The runner commands, one preset each: `run-parallel`, `run-warm`,
-  /// `run-pruned`, `run-dedup` and `run-static`. Each runs the campaign on
-  /// the target's factory-built stacks with the preset's reducers; every one
-  /// leaves the database byte-identical to `run`.
+  /// The run commands, one preset each: `run` (the Fig. 2 campaign loop),
+  /// `run-warm`, `run-pruned`, `run-dedup` and `run-static`. Each runs the
+  /// campaign through a ParallelCampaignRunner on the target's factory-built
+  /// stacks with the preset's reducers; every one leaves the database
+  /// byte-identical to a cold serial run.
   struct RunPreset;
   static const RunPreset kRunPresets[];
   util::Result<std::string> CmdRunPreset(const RunPreset& preset,
                                          const std::vector<std::string>& args);
-  /// `stats`: counters of the most recent run command, distinguishing
+  /// `stats`: counters of the most recent run command alone, distinguishing
   /// experiments never injected (liveness-dead) from experiments injected but
   /// converged (pruned).
   util::Result<std::string> CmdStats() const;
@@ -122,8 +126,8 @@ class Shell {
     int warm_starts = 0;
     core::ConvergenceStats prune;
     core::EquivalenceStats dedup;
-    /// COW memory residency/counters over the run's targets (serial: the
-    /// registered target; parallel: every worker, golden images deduped).
+    /// COW memory residency/counters over the run's targets (every worker,
+    /// golden images deduped).
     cpu::MemoryUsageAggregator::Totals memory;
   };
 
@@ -135,8 +139,9 @@ class Shell {
   /// archive is closed / replaced by `load`.
   std::unique_ptr<db::Archive> archive_;
   LastRun last_run_;
-  /// Fault-free access timelines, memoized across PrepareCampaign calls for
-  /// the same (workload, configuration) within a shell session.
+  core::ProgressMonitor* monitor_ = nullptr;
+  /// Fault-free access timelines, memoized across run commands for the same
+  /// (workload, configuration) within a shell session.
   core::LivenessCache liveness_cache_;
   /// Static workload analyses, memoized per workload name (`analyze` and
   /// `run-static`). Mutable: `analyze` is logically const but may populate

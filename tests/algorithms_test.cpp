@@ -325,7 +325,6 @@ TEST_F(AlgorithmsTest, InjectionOnAnIterationBoundaryStepIsNotDelayed) {
             timeline->RegisterAccessWindow(1, 33281));
 
   ASSERT_TRUE(store_.PutCampaign(campaign).ok());
-  target_.SetCheckpointInterval(0);
   ASSERT_TRUE(target_.PrepareCampaign(campaign).ok());
   auto main_row_at = [&](uint64_t inject_instr) {
     FaultInstance fault;

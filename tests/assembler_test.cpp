@@ -106,6 +106,17 @@ TEST(AssemblerTest, EntryDefaultsToBaseOrStart) {
   EXPECT_EQ(program.entry, 4u);
 }
 
+TEST(AssemblerTest, TextBytesEndAtEtextPastTheBase) {
+  // Code up to _etext is the protected text; data follows it.
+  EXPECT_EQ(MustAssemble(".org 0x100\nnop\nhalt\n_etext:\n.word 7\n")
+                .text_bytes(),
+            8u);
+  // No _etext, or one at the base: 0, which LoadProgram reads as "the whole
+  // image is text".
+  EXPECT_EQ(MustAssemble("nop\nhalt\n").text_bytes(), 0u);
+  EXPECT_EQ(MustAssemble(".org 0x100\n_etext:\n.word 7\n").text_bytes(), 0u);
+}
+
 TEST(AssemblerTest, LiExpandsToTwoWords) {
   for (const uint32_t value :
        {0u, 1u, 0x3FFFu, 0x4000u, 0xF000u, 0x7FFFFFFFu, 0x80000000u,

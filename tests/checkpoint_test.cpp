@@ -274,8 +274,8 @@ TEST(CheckpointTest, ParallelWarmSwifiMatchesCold) {
 }
 
 TEST(CheckpointTest, WarmStartEngagesByDefaultForLateInjections) {
-  // All faults inject at or after the first interval, so PrepareCampaign
-  // auto-builds the cache without SetForceWarmStart.
+  // All faults inject at or after the first interval, so the run builds the
+  // cache without SetForceWarmStart.
   CampaignData campaign = ThorScifiCampaign("cp_auto");
   campaign.inject_min_instr = 600;
   const RunResult cold = RunCold(campaign);
@@ -283,6 +283,23 @@ TEST(CheckpointTest, WarmStartEngagesByDefaultForLateInjections) {
       RunSerial(campaign, /*interval=*/64, /*force=*/false);
   EXPECT_EQ(warm.warm_starts, campaign.num_experiments);
   ExpectIdentical(cold, warm);
+}
+
+TEST(CheckpointTest, PrepareCampaignBuildsNoGoldenProducts) {
+  // The same late-injecting campaign, prepared but not run: the golden
+  // products belong to a run, so experiments executed on a prepared target
+  // start cold.
+  CampaignData campaign = ThorScifiCampaign("cp_prepared");
+  campaign.inject_min_instr = 600;
+  Session session(campaign);
+  testcard::SimTestCard card;
+  ThorRdTarget target(&session.store, &card);
+  target.SetCheckpointInterval(64);
+  ASSERT_TRUE(target.PrepareCampaign(campaign).ok());
+  for (int i = 0; i < campaign.num_experiments; ++i) {
+    ASSERT_TRUE(target.ExecuteExperiment(i).ok());
+  }
+  EXPECT_EQ(target.warm_starts(), 0);
 }
 
 TEST(CheckpointTest, DefaultStaysColdForEarlyInjections) {
@@ -333,7 +350,6 @@ TEST(CheckpointTest, CacheMemoryIsBoundedByPageDeltas) {
   campaign.inject_max_instr = 20000;
   ASSERT_TRUE(store.PutCampaign(campaign).ok());
   ThorRdTarget target(&store, &card);
-  target.SetCheckpointInterval(0);  // build explicitly below
   ASSERT_TRUE(target.PrepareCampaign(campaign).ok());
   CheckpointCache cache(256);
   ASSERT_TRUE(target.BuildGoldenRun(256, &cache, nullptr).ok());

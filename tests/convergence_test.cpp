@@ -317,7 +317,6 @@ TEST(ConvergenceTest, GoldenTraceBuildIsDeterministic) {
   const CampaignData campaign = ThorScifiCampaign("cv_trace");
   ASSERT_TRUE(store.PutCampaign(campaign).ok());
   ThorRdTarget target(&store, &card);
-  target.SetCheckpointInterval(0);  // build explicitly below
   ASSERT_TRUE(target.PrepareCampaign(campaign).ok());
   GoldenTrace first;
   ASSERT_TRUE(target.BuildGoldenRun(64, nullptr, &first).ok());
@@ -356,7 +355,6 @@ TEST(ConvergenceTest, BuildGoldenRunRejectsDegenerateArguments) {
   const CampaignData campaign = SwifiRuntimeCampaign("cv_args");
   ASSERT_TRUE(store.PutCampaign(campaign).ok());
   SwifiSimTarget target(&store);
-  target.SetCheckpointInterval(0);
   ASSERT_TRUE(target.PrepareCampaign(campaign).ok());
   GoldenTrace trace;
   EXPECT_FALSE(target.BuildGoldenRun(0, nullptr, &trace).ok());

@@ -1,6 +1,9 @@
 // Tests for the SQL dialect: tokenizer, parser and executor.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "db/prepared.hpp"
 #include "db/sql_executor.hpp"
 #include "db/sql_parser.hpp"
@@ -159,6 +162,102 @@ TEST_F(SqlExecTest, IntegerDivisionAndModulo) {
 TEST_F(SqlExecTest, DivisionByZeroYieldsNull) {
   const auto result = Exec("SELECT 1 / 0 FROM exp LIMIT 1");
   EXPECT_TRUE(result.rows[0][0].is_null());
+}
+
+// Integer arithmetic at the int64 edges: each operator's results that fit are
+// exact, and the first result past an edge is an error — never a wrapped
+// value, undefined behaviour or a trap.
+class SqlInt64EdgeTest : public SqlExecTest {
+ protected:
+  static constexpr const char* kMax = "9223372036854775807";
+  static constexpr const char* kMin = "(0 - 9223372036854775807 - 1)";
+
+  int64_t IntOf(const std::string& expr) {
+    const QueryResult result = Exec("SELECT " + expr + " FROM exp LIMIT 1");
+    EXPECT_EQ(result.rows.size(), 1u) << expr;
+    return result.rows.empty() ? 0 : result.rows[0][0].as_int();
+  }
+
+  void ExpectOverflow(const std::string& expr) {
+    const auto result = ExecuteSql(db_, "SELECT " + expr + " FROM exp LIMIT 1");
+    ASSERT_FALSE(result.ok()) << expr;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument)
+        << expr;
+    EXPECT_EQ(result.status().message(), "integer overflow") << expr;
+  }
+
+  static std::string Op(const std::string& a, const char* op,
+                        const std::string& b) {
+    return a + " " + op + " " + b;
+  }
+};
+
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+
+TEST_F(SqlInt64EdgeTest, Addition) {
+  EXPECT_EQ(IntOf(Op(kMax, "+", "0")), kInt64Max);
+  EXPECT_EQ(IntOf(Op(kMin, "+", kMax)), -1);
+  ExpectOverflow(Op(kMax, "+", "1"));
+  ExpectOverflow(Op(kMin, "+", "(0 - 1)"));
+}
+
+TEST_F(SqlInt64EdgeTest, Subtraction) {
+  EXPECT_EQ(IntOf(kMin), kInt64Min);
+  EXPECT_EQ(IntOf(Op(kMax, "-", kMax)), 0);
+  ExpectOverflow(Op(kMin, "-", "1"));
+  ExpectOverflow(Op(kMax, "-", "(0 - 1)"));
+  ExpectOverflow(Op("0", "-", kMin));
+}
+
+TEST_F(SqlInt64EdgeTest, Multiplication) {
+  EXPECT_EQ(IntOf(Op("4611686018427387903", "*", "2")), kInt64Max - 1);
+  EXPECT_EQ(IntOf(Op("4611686018427387904", "*", "(0 - 2)")), kInt64Min);
+  EXPECT_EQ(IntOf(Op(kMax, "*", "(0 - 1)")), -kInt64Max);
+  ExpectOverflow(Op("4611686018427387904", "*", "2"));
+  ExpectOverflow(Op(kMin, "*", "(0 - 1)"));
+  ExpectOverflow(Op(kMax, "*", kMax));
+}
+
+TEST_F(SqlInt64EdgeTest, Division) {
+  EXPECT_EQ(IntOf(Op(kMax, "/", "(0 - 1)")), -kInt64Max);
+  EXPECT_EQ(IntOf(Op(kMin, "/", "1")), kInt64Min);
+  EXPECT_EQ(IntOf(Op(kMin, "/", "(0 - 2)")), 4611686018427387904);
+  EXPECT_EQ(IntOf(Op("(0 - 7)", "/", "2")), -3);
+  ExpectOverflow(Op(kMin, "/", "(0 - 1)"));  // traps (SIGFPE) if computed
+}
+
+TEST_F(SqlInt64EdgeTest, Modulo) {
+  EXPECT_EQ(IntOf(Op(kMin, "%", "(0 - 1)")), 0);  // traps if computed
+  EXPECT_EQ(IntOf(Op(kMax, "%", "(0 - 1)")), 0);
+  EXPECT_EQ(IntOf(Op(kMin, "%", kMax)), -1);
+  EXPECT_EQ(IntOf(Op("(0 - 7)", "%", "2")), -1);
+  EXPECT_EQ(IntOf(Op("7", "%", "(0 - 2)")), 1);
+}
+
+TEST_F(SqlInt64EdgeTest, UnaryMinusAndAbs) {
+  EXPECT_EQ(IntOf(std::string("-") + kMax), -kInt64Max);
+  EXPECT_EQ(IntOf(std::string("ABS(-") + kMax + ")"), kInt64Max);
+  EXPECT_EQ(IntOf(std::string("ABS(") + kMax + ")"), kInt64Max);
+  ExpectOverflow(std::string("-") + kMin);
+  ExpectOverflow(std::string("ABS(") + kMin + ")");
+}
+
+TEST_F(SqlInt64EdgeTest, SumIsExactAndOnlyAnOutOfRangeTotalOverflows) {
+  Exec("CREATE TABLE big (v INTEGER)");
+  Exec(std::string("INSERT INTO big VALUES (") + kMax + "), (1)");
+  const auto over = ExecuteSql(db_, "SELECT SUM(v) FROM big");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().message(), "integer overflow");
+  // A partial sum past the edge is fine when the total comes back in range.
+  Exec("INSERT INTO big VALUES (0 - 1)");
+  EXPECT_EQ(Exec("SELECT SUM(v) FROM big").rows.at(0).at(0).as_int(),
+            kInt64Max);
+  Exec("DELETE FROM big");
+  Exec(std::string("INSERT INTO big VALUES (") + kMin + "), (" + kMin + ")");
+  const auto under = ExecuteSql(db_, "SELECT SUM(v) FROM big");
+  ASSERT_FALSE(under.ok());
+  EXPECT_EQ(under.status().message(), "integer overflow");
 }
 
 TEST_F(SqlExecTest, TextConcatenation) {

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <vector>
 
 #include "core/goofi.hpp"
 #include "db/database.hpp"
@@ -17,9 +18,9 @@ namespace {
 
 class ShellTest : public ::testing::Test {
  protected:
-  ShellTest()
-      : store_(&db_), target_(&store_, &card_), shell_(&db_, &store_) {
-    shell_.AddTarget(core::ThorRdTarget::kTargetName, &target_, &card_);
+  ShellTest() : store_(&db_), shell_(&db_, &store_) {
+    shell_.AddTarget(core::ThorRdTarget::kTargetName, &card_,
+                     core::MakeSimThorFactory(&store_));
     EXPECT_TRUE(
         Run(std::string("target describe ") + core::ThorRdTarget::kTargetName)
             .ok());
@@ -38,7 +39,6 @@ class ShellTest : public ::testing::Test {
   db::Database db_;
   core::CampaignStore store_;
   testcard::SimTestCard card_;
-  core::ThorRdTarget target_;
   Shell shell_;
 };
 
@@ -127,21 +127,22 @@ TEST_F(ShellTest, RunAndAnalyzeEndToEnd) {
       "campaign set mini workload=fibonacci locations=internal_regfile "
       "experiments=15 window=1:80 timeout=50000");
   const std::string run_output = MustRun("run mini");
-  EXPECT_NE(run_output.find("15 experiments run"), std::string::npos);
+  EXPECT_NE(run_output.find("15 experiments run on 1 workers"),
+            std::string::npos)
+      << run_output;
   const std::string analysis = MustRun("analyze mini");
   EXPECT_NE(analysis.find("error coverage"), std::string::npos);
   EXPECT_NE(analysis.find("15 experiments"), std::string::npos);
+  EXPECT_FALSE(Run("run mini 0").ok());
+  EXPECT_FALSE(Run("run mini x").ok());
+  EXPECT_FALSE(Run("run mini 1 16").ok()) << "run takes no interval argument";
+  EXPECT_FALSE(Run("run").ok());
 }
 
 TEST_F(ShellTest, RunWarmForcesCheckpointFastForward) {
   MustRun(
       "campaign set warm workload=fibonacci locations=internal_regfile "
       "experiments=6 window=1:80 timeout=50000");
-  // The fixture registers the target without a parallel factory: run-warm
-  // must fail with a precise diagnosis, not fall back to a cold run.
-  EXPECT_FALSE(Run("run-warm warm").ok());
-  shell_.AddTarget(core::ThorRdTarget::kTargetName, &target_, &card_,
-                   core::MakeSimThorFactory(&store_));
   const std::string out = MustRun("run-warm warm 1 16");
   EXPECT_NE(out.find("6 experiments run"), std::string::npos);
   EXPECT_NE(out.find("6 warm starts"), std::string::npos);
@@ -155,10 +156,6 @@ TEST_F(ShellTest, RunPrunedEngagesConvergencePruning) {
   MustRun(
       "campaign set pruned workload=fibonacci locations=internal_core "
       "experiments=6 window=1:80 timeout=50000");
-  // Like run-warm, run-pruned needs a parallel target factory.
-  EXPECT_FALSE(Run("run-pruned pruned").ok());
-  shell_.AddTarget(core::ThorRdTarget::kTargetName, &target_, &card_,
-                   core::MakeSimThorFactory(&store_));
   const std::string out = MustRun("run-pruned pruned 1 16");
   EXPECT_NE(out.find("6 experiments run"), std::string::npos);
   EXPECT_NE(out.find("pruned"), std::string::npos);
@@ -172,10 +169,6 @@ TEST_F(ShellTest, RunDedupEngagesEquivalenceClassing) {
   MustRun(
       "campaign set dedup workload=fibonacci locations=internal_regfile "
       "experiments=6 window=1:80 timeout=50000");
-  // Like run-warm/run-pruned, run-dedup needs a parallel target factory.
-  EXPECT_FALSE(Run("run-dedup dedup").ok());
-  shell_.AddTarget(core::ThorRdTarget::kTargetName, &target_, &card_,
-                   core::MakeSimThorFactory(&store_));
   const std::string out = MustRun("run-dedup dedup 1");
   EXPECT_NE(out.find("6 experiments run"), std::string::npos);
   EXPECT_NE(out.find("classes"), std::string::npos);
@@ -192,8 +185,6 @@ TEST_F(ShellTest, RunDedupResultsMatchPlainRun) {
   MustRun(
       "campaign set eqcmp workload=fibonacci locations=internal_regfile "
       "experiments=8 window=1:80 timeout=50000");
-  shell_.AddTarget(core::ThorRdTarget::kTargetName, &target_, &card_,
-                   core::MakeSimThorFactory(&store_));
   MustRun("run eqcmp");
   const std::string plain = MustRun("list experiments eqcmp");
   MustRun("sql DELETE FROM LoggedSystemState");
@@ -212,8 +203,6 @@ TEST_F(ShellTest, StatsReportsLastRunCounters) {
   MustRun(
       "campaign set st workload=fibonacci locations=internal_core "
       "experiments=4 window=1:80 timeout=50000");
-  shell_.AddTarget(core::ThorRdTarget::kTargetName, &target_, &card_,
-                   core::MakeSimThorFactory(&store_));
   MustRun("run-pruned st 1 16");
   const std::string stats = MustRun("stats");
   EXPECT_NE(stats.find("last run: st (run-pruned)"), std::string::npos);
@@ -239,8 +228,6 @@ TEST_F(ShellTest, StatsReportsEquivalenceCountersAfterRunDedup) {
   MustRun(
       "campaign set eqst workload=fibonacci locations=internal_regfile "
       "experiments=12 window=1:40 timeout=50000");
-  shell_.AddTarget(core::ThorRdTarget::kTargetName, &target_, &card_,
-                   core::MakeSimThorFactory(&store_));
   MustRun("run-dedup eqst 1");
   const std::string stats = MustRun("stats");
   EXPECT_NE(stats.find("last run: eqst (run-dedup)"), std::string::npos);
@@ -248,6 +235,55 @@ TEST_F(ShellTest, StatsReportsEquivalenceCountersAfterRunDedup) {
   EXPECT_NE(stats.find("equivalence classes:"), std::string::npos);
   EXPECT_NE(stats.find("experiments synthesized:"), std::string::npos);
   EXPECT_NE(stats.find("spot checks:"), std::string::npos);
+}
+
+TEST_F(ShellTest, StatsCountTheLastRunOnly) {
+  // Two identical campaigns, one `run` each: the second `stats` reports the
+  // second run's copy-on-write counters, not a sum over the session.
+  for (const char* name : {"first", "second"}) {
+    MustRun(std::string("campaign set ") + name +
+            " workload=bubblesort locations=internal_regfile experiments=20 "
+            "window=1:1000");
+  }
+  const auto cow_line = [](const std::string& stats) {
+    for (const std::string& line : util::Split(stats, '\n')) {
+      if (util::StartsWith(line, "  cow page copies:")) return line;
+    }
+    return std::string();
+  };
+  MustRun("run first");
+  const std::string first = cow_line(MustRun("stats"));
+  ASSERT_NE(first, "") << "stats must report copy-on-write counters";
+  MustRun("run second");
+  EXPECT_EQ(cow_line(MustRun("stats")), first)
+      << "copies and golden adoptions of the second run alone";
+}
+
+/// Records the experiment count of every progress callback.
+struct RecordingMonitor final : core::ProgressMonitor {
+  bool OnExperiment(int experiments_done, int,
+                    const core::LoggedState&) override {
+    done.push_back(experiments_done);
+    return true;
+  }
+  std::vector<int> done;
+};
+
+TEST_F(ShellTest, EveryRunCommandReportsToTheShellsMonitor) {
+  MustRun(
+      "campaign set mon workload=fibonacci locations=internal_regfile "
+      "experiments=6 window=1:80 timeout=50000");
+  RecordingMonitor monitor;
+  shell_.SetProgressMonitor(&monitor);
+  for (const char* command : {"run mon 3", "run-warm mon", "run-pruned mon",
+                              "run-dedup mon", "run-static mon"}) {
+    SCOPED_TRACE(command);
+    MustRun("sql DELETE FROM LoggedSystemState");
+    monitor.done.clear();
+    MustRun(command);
+    EXPECT_EQ(monitor.done, (std::vector<int>{1, 2, 3, 4, 5, 6}))
+        << "once per experiment, in experiment order";
+  }
 }
 
 TEST_F(ShellTest, RunUnknownCampaignOrTargetFails) {
@@ -409,8 +445,6 @@ TEST_F(ShellTest, ArchiveOpenStatsAndClose) {
 }
 
 TEST_F(ShellTest, ArchiveKillAndResumeAcrossSessions) {
-  shell_.AddTarget(core::ThorRdTarget::kTargetName, &target_, &card_,
-                   core::MakeSimThorFactory(&store_));
   // More experiments than one 64-row commit batch, so a torn final WAL
   // record loses only the tail of the campaign.
   MustRun(
@@ -418,7 +452,7 @@ TEST_F(ShellTest, ArchiveKillAndResumeAcrossSessions) {
       "experiments=70 window=1:80 timeout=50000");
   const std::string path = testing::TempDir() + "shell_archive_resume.db";
   MustRun("archive open " + path);
-  MustRun("run-parallel arc 2");
+  MustRun("run arc 2");
   const std::string reference = MustRun("list experiments arc");
   // One more committed record after the run: a fold may have emptied the WAL
   // at the final batch commit, and tearing bytes must hit a real record, not
@@ -434,7 +468,7 @@ TEST_F(ShellTest, ArchiveKillAndResumeAcrossSessions) {
   db::Database db2;
   core::CampaignStore store2(&db2);
   Shell shell2(&db2, &store2);
-  shell2.AddTarget(core::ThorRdTarget::kTargetName, &target_, &card_,
+  shell2.AddTarget(core::ThorRdTarget::kTargetName, &card_,
                    core::MakeSimThorFactory(&store2));
   auto opened = shell2.Execute("archive open " + path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -444,7 +478,7 @@ TEST_F(ShellTest, ArchiveKillAndResumeAcrossSessions) {
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats.value().find("torn tail truncated"), std::string::npos);
 
-  auto rerun = shell2.Execute("run-parallel arc 2");
+  auto rerun = shell2.Execute("run arc 2");
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   EXPECT_EQ(rerun.value().find(" 0 resumed"), std::string::npos)
       << "the recovered prefix must be resumed, not re-run: " << rerun.value();
