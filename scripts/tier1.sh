@@ -33,7 +33,7 @@ else
   echo "clang-tidy not installed; skipping lint stanza (gcc -Werror still ran)"
 fi
 
-echo "== tier-1: ThreadSanitizer pass (parallel runner on std::jthread workers + worker exceptions + worker spot checks (SpotCheckTest) + shell run commands on runner threads + checkpoints + convergence + equivalence + archive commits + COW golden sharing + static pruning + reference-trace memo) =="
+echo "== tier-1: ThreadSanitizer pass (parallel runner on std::jthread workers + worker and committer exceptions + worker spot checks (SpotCheckTest) + shell run commands on runner threads + checkpoints + convergence + equivalence + archive commits + COW golden sharing + static pruning + reference-trace memo and in-place trace walk) =="
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" --target parallel_runner_test tool_test checkpoint_test convergence_test equivalence_test archive_test memory_cow_test static_analysis_test propagation_test
@@ -65,7 +65,7 @@ echo "== tier-1: ASan pass (equivalence-classing spot-check fuzzer) =="
 echo "== tier-1: ASan pass (static analyzer differential + run-static identity) =="
 "$ASAN_DIR"/tests/static_analysis_test
 
-echo "== tier-1: ASan pass (indexed-vs-scan SQL differential suite + smallest-probe choice (SmallestProbeMatchesScanAsPostingListsShift)) =="
+echo "== tier-1: ASan pass (indexed-vs-scan SQL differential suite + smallest-probe choice (SmallestProbeMatchesScanAsPostingListsShift) + stored rows handed out in place (ForEachMatch)) =="
 "$ASAN_DIR"/tests/sql_index_test
 
 echo "== tier-1: ASan pass (archive codec/snapshot/WAL-recovery suite + serial kill/tear + hostile counts) =="
@@ -75,7 +75,7 @@ echo "== tier-1: ASan pass (SQL expression depth bound + missing/foreign GOOFI t
 "$ASAN_DIR"/tests/sql_test
 "$ASAN_DIR"/tests/campaign_store_test
 
-echo "== tier-1: ASan pass (one-pass LoggedState parser fuzzer + analysis read path) =="
+echo "== tier-1: ASan pass (analysis reads stored rows in place: stateVector and fault-list view fuzzers + in-place vs copy-based analysis and propagation) =="
 "$ASAN_DIR"/tests/core_types_test --gtest_filter='*Fuzz*'
 "$ASAN_DIR"/tests/propagation_test
 "$ASAN_DIR"/tests/analysis_test
@@ -94,7 +94,7 @@ echo "== tier-1: ASan pass (in-place environment exchange into caller-owned buff
 echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer) =="
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "$UBSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=undefined
-cmake --build "$UBSAN_DIR" -j "$JOBS" --target cpu_fastpath_test util_test scan_test testcard_test sql_test sql_index_test archive_test
+cmake --build "$UBSAN_DIR" -j "$JOBS" --target cpu_fastpath_test util_test scan_test testcard_test sql_test sql_index_test archive_test analysis_test propagation_test core_types_test
 "$UBSAN_DIR"/tests/cpu_fastpath_test
 
 echo "== tier-1: UBSan pass (shift-and-mask bit fields + word-parallel scan shifts) =="
@@ -106,6 +106,11 @@ echo "== tier-1: UBSan pass (SQL expression depth bound + hostile snapshot/WAL c
 "$UBSAN_DIR"/tests/sql_test
 "$UBSAN_DIR"/tests/sql_index_test
 "$UBSAN_DIR"/tests/archive_test --gtest_filter='*HugeCounts*:*TextFileIsRefused*:*NullOnlyRows*'
+
+echo "== tier-1: UBSan pass (analysis reads stored rows in place: views into table storage) =="
+"$UBSAN_DIR"/tests/core_types_test --gtest_filter='*Fuzz*'
+"$UBSAN_DIR"/tests/propagation_test
+"$UBSAN_DIR"/tests/analysis_test
 
 echo "== tier-1: checkpoint fast-forward benchmark (BENCH_checkpoint.json) =="
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_checkpoint_fastforward

@@ -1,13 +1,18 @@
 #include "core/analysis.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/strings.hpp"
 
 namespace goofi::core {
 
-ExperimentClassification Classify(const LoggedState& reference,
-                                  const LoggedState& experiment) {
+namespace {
+
+/// The §3.4 rule, written once for owning states and in-place views.
+template <typename State>
+ExperimentClassification ClassifyState(const State& reference,
+                                       const State& experiment) {
   ExperimentClassification out;
 
   // Detected: an EDM of the target fired (§3.4).
@@ -39,6 +44,18 @@ ExperimentClassification Classify(const LoggedState& reference,
   }
   out.outcome = Outcome::kOverwritten;
   return out;
+}
+
+}  // namespace
+
+ExperimentClassification Classify(const LoggedState& reference,
+                                  const LoggedState& experiment) {
+  return ClassifyState(reference, experiment);
+}
+
+ExperimentClassification Classify(const LoggedStateView& reference,
+                                  const LoggedStateView& experiment) {
+  return ClassifyState(reference, experiment);
 }
 
 int AnalysisReport::Count(Outcome outcome) const {
@@ -107,13 +124,17 @@ std::string AnalysisReport::ToString() const {
 namespace {
 
 /// Extracts the location group of an experiment's first fault from its
-/// experimentData column.
-std::string LocationGroupOf(const std::string& experiment_data) {
-  for (const std::string& field : util::Split(experiment_data, ';')) {
-    if (!util::StartsWith(field, "faults=")) continue;
-    const std::string list = field.substr(7);
+/// experimentData column, read in place.
+std::string LocationGroupOf(std::string_view experiment_data) {
+  for (size_t start = 0; start <= experiment_data.size();) {
+    const size_t end =
+        std::min(experiment_data.find(';', start), experiment_data.size());
+    const std::string_view field = experiment_data.substr(start, end - start);
+    start = end + 1;
+    if (!field.starts_with("faults=")) continue;
+    const std::string_view list = field.substr(7);
     if (list.empty()) return "none";
-    auto fault = FaultInstance::Parse(util::Split(list, '|')[0]);
+    auto fault = FaultInstance::Parse(list.substr(0, list.find('|')));
     if (!fault.ok()) return "unknown";
     const FaultInstance& f = fault.value();
     if (!f.IsScanFault()) {
@@ -139,38 +160,55 @@ void Accumulate(AnalysisReport* report, const ExperimentClassification& cls) {
   }
 }
 
+/// Classifies each experiment of a campaign in place: the reference and
+/// every top-level row are parsed as views of the stored rows, and `fn` gets
+/// each experiment's row and classification, in insertion order.
+template <typename Fn>
+util::Status ForEachClassified(const CampaignStore& store,
+                               const std::string& campaign_name, Fn&& fn) {
+  auto reference_row =
+      store.GetStoredRow(CampaignStore::ReferenceName(campaign_name));
+  if (!reference_row.ok()) return reference_row.status();
+  LoggedStateView reference;
+  GOOFI_RETURN_IF_ERROR(reference.Parse(reference_row.value().state_vector));
+  LoggedStateView state;  // one view, reused for every row
+  return store.ForEachTopLevelRow(
+      campaign_name, [&](const CampaignStore::StoredRow& row) {
+        if (row.experiment_name == reference_row.value().experiment_name) {
+          return util::Status::Ok();
+        }
+        GOOFI_RETURN_IF_ERROR(state.Parse(row.state_vector));
+        fn(row, Classify(reference, state));
+        return util::Status::Ok();
+      });
+}
+
 }  // namespace
 
 util::Result<AnalysisReport> AnalyzeCampaign(const CampaignStore& store,
                                              const std::string& campaign_name) {
-  auto reference = store.GetExperiment(CampaignStore::ReferenceName(campaign_name));
-  if (!reference.ok()) return reference.status();
-  auto rows = store.TopLevelRowsOf(campaign_name);
-  if (!rows.ok()) return rows.status();
-
   AnalysisReport report;
   report.campaign = campaign_name;
-  for (const CampaignStore::ExperimentRow& row : rows.value()) {
-    if (row.experiment_name == reference.value().experiment_name) continue;
-    Accumulate(&report, Classify(reference.value().state, row.state));
-  }
+  GOOFI_RETURN_IF_ERROR(ForEachClassified(
+      store, campaign_name,
+      [&report](const CampaignStore::StoredRow&,
+                const ExperimentClassification& cls) {
+        Accumulate(&report, cls);
+      }));
   return report;
 }
 
 util::Result<std::map<std::string, AnalysisReport>> AnalyzeByLocationGroup(
     const CampaignStore& store, const std::string& campaign_name) {
-  auto reference = store.GetExperiment(CampaignStore::ReferenceName(campaign_name));
-  if (!reference.ok()) return reference.status();
-  auto rows = store.TopLevelRowsOf(campaign_name);
-  if (!rows.ok()) return rows.status();
-
   std::map<std::string, AnalysisReport> by_group;
-  for (const CampaignStore::ExperimentRow& row : rows.value()) {
-    if (row.experiment_name == reference.value().experiment_name) continue;
-    AnalysisReport& report = by_group[LocationGroupOf(row.experiment_data)];
-    if (report.campaign.empty()) report.campaign = campaign_name;
-    Accumulate(&report, Classify(reference.value().state, row.state));
-  }
+  GOOFI_RETURN_IF_ERROR(ForEachClassified(
+      store, campaign_name,
+      [&](const CampaignStore::StoredRow& row,
+          const ExperimentClassification& cls) {
+        AnalysisReport& report = by_group[LocationGroupOf(row.experiment_data)];
+        if (report.campaign.empty()) report.campaign = campaign_name;
+        Accumulate(&report, cls);
+      }));
   return by_group;
 }
 

@@ -34,6 +34,9 @@ struct ExperimentClassification {
 /// Classifies one experiment against the reference run.
 ExperimentClassification Classify(const LoggedState& reference,
                                   const LoggedState& experiment);
+/// The same rule over states parsed in place.
+ExperimentClassification Classify(const LoggedStateView& reference,
+                                  const LoggedStateView& experiment);
 
 /// Aggregate over a campaign.
 struct AnalysisReport {
@@ -68,8 +71,10 @@ struct AnalysisReport {
 };
 
 /// Classifies every experiment of a campaign against its reference run.
-/// Reads only the campaign's top-level rows (CampaignStore::TopLevelRowsOf):
-/// detail rows (parentExperiment set) are neither classified nor parsed.
+/// Reads only the campaign's top-level rows, in place
+/// (CampaignStore::ForEachTopLevelRow): no row is copied, and detail rows
+/// (parentExperiment set) are neither classified nor parsed. The database
+/// must not be mutated during the call.
 util::Result<AnalysisReport> AnalyzeCampaign(const CampaignStore& store,
                                              const std::string& campaign_name);
 

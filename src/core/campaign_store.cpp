@@ -1,5 +1,6 @@
 #include "core/campaign_store.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "db/archive.hpp"
@@ -87,11 +88,43 @@ util::Status MatchFig4(const Schema& actual, const Schema& expected) {
   return util::Status::Ok();
 }
 
-/// The stateVector column of a LoggedSystemState row ("" when NULL), viewed
-/// in place rather than copied.
-std::string_view StateVectorText(const Row& row) {
-  return row[4].is_null() ? std::string_view()
-                          : std::string_view(row[4].as_text());
+// The store's queries over LoggedSystemState. Each selects every column in
+// table order, so a matching stored row is also the row the query returns.
+constexpr char kRowsOfCampaign[] =
+    "SELECT experimentName, parentExperiment, campaignName, experimentData, "
+    "stateVector FROM LoggedSystemState WHERE campaignName = ?";
+// The executor probes whichever of idx_lss_campaign (the campaign's rows)
+// and idx_lss_parent's NULL key (every campaign's top-level rows) has fewer
+// slots, and runs the rest of the WHERE clause on the stored rows.
+constexpr char kTopLevelRowsOf[] =
+    "SELECT experimentName, parentExperiment, campaignName, experimentData, "
+    "stateVector FROM LoggedSystemState "
+    "WHERE campaignName = ? AND parentExperiment IS NULL";
+constexpr char kDetailRowsOf[] =
+    "SELECT experimentName, parentExperiment, campaignName, experimentData, "
+    "stateVector FROM LoggedSystemState WHERE parentExperiment = ?";
+
+/// A TEXT cell in place ("" when NULL).
+std::string_view TextOf(const Value& value) {
+  return value.is_null() ? std::string_view()
+                         : std::string_view(value.as_text());
+}
+
+/// A stored LoggedSystemState row (Fig. 4 column order) in place.
+CampaignStore::StoredRow ViewOf(const Row& row) {
+  return {TextOf(row[0]), TextOf(row[1]), TextOf(row[2]), TextOf(row[3]),
+          TextOf(row[4])};
+}
+
+/// The one copy of a stored row, its stateVector parsed.
+util::Result<CampaignStore::ExperimentRow> CopyOf(
+    const CampaignStore::StoredRow& row) {
+  auto state = LoggedState::Deserialize(row.state_vector);
+  if (!state.ok()) return state.status();
+  return CampaignStore::ExperimentRow{
+      std::string(row.experiment_name), std::string(row.parent_experiment),
+      std::string(row.campaign_name), std::string(row.experiment_data),
+      std::move(state).value()};
 }
 
 }  // namespace
@@ -372,44 +405,44 @@ util::Status CampaignStore::PutExperiment(const std::string& experiment_name,
                           experiment_data, state}});
 }
 
-util::Result<CampaignStore::ExperimentRow> CampaignStore::GetExperiment(
+util::Result<CampaignStore::StoredRow> CampaignStore::GetStoredRow(
     const std::string& name) const {
   auto found = Fig4Table(LoggedSystemStateSchema());
   if (!found.ok()) return found.status();
   const db::Table* table = found.value();
   const auto slot = table->FindByPrimaryKey({Value::Text(name)});
   if (!slot) return util::NotFound("no experiment " + name);
-  const Row& row = table->slots()[*slot];
-  ExperimentRow out;
-  out.experiment_name = row[0].as_text();
-  out.parent_experiment = row[1].is_null() ? "" : row[1].as_text();
-  out.campaign_name = row[2].as_text();
-  out.experiment_data = row[3].is_null() ? "" : row[3].as_text();
-  auto state = LoggedState::Deserialize(StateVectorText(row));
-  if (!state.ok()) return state.status();
-  out.state = std::move(state).value();
-  return out;
+  return ViewOf(table->slots()[*slot]);
+}
+
+util::Result<CampaignStore::ExperimentRow> CampaignStore::GetExperiment(
+    const std::string& name) const {
+  auto row = GetStoredRow(name);
+  if (!row.ok()) return row.status();
+  return CopyOf(row.value());
+}
+
+util::Status CampaignStore::ForEachRow(const std::string& sql,
+                                       const std::string& param,
+                                       const StoredRowVisitor& fn) const {
+  GOOFI_RETURN_IF_ERROR(Fig4Table(LoggedSystemStateSchema()).status());
+  auto statement = cache_.Get(sql);
+  if (!statement.ok()) return statement.status();
+  return statement.value()->ForEachMatch(
+      *database_, {Value::Text(param)},
+      [&fn](const Row& row) { return fn(ViewOf(row)); });
 }
 
 util::Result<std::vector<CampaignStore::ExperimentRow>>
 CampaignStore::ExperimentQuery(const std::string& sql,
                                const std::string& param) const {
-  GOOFI_RETURN_IF_ERROR(Fig4Table(LoggedSystemStateSchema()).status());
-  auto result = cache_.Execute(*database_, sql, {Value::Text(param)});
-  if (!result.ok()) return result.status();
   std::vector<ExperimentRow> rows;
-  rows.reserve(result.value().rows.size());
-  for (Row& row : result.value().rows) {
-    ExperimentRow out;
-    out.experiment_name = row[0].as_text();
-    out.parent_experiment = row[1].is_null() ? "" : row[1].as_text();
-    out.campaign_name = row[2].as_text();
-    out.experiment_data = row[3].is_null() ? "" : row[3].as_text();
-    auto state = LoggedState::Deserialize(StateVectorText(row));
-    if (!state.ok()) return state.status();
-    out.state = std::move(state).value();
-    rows.push_back(std::move(out));
-  }
+  GOOFI_RETURN_IF_ERROR(ForEachRow(sql, param, [&rows](const StoredRow& row) {
+    auto copy = CopyOf(row);
+    if (!copy.ok()) return copy.status();
+    rows.push_back(std::move(copy).value());
+    return util::Status::Ok();
+  }));
   return rows;
 }
 
@@ -418,47 +451,64 @@ CampaignStore::ExperimentsOf(const std::string& campaign_name) const {
   // Routed through the prepared-statement cache: an index equality probe on
   // idx_lss_campaign instead of a scan of the whole log table. Index probes
   // replay rows in insertion order, same as the scan did.
-  return ExperimentQuery(
-      "SELECT experimentName, parentExperiment, campaignName, experimentData, "
-      "stateVector FROM LoggedSystemState WHERE campaignName = ?",
-      campaign_name);
+  return ExperimentQuery(kRowsOfCampaign, campaign_name);
 }
 
 util::Result<std::vector<CampaignStore::ExperimentRow>>
 CampaignStore::TopLevelRowsOf(const std::string& campaign_name) const {
-  // The executor probes whichever of idx_lss_campaign (the campaign's rows)
-  // and idx_lss_parent's NULL key (every campaign's top-level rows) has
-  // fewer slots, and runs the rest of the WHERE clause on the stored rows.
-  return ExperimentQuery(
-      "SELECT experimentName, parentExperiment, campaignName, experimentData, "
-      "stateVector FROM LoggedSystemState "
-      "WHERE campaignName = ? AND parentExperiment IS NULL",
-      campaign_name);
+  return ExperimentQuery(kTopLevelRowsOf, campaign_name);
 }
 
 util::Result<std::vector<CampaignStore::ExperimentRow>>
 CampaignStore::DetailRowsOf(const std::string& parent_experiment) const {
-  return ExperimentQuery(
-      "SELECT experimentName, parentExperiment, campaignName, experimentData, "
-      "stateVector FROM LoggedSystemState WHERE parentExperiment = ?",
-      parent_experiment);
+  return ExperimentQuery(kDetailRowsOf, parent_experiment);
 }
 
-util::Result<CampaignStore::Trace> CampaignStore::LoadTrace(
+util::Status CampaignStore::ForEachTopLevelRow(
+    const std::string& campaign_name, const StoredRowVisitor& fn) const {
+  return ForEachRow(kTopLevelRowsOf, campaign_name, fn);
+}
+
+util::Result<std::vector<LoggedStateView>> CampaignStore::TraceViews(
     const std::string& rerun_name) const {
-  // Index probe on parentExperiment: fetches just this rerun's trace instead
-  // of deserializing every row of the campaign.
-  auto rows = DetailRowsOf(rerun_name);
-  if (!rows.ok()) return rows.status();
-  Trace trace;
-  for (ExperimentRow& row : rows.value()) {
-    trace.emplace(row.state.instret, std::move(row.state));
-  }
-  if (trace.empty()) {
+  // Index probe on parentExperiment: parses just this rerun's rows.
+  std::vector<LoggedStateView> steps;
+  GOOFI_RETURN_IF_ERROR(
+      ForEachRow(kDetailRowsOf, rerun_name, [&steps](const StoredRow& row) {
+        steps.emplace_back();
+        return steps.back().Parse(row.state_vector);
+      }));
+  if (steps.empty()) {
     return util::FailedPrecondition(
         "no detail trace under " + rerun_name +
         "; run RerunDetailed first (for the experiment and for the campaign "
         "reference)");
+  }
+  // A re-run logs its steps in instret order; rows put in by other means
+  // are brought into it, keeping the first row at each instret.
+  const auto by_instret = [](const LoggedStateView& a,
+                             const LoggedStateView& b) {
+    return a.instret < b.instret;
+  };
+  const auto same_instret = [](const LoggedStateView& a,
+                               const LoggedStateView& b) {
+    return a.instret == b.instret;
+  };
+  if (!std::is_sorted(steps.begin(), steps.end(), by_instret)) {
+    std::stable_sort(steps.begin(), steps.end(), by_instret);
+  }
+  steps.erase(std::unique(steps.begin(), steps.end(), same_instret),
+              steps.end());
+  return steps;
+}
+
+util::Result<CampaignStore::Trace> CampaignStore::LoadTrace(
+    const std::string& rerun_name) const {
+  auto steps = TraceViews(rerun_name);
+  if (!steps.ok()) return steps.status();
+  Trace trace;
+  for (const LoggedStateView& step : steps.value()) {
+    trace.emplace_hint(trace.end(), step.instret, step.ToState());
   }
   return trace;
 }

@@ -11,6 +11,7 @@
 // (§2.3) — the embedded engine enforces them on insert and delete.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -108,6 +109,23 @@ class CampaignStore {
   /// Rows may reference earlier rows of the same batch via parentExperiment.
   util::Status PutExperiments(const std::vector<ExperimentRow>& rows);
 
+  /// A LoggedSystemState row read in place: views of its stored texts, a
+  /// NULL reading as "". Valid only while nothing mutates the table; the
+  /// analysis (core/analysis, core/propagation) reads rows this way within
+  /// one call and writes nothing meanwhile.
+  struct StoredRow {
+    std::string_view experiment_name;
+    std::string_view parent_experiment;
+    std::string_view campaign_name;
+    std::string_view experiment_data;
+    std::string_view state_vector;
+  };
+  using StoredRowVisitor = std::function<util::Status(const StoredRow&)>;
+
+  /// The row named `name`, in place; GetExperiment without the copy and
+  /// without parsing its stateVector.
+  util::Result<StoredRow> GetStoredRow(const std::string& name) const;
+
   util::Result<ExperimentRow> GetExperiment(const std::string& name) const;
   /// All rows of a campaign, detail rows included, in insertion order.
   util::Result<std::vector<ExperimentRow>> ExperimentsOf(
@@ -122,11 +140,22 @@ class CampaignStore {
   util::Result<std::vector<ExperimentRow>> DetailRowsOf(
       const std::string& parent_experiment) const;
 
+  /// TopLevelRowsOf in place: `fn` sees each row, in the same order, until
+  /// it returns an error, which is then returned.
+  util::Status ForEachTopLevelRow(const std::string& campaign_name,
+                                  const StoredRowVisitor& fn) const;
+
   /// A detail-mode re-run's trace (§3.3), keyed by retired instructions.
   using Trace = std::map<uint64_t, LoggedState>;
 
   /// The detail rows logged under `rerun_name` ("<experiment>/detail"),
-  /// keyed by instret. kFailedPrecondition when there are none.
+  /// parsed in place, in instret order, keeping the first row logged at each
+  /// instret. kFailedPrecondition when there are none. The views follow the
+  /// StoredRow lifetime rule.
+  util::Result<std::vector<LoggedStateView>> TraceViews(
+      const std::string& rerun_name) const;
+
+  /// TraceViews copied out, keyed by instret.
   util::Result<Trace> LoadTrace(const std::string& rerun_name) const;
 
   /// LoadTrace of the campaign's reference re-run ("<campaign>/ref/detail"),
@@ -154,6 +183,11 @@ class CampaignStore {
   /// foreign keys differ from `expected`.
   util::Result<db::Table*> Fig4Table(const db::Schema& expected) const;
 
+  /// Runs one of the store's join-free SELECTs over LoggedSystemState with
+  /// `param` bound, handing `fn` each matching row in place.
+  util::Status ForEachRow(const std::string& sql, const std::string& param,
+                          const StoredRowVisitor& fn) const;
+  /// ForEachRow's rows, each copied once into an ExperimentRow.
   util::Result<std::vector<ExperimentRow>> ExperimentQuery(
       const std::string& sql, const std::string& param) const;
 

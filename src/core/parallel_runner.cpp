@@ -113,6 +113,24 @@ class CampaignLoop {
                           classer_->classes()[unit].representative)
                     : unit;
   }
+  /// Runs `call`, a target call for experiment `index` (-1: the reference
+  /// run), and turns a std::exception it throws (a user-written target's,
+  /// or std::bad_alloc) into an error for that experiment. Every target call
+  /// of the loop goes through here, on the workers' side and the
+  /// committer's alike, so a throwing target ends an inline or threaded run
+  /// with the same status after committing the same prefix.
+  template <typename Call>
+  auto Guarded(int index, Call&& call) const -> decltype(call()) {
+    try {
+      return call();
+    } catch (const std::exception& e) {
+      return util::Internal(
+          "experiment " +
+          (index < 0 ? CampaignStore::ReferenceName(campaign_.name)
+                     : CampaignStore::ExperimentName(campaign_.name, index)) +
+          " threw: " + e.what());
+    }
+  }
   /// Executes the experiment at pending position `pos`: its planned fault
   /// list under classing, a fresh draw otherwise.
   Slot Execute(FaultInjectionAlgorithms& target, size_t pos);
@@ -176,7 +194,8 @@ util::Status CampaignLoop::Run(
   // equivalence classer (injection past it provably never happens).
   LoggedState reference_state;
   if (need_reference_) {
-    auto rows = targets[0]->ExecuteExperiment(-1);
+    auto rows =
+        Guarded(-1, [&]() { return targets[0]->ExecuteExperiment(-1); });
     if (!rows.ok()) return rows.status();
     if (classing != nullptr) reference_state = rows.value().front().state;
     GOOFI_RETURN_IF_ERROR(store_->PutExperiments(rows.value()));
@@ -349,7 +368,9 @@ util::Status CampaignLoop::Classify(const Classing& classing,
   plan_skips_.resize(pending_.size());
   for (size_t pos = 0; pos < pending_.size(); ++pos) {
     const int dead_before = committer_->stats().injections_skipped_dead;
-    auto faults = committer_->PlanFaults(pending_[pos]);
+    auto faults = Guarded(pending_[pos], [&]() {
+      return committer_->PlanFaults(pending_[pos]);
+    });
     if (!faults.ok()) return faults.status();
     plan_skips_[pos] =
         committer_->stats().injections_skipped_dead - dead_before;
@@ -375,23 +396,14 @@ Slot CampaignLoop::Execute(FaultInjectionAlgorithms& target, size_t pos) {
   const int dead_before = target.stats().injections_skipped_dead;
   Slot slot;
   slot.done = true;
-  // A target that throws (a user-written one, or std::bad_alloc) fails its
-  // experiment like any other error, so an inline and a threaded run end
-  // with the same status after committing the same prefix.
-  try {
-    util::Result<Rows> rows =
-        classer_ ? target.ExecutePlanned(pending_[pos], plans_[pos])
-                 : target.ExecuteExperiment(pending_[pos]);
-    if (rows.ok()) {
-      slot.rows = std::move(rows).value();
-    } else {
-      slot.status = rows.status();
-    }
-  } catch (const std::exception& e) {
-    slot.status = util::Internal(
-        "experiment " +
-        CampaignStore::ExperimentName(campaign_.name, pending_[pos]) +
-        " threw: " + e.what());
+  util::Result<Rows> rows = Guarded(pending_[pos], [&]() {
+    return classer_ ? target.ExecutePlanned(pending_[pos], plans_[pos])
+                    : target.ExecuteExperiment(pending_[pos]);
+  });
+  if (rows.ok()) {
+    slot.rows = std::move(rows).value();
+  } else {
+    slot.status = rows.status();
   }
   slot.skipped_dead = target.stats().injections_skipped_dead - dead_before;
   return slot;
@@ -406,7 +418,11 @@ util::Result<Rows> CampaignLoop::RowsAt(size_t pos, size_t unit) {
   // The representative's rows are copied: later members synthesize from
   // them. Members of a capped class execute live on the committer's target.
   if (static_cast<int>(pos) == cls.representative) return slot.rows;
-  if (Capped(unit)) return committer_->ExecutePlanned(pending_[pos], plans_[pos]);
+  if (Capped(unit)) {
+    return Guarded(pending_[pos], [&]() {
+      return committer_->ExecutePlanned(pending_[pos], plans_[pos]);
+    });
+  }
   ++dedup_.experiments_synthesized;
   if (cls.static_no_effect) ++dedup_.static_synthesized;
   return SynthesizeMemberRows(slot.rows, campaign_, pending_[pos], plans_[pos],

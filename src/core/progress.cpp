@@ -1,7 +1,6 @@
 #include "core/progress.hpp"
 
-#include "util/log.hpp"
-#include "util/strings.hpp"
+#include <cstdio>
 
 namespace goofi::core {
 
@@ -9,9 +8,9 @@ bool ConsoleProgressMonitor::OnExperiment(int done, int total,
                                           const LoggedState& last) {
   if (last.detected) ++detections_seen_;
   if (stride_ > 0 && (done % stride_ == 0 || done == total)) {
-    util::Log::Info(util::Format(
-        "experiments %d/%d (%.0f%%), detections so far: %d", done, total,
-        total == 0 ? 0.0 : 100.0 * done / total, detections_seen_));
+    std::fprintf(stderr, "experiments %d/%d (%.0f%%), detections so far: %d\n",
+                 done, total, total == 0 ? 0.0 : 100.0 * done / total,
+                 detections_seen_);
   }
   return !stop_requested_;
 }

@@ -8,9 +8,10 @@
 
 namespace goofi::core {
 
-/// Prints one status line per `stride` experiments through util::Log,
-/// "enabling the user to monitor the experiments, e.g. getting information
-/// about the number of faults injected" (§3.3).
+/// Prints one status line to stderr per `stride` experiments and after the
+/// last one, "enabling the user to monitor the experiments, e.g. getting
+/// information about the number of faults injected" (§3.3). The lines are
+/// the progress window itself, not log messages, so no log level hides them.
 class ConsoleProgressMonitor final : public ProgressMonitor {
  public:
   explicit ConsoleProgressMonitor(int stride = 10) : stride_(stride) {}

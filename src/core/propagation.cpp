@@ -1,5 +1,7 @@
 #include "core/propagation.hpp"
 
+#include <algorithm>
+
 #include "util/strings.hpp"
 
 namespace goofi::core {
@@ -32,24 +34,40 @@ std::string PropagationReport::ToString() const {
   return out;
 }
 
+namespace {
+
+/// Whether a faulty step shows the reference step's scan images.
+bool SameScanImages(const LoggedStateView& step, const LoggedState& golden) {
+  return std::equal(step.scan_images.begin(), step.scan_images.end(),
+                    golden.scan_images.begin(), golden.scan_images.end(),
+                    [](const auto& a, const auto& b) {
+                      return a.first == b.first && a.second == b.second;
+                    });
+}
+
+}  // namespace
+
 util::Result<PropagationReport> AnalyzeErrorPropagation(
     const CampaignStore& store, const std::string& experiment_name) {
-  auto experiment = store.GetExperiment(experiment_name);
+  auto experiment = store.GetStoredRow(experiment_name);
   if (!experiment.ok()) return experiment.status();
+  LoggedStateView checked;  // the experiment's own row must parse
+  GOOFI_RETURN_IF_ERROR(checked.Parse(experiment.value().state_vector));
 
-  // Only the experiment's own trace is parsed per call; the reference trace
-  // is the same for every experiment of the campaign and comes from the
-  // store's memo.
-  auto faulty = store.LoadTrace(experiment_name + "/detail");
+  // Only the experiment's own trace is parsed per call, in place; the
+  // reference trace is the same for every experiment of the campaign and
+  // comes from the store's memo.
+  auto faulty = store.TraceViews(experiment_name + "/detail");
   if (!faulty.ok()) return faulty.status();
-  auto reference = store.ReferenceTrace(experiment.value().campaign_name);
+  auto reference =
+      store.ReferenceTrace(std::string(experiment.value().campaign_name));
   if (!reference.ok()) return reference.status();
   const CampaignStore::Trace& golden = *reference.value();
 
   PropagationReport report;
   int step = 0;
-  for (const auto& [instret, state] : faulty.value()) {
-    const auto ref = golden.find(instret);
+  for (const LoggedStateView& state : faulty.value()) {
+    const auto ref = golden.find(state.instret);
     if (ref == golden.end()) {
       // The faulty run outlived (or fell outside) the reference trace.
       report.length_mismatch = true;
@@ -57,11 +75,11 @@ util::Result<PropagationReport> AnalyzeErrorPropagation(
     }
     ++step;
     ++report.steps_compared;
-    if (state.scan_images != ref->second.scan_images) {
+    if (!SameScanImages(state, ref->second)) {
       ++report.diverged_steps;
       if (report.first_divergence_step == 0) {
         report.first_divergence_step = step;
-        report.first_divergence_instr = instret;
+        report.first_divergence_instr = state.instret;
       }
     }
     if (state.detected && report.detection_step == 0) {

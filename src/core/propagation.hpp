@@ -37,9 +37,10 @@ struct PropagationReport {
 /// Compares the detail traces logged under `experiment/detail` and the
 /// campaign's `ref/detail` re-run. Both must have been produced with
 /// FaultInjectionAlgorithms::RerunDetailed beforehand; returns
-/// kFailedPrecondition otherwise. Each call parses the experiment's trace;
-/// the reference trace is parsed once and reused while the table is
-/// unchanged (CampaignStore::ReferenceTrace).
+/// kFailedPrecondition otherwise. Each call parses the experiment's trace
+/// in place (CampaignStore::TraceViews), so the database must not be
+/// mutated during the call; the reference trace is parsed once and reused
+/// while the table is unchanged (CampaignStore::ReferenceTrace).
 util::Result<PropagationReport> AnalyzeErrorPropagation(
     const CampaignStore& store, const std::string& experiment_name);
 

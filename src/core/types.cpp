@@ -1,10 +1,28 @@
 #include "core/types.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 
 #include "util/strings.hpp"
 
 namespace goofi::core {
+
+namespace {
+
+/// Calls `fn` on each `sep`-separated field of `text`, empty fields included
+/// (util::Split's fields, without copying them). Stops at the first error.
+template <typename Fn>
+util::Status ForEachField(std::string_view text, char sep, Fn&& fn) {
+  for (size_t start = 0;;) {
+    const size_t end = std::min(text.find(sep, start), text.size());
+    GOOFI_RETURN_IF_ERROR(fn(text.substr(start, end - start)));
+    if (end == text.size()) return util::Status::Ok();
+    start = end + 1;
+  }
+}
+
+}  // namespace
 
 const char* TechniqueName(Technique technique) {
   switch (technique) {
@@ -38,13 +56,13 @@ const char* FaultModelName(FaultModelKind kind) {
   return "?";
 }
 
-util::Result<FaultModelKind> FaultModelFromName(const std::string& name) {
+util::Result<FaultModelKind> FaultModelFromName(std::string_view name) {
   for (FaultModelKind k :
        {FaultModelKind::kTransientBitFlip, FaultModelKind::kIntermittentBitFlip,
         FaultModelKind::kPermanentStuckAt}) {
     if (name == FaultModelName(k)) return k;
   }
-  return util::ParseError("unknown fault model: " + name);
+  return util::ParseError("unknown fault model: " + std::string(name));
 }
 
 const char* LogModeName(LogMode mode) {
@@ -91,10 +109,16 @@ std::string FaultInstance::Serialize() const {
                       stuck_value ? 1 : 0);
 }
 
-util::Result<FaultInstance> FaultInstance::Parse(const std::string& text) {
-  const std::vector<std::string> fields = util::Split(text, ',');
-  if (fields.size() != 8) {
-    return util::ParseError("bad FaultInstance encoding: " + text);
+util::Result<FaultInstance> FaultInstance::Parse(std::string_view text) {
+  std::string_view fields[8];
+  size_t count = 0;
+  (void)ForEachField(text, ',', [&](std::string_view field) {
+    if (count < std::size(fields)) fields[count] = field;
+    ++count;
+    return util::Status::Ok();
+  });
+  if (count != std::size(fields)) {
+    return util::ParseError("bad FaultInstance encoding: " + std::string(text));
   }
   FaultInstance out;
   auto kind = FaultModelFromName(fields[0]);
@@ -107,7 +131,7 @@ util::Result<FaultInstance> FaultInstance::Parse(const std::string& text) {
   const auto inject = util::ParseInt(fields[6]);
   const auto stuck = util::ParseInt(fields[7]);
   if (!chain_bit || !address || !bit || !inject || !stuck) {
-    return util::ParseError("bad FaultInstance numbers: " + text);
+    return util::ParseError("bad FaultInstance numbers: " + std::string(text));
   }
   out.chain_bit = static_cast<uint32_t>(*chain_bit);
   out.cell_name = fields[3];
@@ -161,43 +185,69 @@ namespace {
 /// The integer-valued keys of the stateVector and where each value goes.
 struct IntegerField {
   std::string_view key;
-  void (*store)(LoggedState& state, int64_t value);
+  void (*store)(LoggedStateView& state, int64_t value);
 };
 
 constexpr IntegerField kIntegerFields[] = {
-    {"halted", [](LoggedState& s, int64_t v) { s.halted = v != 0; }},
-    {"detected", [](LoggedState& s, int64_t v) { s.detected = v != 0; }},
-    {"timeout", [](LoggedState& s, int64_t v) { s.timed_out = v != 0; }},
-    {"envfail", [](LoggedState& s, int64_t v) { s.env_failed = v != 0; }},
+    {"halted", [](LoggedStateView& s, int64_t v) { s.halted = v != 0; }},
+    {"detected", [](LoggedStateView& s, int64_t v) { s.detected = v != 0; }},
+    {"timeout", [](LoggedStateView& s, int64_t v) { s.timed_out = v != 0; }},
+    {"envfail", [](LoggedStateView& s, int64_t v) { s.env_failed = v != 0; }},
     {"code",
-     [](LoggedState& s, int64_t v) { s.edm_code = static_cast<int32_t>(v); }},
+     [](LoggedStateView& s, int64_t v) {
+       s.edm_code = static_cast<int32_t>(v);
+     }},
     {"cycles",
-     [](LoggedState& s, int64_t v) { s.cycles = static_cast<uint64_t>(v); }},
+     [](LoggedStateView& s, int64_t v) {
+       s.cycles = static_cast<uint64_t>(v);
+     }},
     {"instret",
-     [](LoggedState& s, int64_t v) { s.instret = static_cast<uint64_t>(v); }},
+     [](LoggedStateView& s, int64_t v) {
+       s.instret = static_cast<uint64_t>(v);
+     }},
     {"iters",
-     [](LoggedState& s, int64_t v) { s.iterations = static_cast<int>(v); }},
+     [](LoggedStateView& s, int64_t v) { s.iterations = static_cast<int>(v); }},
 };
 
-/// Calls `fn` on each `sep`-separated field of `text`, empty fields included
-/// (util::Split's fields, without copying them). Stops at the first error.
-template <typename Fn>
-util::Status ForEachField(std::string_view text, char sep, Fn&& fn) {
-  for (size_t start = 0;;) {
-    const size_t end = std::min(text.find(sep, start), text.size());
-    GOOFI_RETURN_IF_ERROR(fn(text.substr(start, end - start)));
-    if (end == text.size()) return util::Status::Ok();
-    start = end + 1;
+/// A stateVector number as util::ParseInt reads it: a scalar (`base` 10),
+/// or an output word (`base` 16, read as if prefixed with "0x"). The stored
+/// form, plain digits that cannot overflow, is converted here; anything
+/// else goes through ParseInt itself.
+std::optional<int64_t> ParseNumber(std::string_view digits, int base) {
+  const size_t max_digits = base == 10 ? 18 : 16;
+  if (!digits.empty() && digits.size() <= max_digits) {
+    uint64_t value = 0;
+    bool plain = true;
+    for (const char c : digits) {
+      const int digit = c >= '0' && c <= '9'                ? c - '0'
+                        : base == 16 && c >= 'a' && c <= 'f' ? c - 'a' + 10
+                        : base == 16 && c >= 'A' && c <= 'F' ? c - 'A' + 10
+                                                             : -1;
+      if (digit < 0) {
+        plain = false;
+        break;
+      }
+      value = value * static_cast<uint64_t>(base) +
+              static_cast<uint64_t>(digit);
+    }
+    if (plain) return static_cast<int64_t>(value);
   }
+  return util::ParseInt(base == 10 ? std::string(digits)
+                                   : "0x" + std::string(digits));
 }
 
 }  // namespace
 
-// One pass over the text: fields are string_views into it, and only scan
-// images and the EDM name are copied out.
-util::Result<LoggedState> LoggedState::Deserialize(std::string_view text) {
-  LoggedState state;
-  const auto parse_pair = [&state](std::string_view pair) {
+// One pass over the text: every field is a string_view into it.
+util::Status LoggedStateView::Parse(std::string_view text) {
+  halted = detected = timed_out = env_failed = false;
+  edm = {};
+  edm_code = 0;
+  cycles = instret = 0;
+  iterations = 0;
+  outputs.clear();
+  scan_images.clear();
+  const auto parse_pair = [this](std::string_view pair) {
     if (pair.empty()) return util::Status::Ok();
     const size_t eq = pair.find('=');
     if (eq == std::string_view::npos) {
@@ -207,33 +257,77 @@ util::Result<LoggedState> LoggedState::Deserialize(std::string_view text) {
     const std::string_view value = pair.substr(eq + 1);
     for (const IntegerField& field : kIntegerFields) {
       if (key != field.key) continue;
-      const auto v = util::ParseInt(value);
+      const auto v = ParseNumber(value, 10);
       if (!v) {
         return util::ParseError("bad integer in LoggedState: " +
                                 std::string(pair));
       }
-      field.store(state, *v);
+      field.store(*this, *v);
       return util::Status::Ok();
     }
     if (key == "edm") {
-      state.edm = value == "none" ? std::string_view() : value;
+      edm = value == "none" ? std::string_view() : value;
     } else if (key == "outputs") {
       if (value.empty()) return util::Status::Ok();
-      return ForEachField(value, ',', [&state](std::string_view hex) {
-        const auto v = util::ParseInt("0x" + std::string(hex));
+      return ForEachField(value, ',', [this](std::string_view hex) {
+        const auto v = ParseNumber(hex, 16);
         if (!v) return util::ParseError("bad output word: " + std::string(hex));
-        state.outputs.push_back(static_cast<uint32_t>(*v));
+        outputs.push_back(static_cast<uint32_t>(*v));
         return util::Status::Ok();
       });
     } else if (key.starts_with("scan.")) {
-      state.scan_images[std::string(key.substr(5))] = value;
+      scan_images.emplace_back(key.substr(5), value);
     } else {
       return util::ParseError("unknown LoggedState key: " + std::string(key));
     }
     return util::Status::Ok();
   };
   GOOFI_RETURN_IF_ERROR(ForEachField(text, ';', parse_pair));
+  // Serialize writes the chains sorted and once each; anything else is put
+  // in chain order, the last value of a repeated chain winning.
+  const auto by_chain = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  if (std::adjacent_find(scan_images.begin(), scan_images.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first >= b.first;
+                         }) != scan_images.end()) {
+    std::stable_sort(scan_images.begin(), scan_images.end(), by_chain);
+    size_t kept = 0;
+    for (const auto& image : scan_images) {
+      if (kept > 0 && scan_images[kept - 1].first == image.first) {
+        scan_images[kept - 1].second = image.second;
+      } else {
+        scan_images[kept++] = image;
+      }
+    }
+    scan_images.resize(kept);
+  }
+  return util::Status::Ok();
+}
+
+LoggedState LoggedStateView::ToState() const {
+  LoggedState state;
+  state.halted = halted;
+  state.detected = detected;
+  state.edm = edm;
+  state.edm_code = edm_code;
+  state.timed_out = timed_out;
+  state.env_failed = env_failed;
+  state.cycles = cycles;
+  state.instret = instret;
+  state.iterations = iterations;
+  state.outputs = outputs;
+  for (const auto& [chain, bits] : scan_images) {
+    state.scan_images.emplace_hint(state.scan_images.end(), chain, bits);
+  }
   return state;
+}
+
+util::Result<LoggedState> LoggedState::Deserialize(std::string_view text) {
+  LoggedStateView view;
+  GOOFI_RETURN_IF_ERROR(view.Parse(text));
+  return view.ToState();
 }
 
 }  // namespace goofi::core

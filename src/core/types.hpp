@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/bitvec.hpp"
@@ -36,7 +37,7 @@ enum class FaultModelKind {
   kPermanentStuckAt,
 };
 const char* FaultModelName(FaultModelKind kind);
-util::Result<FaultModelKind> FaultModelFromName(const std::string& name);
+util::Result<FaultModelKind> FaultModelFromName(std::string_view name);
 
 /// Normal vs detail logging mode (§3.3): normal logs only at termination;
 /// detail logs after every machine instruction to produce an execution
@@ -122,7 +123,7 @@ struct FaultInstance {
   /// Machine-readable round-trip form, stored in the experimentData column
   /// so an experiment can be re-run exactly (parentExperiment re-runs, §2.3).
   std::string Serialize() const;
-  static util::Result<FaultInstance> Parse(const std::string& text);
+  static util::Result<FaultInstance> Parse(std::string_view text);
 };
 
 /// The observed system state logged for one experiment (the stateVector
@@ -142,7 +143,36 @@ struct LoggedState {
 
   /// Compact key=value serialization for the database TEXT column.
   std::string Serialize() const;
+  /// LoggedStateView::Parse plus ToState: the one stateVector grammar.
   static util::Result<LoggedState> Deserialize(std::string_view text);
+};
+
+/// A stateVector parsed in place: the scalars and output words as values,
+/// the EDM name and the scan images as views of the parsed text, valid
+/// while it is. This is the grammar of the stateVector column; the analysis
+/// classifies stored rows through it without copying them.
+struct LoggedStateView {
+  bool halted = false;
+  bool detected = false;
+  std::string_view edm;  ///< empty for "edm=none"
+  int32_t edm_code = 0;
+  bool timed_out = false;
+  bool env_failed = false;
+  uint64_t cycles = 0;
+  uint64_t instret = 0;
+  int iterations = 0;
+  std::vector<uint32_t> outputs;
+  /// chain -> bit string, sorted by chain; a repeated chain keeps its last
+  /// value, as LoggedState's map does.
+  std::vector<std::pair<std::string_view, std::string_view>> scan_images;
+
+  /// Parses `text` into this view, replacing what it held. The vectors keep
+  /// their storage, so one view parses many rows without allocating. On
+  /// error the view holds an unspecified partial parse.
+  util::Status Parse(std::string_view text);
+
+  /// The parsed state as an owning LoggedState.
+  LoggedState ToState() const;
 };
 
 /// §3.4 classification of an experiment outcome.

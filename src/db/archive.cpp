@@ -311,13 +311,11 @@ util::Result<std::unique_ptr<Archive>> Archive::Open(Database* db,
     db->ReplaceWith(std::move(image));
   } else {
     // Fresh archive: the initial snapshot is the database as it stands, and
-    // any leftover WAL (from a deleted snapshot) belongs to nothing now.
+    // any leftover WAL (from a deleted snapshot) belongs to nothing now, so
+    // creating the WAL truncates it. Nothing is replayed.
     if (vet) GOOFI_RETURN_IF_ERROR(vet(*db));
     GOOFI_RETURN_IF_ERROR(WriteSnapshotFile(*db, path, epoch));
-    std::filesystem::remove(path + ".wal", ec);
-    recovered = archive->wal_.Replay(path + ".wal", epoch, db);  // none: fresh
-    if (!recovered.ok()) return recovered.status();
-    GOOFI_RETURN_IF_ERROR(archive->wal_.StartAppending());
+    GOOFI_RETURN_IF_ERROR(archive->wal_.Create(path + ".wal", epoch));
   }
   const auto size = std::filesystem::file_size(path, ec);
   archive->stats_.snapshot_bytes = ec ? 0 : size;

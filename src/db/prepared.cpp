@@ -17,38 +17,58 @@ util::Result<std::shared_ptr<PreparedStatement>> PreparedStatement::Prepare(
       new PreparedStatement(sql, std::move(statement).value()));
 }
 
-util::Result<QueryResult> PreparedStatement::Execute(
-    Database& database, const std::vector<Value>& params) {
+util::Status PreparedStatement::CheckParams(
+    const std::vector<Value>& params) const {
   if (params.size() != params_expected_) {
     return util::InvalidArgument(
         "statement expects " + std::to_string(params_expected_) +
         " parameter(s), got " + std::to_string(params.size()));
   }
+  return util::Status::Ok();
+}
+
+SelectPlan PreparedStatement::CurrentPlan(const Database& database,
+                                          const SelectStmt& select) {
+  // Reuse the cached plan when it was built for this database at its current
+  // schema version; otherwise replan. The plan is copied out so the lock is
+  // not held across execution.
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!plan_valid_ || plan_database_ != &database ||
+      plan_version_ != database.schema_version()) {
+    plan_ = PlanSelect(database, select);
+    plan_database_ = &database;
+    plan_version_ = database.schema_version();
+    plan_valid_ = true;
+    ++plans_built_;
+  }
+  return plan_;
+}
+
+util::Result<QueryResult> PreparedStatement::Execute(
+    Database& database, const std::vector<Value>& params) {
+  GOOFI_RETURN_IF_ERROR(CheckParams(params));
   ExecOptions options;
   options.params = &params;
-
   const auto* select = std::get_if<SelectStmt>(&statement_);
   if (select == nullptr) {
     return ExecuteStatement(database, statement_, options);
   }
-
-  // Reuse the cached plan when it was built for this database at its current
-  // schema version; otherwise replan. The plan is copied out so the lock is
-  // not held across execution.
-  SelectPlan plan;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!plan_valid_ || plan_database_ != &database ||
-        plan_version_ != database.schema_version()) {
-      plan_ = PlanSelect(database, *select);
-      plan_database_ = &database;
-      plan_version_ = database.schema_version();
-      plan_valid_ = true;
-      ++plans_built_;
-    }
-    plan = plan_;
-  }
+  const SelectPlan plan = CurrentPlan(database, *select);
   return ExecuteStatement(database, statement_, options, &plan);
+}
+
+util::Status PreparedStatement::ForEachMatch(
+    const Database& database, const std::vector<Value>& params,
+    const std::function<util::Status(const Row&)>& fn) {
+  GOOFI_RETURN_IF_ERROR(CheckParams(params));
+  const auto* select = std::get_if<SelectStmt>(&statement_);
+  if (select == nullptr) {
+    return util::InvalidArgument("ForEachMatch needs a SELECT");
+  }
+  ExecOptions options;
+  options.params = &params;
+  const SelectPlan plan = CurrentPlan(database, *select);
+  return ForEachSelectMatch(database, *select, options, &plan, fn);
 }
 
 uint64_t PreparedStatement::plans_built() const {

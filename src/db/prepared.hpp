@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -37,6 +38,14 @@ class PreparedStatement {
   util::Result<QueryResult> Execute(Database& database,
                                     const std::vector<Value>& params = {});
 
+  /// Executes a SELECT without building its result set: `fn` sees each
+  /// stored row that passes the WHERE clause, in place and in result order
+  /// (ForEachSelectMatch). The SELECT must have no joins, GROUP BY,
+  /// aggregates, ORDER BY or LIMIT.
+  util::Status ForEachMatch(const Database& database,
+                            const std::vector<Value>& params,
+                            const std::function<util::Status(const Row&)>& fn);
+
   const std::string& sql() const { return sql_; }
   size_t params_expected() const { return params_expected_; }
 
@@ -46,6 +55,10 @@ class PreparedStatement {
 
  private:
   PreparedStatement(std::string sql, Statement statement);
+
+  util::Status CheckParams(const std::vector<Value>& params) const;
+  /// The cached plan for `database`, rebuilt first when stale.
+  SelectPlan CurrentPlan(const Database& database, const SelectStmt& select);
 
   const std::string sql_;
   const Statement statement_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <span>
@@ -390,63 +391,87 @@ std::optional<std::span<const size_t>> GatherBaseSlots(
   return std::nullopt;
 }
 
+/// The FROM side of a SELECT: its table, a resolver bound to it, and the
+/// access plan (caller-cached, freshly planned, or with indexes off the
+/// default plan of full scans and nested loops). `plan` may point at
+/// `local_plan`, so a FromStage stays where BindFrom filled it.
+struct FromStage {
+  const Table* table = nullptr;
+  Resolver resolver;
+  SelectPlan local_plan;
+  const SelectPlan* plan = nullptr;
+};
+
+util::Status BindFrom(const Database& database, const SelectStmt& stmt,
+                      const ExecOptions& options, const SelectPlan* cached_plan,
+                      FromStage* stage) {
+  stage->table = database.GetTable(stmt.from_table);
+  if (stage->table == nullptr) {
+    return util::NotFound("no table " + stmt.from_table);
+  }
+  stage->resolver.SetParams(options.params);
+  stage->resolver.Bind(
+      stmt.from_alias.empty() ? stmt.from_table : stmt.from_alias,
+      stage->table->schema());
+  stage->local_plan.joins.resize(stmt.joins.size());
+  stage->plan = &stage->local_plan;
+  if (options.use_indexes) {
+    if (cached_plan != nullptr) {
+      stage->plan = cached_plan;
+    } else {
+      stage->local_plan = PlanSelect(database, stmt);
+    }
+  }
+  return util::Status::Ok();
+}
+
+/// The gather-and-WHERE stage of every SELECT: calls `admit` on each
+/// candidate row of the FROM table, read in place, in scan order. Without
+/// joins the WHERE clause runs here, so only matching rows reach `admit`.
+template <typename Admit>
+util::Status GatherFrom(const FromStage& stage, const SelectStmt& stmt,
+                        Admit&& admit) {
+  const bool filter_in_place = stmt.where != nullptr && stmt.joins.empty();
+  const std::vector<Row>& slots = stage.table->slots();
+  const std::vector<bool>& live = stage.table->live();
+  auto visit = [&](const Row& row) -> util::Status {
+    if (filter_in_place) {
+      auto keep = Eval(*stmt.where, stage.resolver, row, nullptr);
+      if (!keep.ok()) return keep.status();
+      if (!keep.value().Truthy()) return util::Status::Ok();
+    }
+    return admit(row);
+  };
+  std::vector<size_t> scratch;
+  const auto base_slots =
+      GatherBaseSlots(*stage.table, stage.plan->base, stage.resolver, &scratch);
+  if (base_slots) {
+    for (const size_t slot : *base_slots) {
+      GOOFI_RETURN_IF_ERROR(visit(slots[slot]));
+    }
+  } else {
+    for (size_t slot = 0; slot < slots.size(); ++slot) {
+      if (live[slot]) GOOFI_RETURN_IF_ERROR(visit(slots[slot]));
+    }
+  }
+  return util::Status::Ok();
+}
+
 util::Result<QueryResult> ExecuteSelect(Database& database,
                                         const SelectStmt& stmt,
                                         const ExecOptions& options,
                                         const SelectPlan* cached_plan) {
-  const Table* from = database.GetTable(stmt.from_table);
-  if (from == nullptr) return util::NotFound("no table " + stmt.from_table);
+  FromStage stage;
+  GOOFI_RETURN_IF_ERROR(BindFrom(database, stmt, options, cached_plan, &stage));
+  Resolver& resolver = stage.resolver;
+  const SelectPlan* plan = stage.plan;
 
-  Resolver resolver;
-  resolver.SetParams(options.params);
-  resolver.Bind(stmt.from_alias.empty() ? stmt.from_table : stmt.from_alias,
-                from->schema());
-
-  // Pick the plan: caller-cached, freshly planned, or (with indexes off) the
-  // default plan, which is all full scans and nested loops.
-  SelectPlan local_plan;
-  local_plan.joins.resize(stmt.joins.size());
-  const SelectPlan* plan = &local_plan;
-  if (options.use_indexes) {
-    if (cached_plan != nullptr) {
-      plan = cached_plan;
-    } else {
-      local_plan = PlanSelect(database, stmt);
-      plan = &local_plan;
-    }
-  }
-
-  // The FROM table's candidate rows, read in place. Without joins, the WHERE
-  // clause runs here, so only matching rows are kept.
-  const bool filter_in_place = stmt.where != nullptr && stmt.joins.empty();
+  // The FROM table's candidate rows (only matching ones when join-free).
   std::vector<const Row*> rows;
-  {
-    const std::vector<Row>& slots = from->slots();
-    const std::vector<bool>& live = from->live();
-    auto admit = [&](const Row& row) -> util::Status {
-      if (filter_in_place) {
-        auto keep = Eval(*stmt.where, resolver, row, nullptr);
-        if (!keep.ok()) return keep.status();
-        if (!keep.value().Truthy()) return util::Status::Ok();
-      }
-      rows.push_back(&row);
-      return util::Status::Ok();
-    };
-    std::vector<size_t> scratch;
-    const auto base_slots =
-        GatherBaseSlots(*from, plan->base, resolver, &scratch);
-    if (base_slots) {
-      rows.reserve(base_slots->size());
-      for (const size_t slot : *base_slots) {
-        GOOFI_RETURN_IF_ERROR(admit(slots[slot]));
-      }
-    } else {
-      rows.reserve(from->size());
-      for (size_t slot = 0; slot < slots.size(); ++slot) {
-        if (live[slot]) GOOFI_RETURN_IF_ERROR(admit(slots[slot]));
-      }
-    }
-  }
+  GOOFI_RETURN_IF_ERROR(GatherFrom(stage, stmt, [&rows](const Row& row) {
+    rows.push_back(&row);
+    return util::Status::Ok();
+  }));
 
   // Join each JOIN clause in turn. Planned joins probe the right table's
   // PK/secondary index with key values from the left row and still evaluate
@@ -533,7 +558,7 @@ util::Result<QueryResult> ExecuteSelect(Database& database,
   }
 
   // WHERE (already applied in place when there are no joins).
-  if (stmt.where != nullptr && !filter_in_place) {
+  if (stmt.where != nullptr && !stmt.joins.empty()) {
     size_t kept = 0;
     for (const Row* row : rows) {
       auto keep = Eval(*stmt.where, resolver, *row, nullptr);
@@ -876,6 +901,25 @@ util::Result<QueryResult> ExecuteStatement(Database& database,
         }
       },
       statement);
+}
+
+util::Status ForEachSelectMatch(
+    const Database& database, const SelectStmt& stmt,
+    const ExecOptions& options, const SelectPlan* select_plan,
+    const std::function<util::Status(const Row&)>& fn) {
+  const bool aggregate = std::any_of(
+      stmt.items.begin(), stmt.items.end(), [](const SelectItem& i) {
+        return i.expr && i.expr->ContainsAggregate();
+      });
+  if (!stmt.joins.empty() || !stmt.group_by.empty() || aggregate ||
+      !stmt.order_by.empty() || stmt.limit) {
+    return util::InvalidArgument(
+        "ForEachMatch needs a SELECT without joins, GROUP BY, aggregates, "
+        "ORDER BY or LIMIT");
+  }
+  FromStage stage;
+  GOOFI_RETURN_IF_ERROR(BindFrom(database, stmt, options, select_plan, &stage));
+  return GatherFrom(stage, stmt, fn);
 }
 
 util::Result<QueryResult> ExecuteStatement(Database& database,

@@ -12,6 +12,7 @@
 // differential test suite runs every query both ways.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,19 @@ util::Result<QueryResult> ExecuteStatement(Database& database,
                                            const Statement& statement,
                                            const ExecOptions& options,
                                            const SelectPlan* select_plan = nullptr);
+
+/// The gather-and-WHERE stage of ExecuteStatement for a SELECT, without the
+/// result set: calls `fn` on each stored row of the FROM table that passes
+/// the WHERE clause, in the order ExecuteStatement would return it, read in
+/// place (every column, whatever the select list). The row is valid only
+/// inside `fn`, and nothing may mutate the table until this returns. Stops
+/// at the first error, `fn`'s included. kInvalidArgument for a SELECT with
+/// joins, GROUP BY, aggregates, ORDER BY or LIMIT. `select_plan` as for
+/// ExecuteStatement.
+util::Status ForEachSelectMatch(
+    const Database& database, const SelectStmt& stmt,
+    const ExecOptions& options, const SelectPlan* select_plan,
+    const std::function<util::Status(const Row&)>& fn);
 
 /// Parses `sql` and returns the chosen plan as text (shell `explain`).
 util::Result<std::string> ExplainSql(Database& database, const std::string& sql);

@@ -421,24 +421,28 @@ util::Status ApplyWalRecord(Database* db, WalOp op, PackedReader* r) {
 // --- WAL file ----------------------------------------------------------------
 
 util::Status Wal::WriteFreshHeader(uint64_t epoch) {
+  // One truncating open: the header is written and the stream stays open to
+  // append the records that follow it.
   if (out_.is_open()) out_.close();
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  if (!out) return util::IoError("cannot open " + path_ + " for writing");
+  out_.open(path_, std::ios::binary | std::ios::trunc);
+  if (!out_) return util::IoError("cannot open " + path_ + " for writing");
   std::string header;
   PackedWriter w(&header);
   header.append(kWalMagic, sizeof(kWalMagic));
   w.U8(kWalVersion);
   w.U64(epoch);
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.flush();
-  if (!out) return util::IoError("write failed for " + path_);
-  out.close();
+  out_.write(header.data(), static_cast<std::streamsize>(header.size()));
+  out_.flush();
+  if (!out_) return util::IoError("write failed for " + path_);
   bytes_ = header.size();
   next_sequence_ = 1;
   pending_.clear();
-  out_.open(path_, std::ios::binary | std::ios::app);
-  if (!out_) return util::IoError("cannot reopen " + path_);
   return util::Status::Ok();
+}
+
+util::Status Wal::Create(const std::string& path, uint64_t epoch) {
+  path_ = path;
+  return WriteFreshHeader(epoch);
 }
 
 bool ReadWholeFile(const std::string& path, std::string* out) {

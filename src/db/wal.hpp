@@ -143,6 +143,11 @@ class Wal {
   util::Result<ReplayResult> Replay(const std::string& path, uint64_t epoch,
                                   Database* db);
 
+  /// Starts a new, empty WAL at `path` for snapshot `epoch` and opens it to
+  /// append: one truncating open, which also discards whatever file was
+  /// there (a fresh archive's leftover WAL belongs to no snapshot).
+  util::Status Create(const std::string& path, uint64_t epoch);
+
   /// Makes the file what Replay recovered (a fresh header when it was
   /// missing, stale or not a WAL; otherwise cut at the first torn record)
   /// and opens it to append at the recovered end with the next contiguous

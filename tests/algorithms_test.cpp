@@ -130,6 +130,21 @@ TEST_F(AlgorithmsTest, ProgressMonitorCanStopCampaign) {
   EXPECT_EQ(monitor.last_total(), 50);
 }
 
+TEST(ConsoleProgressMonitorTest, PrintsEveryStrideAndTheLastExperiment) {
+  // The progress window (Fig. 7) prints whatever the log level is.
+  ConsoleProgressMonitor monitor(/*stride=*/50);
+  LoggedState last;
+  testing::internal::CaptureStderr();
+  for (int done = 1; done <= 120; ++done) {
+    last.detected = done % 40 == 0;
+    EXPECT_TRUE(monitor.OnExperiment(done, 120, last));
+  }
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "experiments 50/120 (42%), detections so far: 1\n"
+            "experiments 100/120 (83%), detections so far: 2\n"
+            "experiments 120/120 (100%), detections so far: 3\n");
+}
+
 TEST_F(AlgorithmsTest, RunCampaignDispatchesOnStoredTechnique) {
   CampaignData campaign = BaseCampaign("swifi");
   campaign.technique = Technique::kSwifiPreRuntime;

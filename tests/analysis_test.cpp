@@ -2,6 +2,7 @@
 // aggregation.
 #include <gtest/gtest.h>
 
+#include "analysis_reference.hpp"
 #include "core/analysis.hpp"
 
 namespace goofi::core {
@@ -231,6 +232,154 @@ TEST_F(AnalyzeCampaignTest, ByLocationGroupSplitsOnCellPrefix) {
   EXPECT_EQ(by_group.at("core").Count(Outcome::kDetected), 1);
   EXPECT_EQ(by_group.at("regfile").Count(Outcome::kOverwritten), 1);
   EXPECT_EQ(by_group.at("memory.text").total, 1);
+}
+
+// --- in place against copy-based, on rows written by hand through SQL --------
+//
+// Rows LoggedState::Serialize never writes but the stateVector grammar
+// accepts (or refuses), inserted past the store.
+
+class HandWrittenRowsTest : public AnalyzeCampaignTest {
+ protected:
+  /// INSERT through SQL; an empty `parent` or `data` is NULL.
+  void Insert(const std::string& name, const std::string& state_vector,
+              const std::string& data = "", const std::string& parent = "",
+              const std::string& campaign = "c") {
+    const auto text_or_null = [](const std::string& text) {
+      return text.empty() ? db::Value::Null() : db::Value::Text(text);
+    };
+    ASSERT_TRUE(store_.statement_cache()
+                    .Execute(db_,
+                             "INSERT INTO LoggedSystemState "
+                             "VALUES (?, ?, ?, ?, ?)",
+                             {db::Value::Text(name), text_or_null(parent),
+                              db::Value::Text(campaign), text_or_null(data),
+                              db::Value::Text(state_vector)})
+                    .ok())
+        << name;
+  }
+
+  void Delete(const std::string& name) {
+    ASSERT_TRUE(store_.statement_cache()
+                    .Execute(db_,
+                             "DELETE FROM LoggedSystemState "
+                             "WHERE experimentName = ?",
+                             {db::Value::Text(name)})
+                    .ok());
+  }
+
+  static constexpr const char* kFault =
+      "faults=transient_bitflip,internal_regfile,40,regfile.r1,0,0,5,0";
+};
+
+TEST_F(HandWrittenRowsTest, OddButValidStateVectorsClassifyAsCopied) {
+  // The reference reads halted=1, outputs=00001234, scan.internal_core=0101.
+  const std::string rest = "halted=1;";
+  // Scan keys out of order or repeated: the last value of a chain counts.
+  Insert("c/h00", rest + "outputs=00001234;scan.x=1;scan.internal_core=0101;",
+         kFault);
+  Insert("c/h01",
+         rest + "outputs=00001234;scan.internal_core=1111;"
+                "scan.internal_core=0101;",
+         kFault);
+  Insert("c/h02",
+         rest + "outputs=00001234;scan.internal_core=11;scan.internal_core=1;",
+         kFault);
+  Insert("c/h03", "scan.internal_core=0101;" + rest + "outputs=00001234;",
+         kFault);
+  // Upper-case, short and repeated output words.
+  Insert("c/h04", rest + "outputs=1234;scan.internal_core=0101;", kFault);
+  Insert("c/h05", rest + "outputs=0000ABCD;scan.internal_core=0101;", kFault);
+  Insert("c/h06", rest + "outputs=12;outputs=34;scan.internal_core=0101;",
+         kFault);
+  Insert("c/h07", rest + "outputs=1234;outputs=;scan.internal_core=0101;",
+         kFault);
+  // edm=none, alone or after a named mechanism, and odd integer spellings.
+  Insert("c/h09", "detected=1;edm=none;", kFault);
+  Insert("c/h10", "detected=1;edm=illegal_opcode;edm=none;", kFault);
+  Insert("c/h11", "detected= 1;edm=cache_parity_data;", kFault);
+  Insert("c/h12", "halted=+1;timeout=0x0;outputs=1234;scan.internal_core=0101;",
+         kFault);
+  Insert("c/h13", "timeout=1;;", kFault);
+  Insert("c/h14", "", kFault);
+  // experimentData: a malformed, empty or missing first fault, and others.
+  Insert("c/h20", rest + "outputs=1;", "faults=bogus,,0,,0,0,0,0");
+  Insert("c/h21", rest + "outputs=1;", "technique=scifi;faults=");
+  Insert("c/h22", rest + "outputs=1;", "technique=scifi");
+  Insert("c/h23", rest + "outputs=1;", "");
+  Insert("c/h24", rest + "outputs=1;",
+         "faults=|transient_bitflip,internal_core,3,core.ir,0,0,5,0");
+  Insert("c/h25", rest + "outputs=1;",
+         "technique=scifi;faults=transient_bitflip,internal_core,3,core.ir,0,0,"
+         "5,0|bogus;faults=");
+  Insert("c/h26", rest + "outputs=1;",
+         "faults=transient_bitflip,,0,memory.data,16,3,0,0");
+  Insert("c/h27", rest + "outputs=1;",
+         "faults=transient_bitflip,internal_core,3,watchdog,0,0,5,0");
+  Insert("c/h28", rest + "outputs=1;",
+         "faults=transient_bitflip,internal_core,x,core.ir,0,0,5,0");
+  // Neither read: a malformed detail row and another campaign's row.
+  Insert("c/h00/detail", "halted=zz", "detail_step", "c/h00");
+  CampaignData other = store_.GetCampaign("c").ValueOrDie();
+  other.name = "d";
+  ASSERT_TRUE(store_.PutCampaign(other).ok());
+  Insert("d/e0", "wat", kFault, "", "d");
+
+  testing_reference::ExpectInPlaceAnalysisMatches(store_, "c");
+  // The reference shares the stateVector grammar, so the outcomes are also
+  // pinned: latent h00 h02; overwritten h01 h03 h04 h07 h12; detected h09
+  // h10 (no mechanism) h11; escaped the rest, h13 and h14 late too.
+  const AnalysisReport report = AnalyzeCampaign(store_, "c").ValueOrDie();
+  EXPECT_EQ(report.total, 23);
+  EXPECT_EQ(report.Count(Outcome::kLatent), 2);
+  EXPECT_EQ(report.Count(Outcome::kOverwritten), 5);
+  EXPECT_EQ(report.Count(Outcome::kDetected), 3);
+  EXPECT_EQ(report.Count(Outcome::kEscaped), 13);
+  EXPECT_EQ(report.escaped_value, 13);
+  EXPECT_EQ(report.escaped_timeliness, 2);
+  EXPECT_EQ(report.detected_by_mechanism,
+            (std::map<std::string, int>{{"", 2}, {"cache_parity_data", 1}}));
+  std::map<std::string, int> group_totals;
+  for (const auto& [group, r] :
+       AnalyzeByLocationGroup(store_, "c").ValueOrDie()) {
+    group_totals[group] = r.total;
+  }
+  EXPECT_EQ(group_totals, (std::map<std::string, int>{{"core", 1},
+                                                      {"memory", 1},
+                                                      {"none", 3},
+                                                      {"regfile", 14},
+                                                      {"unknown", 3},
+                                                      {"watchdog", 1}}));
+}
+
+TEST_F(HandWrittenRowsTest, MalformedStateVectorsKeepTheirStatus) {
+  AddExperiment("c/e0", Reference(), kFault);
+  for (const char* text :
+       {"halted=zz", "wat=1", "noequals", "outputs=12,zz", "outputs=,",
+        "halted=1;scan.internal_core=0101;code=", "halted=1;;x",
+        "cycles=99999999999999999999", "outputs=1ffffffffffffffff0",
+        "outputs=0x1234"}) {
+    SCOPED_TRACE(text);
+    Insert("c/bad", text, kFault);
+    Insert("c/bad2", "halted=zz;wat", kFault);  // a later bad row
+    const auto got = AnalyzeCampaign(store_, "c");
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), util::StatusCode::kParseError);
+    testing_reference::ExpectInPlaceAnalysisMatches(store_, "c");
+    Delete("c/bad");
+    Delete("c/bad2");
+  }
+  // A malformed reference row fails both analyses before any other row.
+  Delete("c/ref");
+  Insert("c/ref", "halted=1;iters=-", "technique=scifi;faults=");
+  Insert("c/bad", "wat", kFault);
+  EXPECT_EQ(AnalyzeCampaign(store_, "c").status().message(),
+            "bad integer in LoggedState: iters=-");
+  testing_reference::ExpectInPlaceAnalysisMatches(store_, "c");
+  Delete("c/ref");
+  testing_reference::ExpectInPlaceAnalysisMatches(store_, "c");
+  EXPECT_EQ(AnalyzeCampaign(store_, "c").status().code(),
+            util::StatusCode::kNotFound);
 }
 
 }  // namespace

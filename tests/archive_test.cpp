@@ -687,6 +687,50 @@ TEST_F(ArchiveTest, StaleWalFromCheckpointCrashIsDiscarded) {
   EXPECT_EQ(stats.epoch, 1u);
 }
 
+TEST_F(ArchiveTest, FreshOpenDiscardsALeftoverWal) {
+  // A WAL holding records, left behind when its snapshot was deleted.
+  {
+    Database old;
+    ASSERT_TRUE(
+        old.CreateTable(Schema("t", {{"a", ValueType::kInt, false}})).ok());
+    auto archive = Archive::Open(&old, path_);
+    ASSERT_TRUE(archive.ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(old.Insert("t", {Value::Int(i)}).ok());
+    }
+    ASSERT_TRUE(archive.value()->Close().ok());
+    EXPECT_EQ(archive.value()->stats().checkpoints_folded, 0u);
+  }
+  ASSERT_TRUE(fs::remove(path_));
+  const std::string wal_path = path_ + ".wal";
+  ASSERT_GT(fs::file_size(wal_path), 13u) << "the leftover WAL holds records";
+
+  // A fresh open at the same path neither replays nor keeps it.
+  Database db;
+  ASSERT_TRUE(
+      db.CreateTable(Schema("t", {{"a", ValueType::kInt, false},
+                                  {"b", ValueType::kText, false}}))
+          .ok());
+  const std::string empty = Dump(db);
+  auto archive = Archive::Open(&db, path_);
+  ASSERT_TRUE(archive.ok()) << archive.status().ToString();
+  EXPECT_EQ(Dump(db), empty);
+  const ArchiveStats opened = archive.value()->stats();
+  EXPECT_EQ(opened.wal_records_replayed, 0u);
+  EXPECT_FALSE(opened.stale_wal_discarded);
+  EXPECT_EQ(opened.wal_bytes, 13u);
+  EXPECT_EQ(fs::file_size(wal_path), 13u) << "only the new header is left";
+
+  // A reopen recovers exactly the records written after the fresh open.
+  ASSERT_TRUE(db.Insert("t", {Value::Int(7), Value::Text("x")}).ok());
+  ASSERT_TRUE(db.Insert("t", {Value::Int(8), Value::Null()}).ok());
+  ASSERT_TRUE(archive.value()->Close().ok());
+  ArchiveStats recovered;
+  EXPECT_EQ(Recover(&recovered), Dump(db));
+  EXPECT_EQ(recovered.wal_records_replayed, 2u);
+  EXPECT_FALSE(recovered.recovered_torn_tail);
+}
+
 TEST_F(ArchiveTest, AutoCheckpointFoldsWalIntoSnapshot) {
   Database db;
   ASSERT_TRUE(

@@ -420,5 +420,169 @@ TEST(LoggedStateFuzzTest, IntegerEdgesMatchSplitParser) {
   }
 }
 
+/// Empty when parsing `text` into `view`, which callers reuse across inputs
+/// as the analysis does, agrees with the reference parser: status and
+/// message, every field, and the scan images as the map's sorted and unique
+/// (chain, bits) pairs; otherwise what differs.
+std::string ViewDifference(const std::string& text, LoggedStateView* view) {
+  const auto want = ReferenceDeserialize(text);
+  const util::Status got = view->Parse(text);
+  if (got.ok() != want.ok() || got.code() != want.status().code() ||
+      got.message() != want.status().message()) {
+    return "status " + got.ToString() + " vs " + want.status().ToString() +
+           " for [" + text + "]";
+  }
+  if (!want.ok()) return "";
+  const LoggedState& b = want.value();
+  const LoggedStateView& a = *view;
+  const bool same_images = std::equal(
+      a.scan_images.begin(), a.scan_images.end(), b.scan_images.begin(),
+      b.scan_images.end(), [](const auto& x, const auto& y) {
+        return x.first == y.first && x.second == y.second;
+      });
+  const bool same =
+      a.halted == b.halted && a.detected == b.detected && a.edm == b.edm &&
+      a.edm_code == b.edm_code && a.timed_out == b.timed_out &&
+      a.env_failed == b.env_failed && a.cycles == b.cycles &&
+      a.instret == b.instret && a.iterations == b.iterations &&
+      a.outputs == b.outputs && same_images;
+  return same ? "" : "view fields differ for [" + text + "]";
+}
+
+TEST(LoggedStateFuzzTest, ReusedViewMatchesSplitParser) {
+  util::Rng rng(0x71E3);
+  constexpr int kInputs = 60000;
+  LoggedStateView view;  // one view for every input, errors included
+  int mismatches = 0;
+  int reordered = 0;
+  for (int i = 0; i < kInputs; ++i) {
+    std::string text = RandomState(rng).Serialize();
+    if (i % 8 != 0) {
+      for (uint64_t edits = 1 + rng.NextBelow(3); edits > 0; --edits) {
+        Mutate(rng, &text);
+      }
+    }
+    // One input in four also carries its scan fields back to front.
+    if (i % 4 == 1) {
+      std::string scans;
+      std::string rest;
+      for (const std::string& field : util::Split(text, ';')) {
+        if (util::StartsWith(field, "scan.")) {
+          scans = field + ";" + scans;
+        } else if (!field.empty()) {
+          rest += field + ";";
+        }
+      }
+      text = rest + scans;
+      ++reordered;
+    }
+    const std::string difference = ViewDifference(text, &view);
+    if (!difference.empty() && ++mismatches <= 5) ADD_FAILURE() << difference;
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(reordered, kInputs / 4);
+}
+
+TEST(LoggedStateFuzzTest, PlainNumberEdgesMatchSplitParser) {
+  // Where plain digits stop being read directly and go through ParseInt.
+  LoggedStateView view;
+  for (const char* value :
+       {"0", "000000000000000000", "999999999999999999", "1000000000000000000",
+        "9999999999999999999", "0000000000000000001", "9223372036854775807",
+        "9223372036854775808", "12a", "1 ", " 1"}) {
+    for (const char* key : {"halted", "code", "cycles", "instret", "iters"}) {
+      const std::string text = std::string(key) + "=" + value + ";";
+      EXPECT_EQ(ParserDifference(text), "") << text;
+      EXPECT_EQ(ViewDifference(text, &view), "") << text;
+    }
+  }
+  for (const char* word :
+       {"0", "f", "F", "0000000f", "ffffffff", "FFFFFFFF", "100000000",
+        "ffffffffffffffff", "FFFFFFFFFFFFFFFF", "0000000000000000f",
+        "10000000000000000", "fffffffffffffffff", "g", "1g", "x1", "", " f"}) {
+    const std::string text = std::string("outputs=") + word + ",1;";
+    EXPECT_EQ(ParserDifference(text), "") << text;
+    EXPECT_EQ(ViewDifference(text, &view), "") << text;
+  }
+}
+
+// --- differential fuzz: FaultInstance::Parse against the split-based one -----
+
+// The split-based parser FaultInstance::Parse replaced, kept verbatim (only
+// renamed) as the reference for its grammar and errors.
+util::Result<FaultInstance> ReferenceParseFault(const std::string& text) {
+  const std::vector<std::string> fields = util::Split(text, ',');
+  if (fields.size() != 8) {
+    return util::ParseError("bad FaultInstance encoding: " + text);
+  }
+  FaultInstance out;
+  auto kind = FaultModelFromName(fields[0]);
+  if (!kind.ok()) return kind.status();
+  out.kind = kind.value();
+  out.chain = fields[1];
+  const auto chain_bit = util::ParseInt(fields[2]);
+  const auto address = util::ParseInt(fields[4]);
+  const auto bit = util::ParseInt(fields[5]);
+  const auto inject = util::ParseInt(fields[6]);
+  const auto stuck = util::ParseInt(fields[7]);
+  if (!chain_bit || !address || !bit || !inject || !stuck) {
+    return util::ParseError("bad FaultInstance numbers: " + text);
+  }
+  out.chain_bit = static_cast<uint32_t>(*chain_bit);
+  out.cell_name = fields[3];
+  out.address = static_cast<uint32_t>(*address);
+  out.bit = static_cast<uint32_t>(*bit);
+  out.inject_instr = static_cast<uint64_t>(*inject);
+  out.stuck_value = *stuck != 0;
+  return out;
+}
+
+TEST(FaultInstanceFuzzTest, ViewParserMatchesSplitParser) {
+  util::Rng rng(0xFA017);
+  static const char* const kCells[] = {"regfile.r3", "core.ir", "watchdog",
+                                       "memory.data@0x00000010", ""};
+  constexpr int kInputs = 40000;
+  int mismatches = 0;
+  int parsed = 0;
+  for (int i = 0; i < kInputs; ++i) {
+    FaultInstance fault;
+    fault.kind = static_cast<FaultModelKind>(rng.NextBelow(3));
+    fault.chain = rng.NextBool() ? "internal_regfile" : "";
+    fault.chain_bit = static_cast<uint32_t>(rng.NextBelow(1024));
+    fault.cell_name = kCells[rng.NextBelow(std::size(kCells))];
+    fault.address = static_cast<uint32_t>(rng.Next());
+    fault.bit = static_cast<uint32_t>(rng.NextBelow(32));
+    fault.inject_instr = rng.Next();
+    fault.stuck_value = rng.NextBool();
+    std::string text = fault.Serialize();
+    if (i % 4 != 0) {
+      for (uint64_t edits = 1 + rng.NextBelow(2); edits > 0; --edits) {
+        Mutate(rng, &text);
+      }
+    }
+    const auto want = ReferenceParseFault(text);
+    const auto got = FaultInstance::Parse(text);
+    bool same = got.ok() == want.ok() &&
+                got.status().code() == want.status().code() &&
+                got.status().message() == want.status().message();
+    if (same && want.ok()) {
+      const FaultInstance& a = got.value();
+      const FaultInstance& b = want.value();
+      same = a.kind == b.kind && a.chain == b.chain &&
+             a.chain_bit == b.chain_bit && a.cell_name == b.cell_name &&
+             a.address == b.address && a.bit == b.bit &&
+             a.inject_instr == b.inject_instr && a.stuck_value == b.stuck_value;
+      ++parsed;
+    }
+    if (!same && ++mismatches <= 5) {
+      ADD_FAILURE() << got.status().ToString() << " vs "
+                    << want.status().ToString() << " for [" << text << "]";
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(parsed, kInputs / 4);
+  EXPECT_LT(parsed, kInputs - kInputs / 8);
+}
+
 }  // namespace
 }  // namespace goofi::core

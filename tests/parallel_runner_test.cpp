@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <list>
 #include <sstream>
 #include <stdexcept>
 
@@ -306,28 +307,45 @@ TEST(ParallelRunnerTest, LivenessFilterStatsMatchSerial) {
 
 /// A Thor stack that throws — as a user-written target, or one that runs out
 /// of memory, might — when it runs the experiment whose experimentData is
-/// `poison`.
+/// `poison`. With `ran` set it also records the experimentData of every run
+/// it completes.
 class ThrowingThorStack final : public ThorRdTarget {
  public:
   ThrowingThorStack(CampaignStore* store,
                     std::unique_ptr<testcard::SimTestCard> card,
-                    std::string poison)
+                    std::string poison, std::vector<std::string>* ran = nullptr)
       : ThorRdTarget(store, card.get()),
         card_(std::move(card)),
-        poison_(std::move(poison)) {}
+        poison_(std::move(poison)),
+        ran_(ran) {}
 
  protected:
   util::Result<LoggedState> CollectState() override {
-    if (ExperimentData(campaign_.technique, faults_) == poison_) {
-      throw std::runtime_error("target lost");
-    }
+    const std::string data = ExperimentData(campaign_.technique, faults_);
+    if (data == poison_) throw std::runtime_error("target lost");
+    if (ran_ != nullptr) ran_->push_back(data);
     return ThorRdTarget::CollectState();
   }
 
  private:
   std::unique_ptr<testcard::SimTestCard> card_;
   std::string poison_;
+  std::vector<std::string>* ran_;
 };
+
+/// A runner over `session` whose targets are ThrowingThorStacks poisoned
+/// with `poison`.
+ParallelCampaignRunner ThrowingRunner(Session* session,
+                                      const std::string& poison, int workers) {
+  CampaignStore* store = &session->store;
+  return ParallelCampaignRunner(
+      store,
+      [store, poison]() -> std::unique_ptr<FaultInjectionAlgorithms> {
+        return std::make_unique<ThrowingThorStack>(
+            store, std::make_unique<testcard::SimTestCard>(), poison);
+      },
+      workers);
+}
 
 TEST(ParallelRunnerTest,
      ThrowingTargetEndsTheRunWithAnErrorAtEveryWorkerCount) {
@@ -352,14 +370,7 @@ TEST(ParallelRunnerTest,
   for (int workers : {1, 3}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     Session session(campaign);
-    CampaignStore* store = &session.store;
-    ParallelCampaignRunner runner(
-        store,
-        [store, &poison]() -> std::unique_ptr<FaultInjectionAlgorithms> {
-          return std::make_unique<ThrowingThorStack>(
-              store, std::make_unique<testcard::SimTestCard>(), poison);
-        },
-        workers);
+    ParallelCampaignRunner runner = ThrowingRunner(&session, poison, workers);
     const RunResult result = session.Snapshot(runner.Run(campaign.name),
                                               runner.stats(), campaign.name);
     EXPECT_EQ(result.status.code(), util::StatusCode::kInternal);
@@ -368,6 +379,104 @@ TEST(ParallelRunnerTest,
     EXPECT_EQ(result.stats, stopped.stats);
     EXPECT_EQ(result.db_bytes, stopped.db_bytes)
         << "the experiments before the throw must be committed, in order";
+  }
+}
+
+// The committer's own target calls — the reference run, fault-list planning
+// under classing and the live re-execution of a capped class's members (at
+// the end of the spot-check section) — end the run with the same kind of
+// status as a worker's.
+
+TEST(ParallelRunnerTest,
+     ThrowingReferenceRunEndsTheRunWithAnErrorAtEveryWorkerCount) {
+  const CampaignData campaign = ScifiCampaign();
+  const std::string reference = CampaignStore::ReferenceName(campaign.name);
+  std::string poison;
+  for (const CampaignStore::ExperimentRow& row : RunSerial(campaign).rows) {
+    if (row.experiment_name == reference) poison = row.experiment_data;
+  }
+  ASSERT_NE(poison, "");
+  // A serial run that fails at the reference run logs nothing.
+  const RunResult nothing = Session(campaign).Snapshot(
+      util::Status::Ok(), FaultInjectionAlgorithms::Stats{}, campaign.name);
+
+  for (int workers : {1, 3}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    Session session(campaign);
+    ParallelCampaignRunner runner = ThrowingRunner(&session, poison, workers);
+    const RunResult result = session.Snapshot(runner.Run(campaign.name),
+                                              runner.stats(), campaign.name);
+    EXPECT_EQ(result.status.code(), util::StatusCode::kInternal);
+    EXPECT_EQ(result.status.message(),
+              "experiment " + reference + " threw: target lost");
+    EXPECT_EQ(result.stats, nothing.stats);
+    EXPECT_EQ(result.db_bytes, nothing.db_bytes);
+  }
+}
+
+TEST(ParallelRunnerTest,
+     ThrowingFaultPlanningEndsTheRunWithAnErrorAtEveryWorkerCount) {
+  const CampaignData campaign = ScifiCampaign();
+  constexpr int kPoisoned = 5;
+  const RunResult serial = RunSerial(campaign);
+  ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
+  // Each experiment draws one fault; the liveness filter sees every draw.
+  auto fault_of = [&](int i) {
+    const std::string name = CampaignStore::ExperimentName(campaign.name, i);
+    for (const CampaignStore::ExperimentRow& row : serial.rows) {
+      if (row.experiment_name != name) continue;
+      const std::string& data = row.experiment_data;
+      return FaultInstance::Parse(data.substr(data.find("faults=") + 7))
+          .ValueOrDie();
+    }
+    ADD_FAILURE() << "no row " << name;
+    return FaultInstance();
+  };
+  const FaultInstance poison = fault_of(kPoisoned);
+  auto is_poison = [poison](const std::string& cell, uint32_t chain_bit,
+                            uint64_t inject_instr) {
+    return cell == poison.cell_name && chain_bit == poison.chain_bit &&
+           inject_instr == poison.inject_instr;
+  };
+  for (int i = 0; i < campaign.num_experiments; ++i) {
+    if (i == kPoisoned) continue;
+    const FaultInstance f = fault_of(i);
+    ASSERT_FALSE(is_poison(f.cell_name, f.chain_bit, f.inject_instr))
+        << "the poisoned draw must be unique";
+  }
+  // Planning runs before the first experiment, so a failed plan logs the
+  // reference run only, as a plan that fails with an error status does.
+  Session expected(campaign);
+  ASSERT_TRUE(expected.store.PutExperiments({serial.rows.front()}).ok());
+  const RunResult reference_only = expected.Snapshot(
+      util::Status::Ok(), FaultInjectionAlgorithms::Stats{}, campaign.name);
+  ASSERT_EQ(reference_only.rows.size(), 1u);
+  ASSERT_EQ(reference_only.rows[0].experiment_name,
+            CampaignStore::ReferenceName(campaign.name));
+
+  for (int workers : {1, 3}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    Session session(campaign);
+    ParallelCampaignRunner runner(&session.store,
+                                  MakeSimThorFactory(&session.store), workers);
+    runner.SetEquivalenceClassing(true);
+    runner.SetLivenessFilter(
+        [is_poison](const FaultCandidate& candidate, uint64_t inject_instr) {
+          if (is_poison(candidate.cell_name, candidate.chain_bit,
+                        inject_instr)) {
+            throw std::runtime_error("fault space lost");
+          }
+          return true;
+        });
+    const RunResult result = session.Snapshot(runner.Run(campaign.name),
+                                              runner.stats(), campaign.name);
+    EXPECT_EQ(result.status.code(), util::StatusCode::kInternal);
+    EXPECT_EQ(result.status.message(),
+              "experiment " +
+                  CampaignStore::ExperimentName(campaign.name, kPoisoned) +
+                  " threw: fault space lost");
+    EXPECT_EQ(result.stats, reference_only.stats);
+    EXPECT_EQ(result.db_bytes, reference_only.db_bytes);
   }
 }
 
@@ -529,6 +638,86 @@ TEST(SpotCheckTest, SameChecksAtEveryWorkerCount) {
     EXPECT_EQ(threaded.dedup.spot_checks_passed,
               inline_run.dedup.spot_checks_passed);
     EXPECT_EQ(threaded.result.db_bytes, inline_run.result.db_bytes);
+  }
+}
+
+/// A detail-mode campaign whose detail logs all hit the row cap: the
+/// pendulum runs far more than kMaxDetailRows instructions past every
+/// injection. Flips into one bit of r7, which the pendulum never accesses,
+/// are equivalent at any time; at this seed e0000 and a later injection in
+/// e0001 flip the same bit, so e0001 is a member of e0000's capped class. No
+/// chain is observed, so the rows stay small.
+CampaignData CappedCampaign() {
+  CampaignData campaign = SpotCheckCampaign();
+  campaign.name = "capped";
+  campaign.workload = "pendulum_pd";
+  campaign.locations = {{"internal_regfile", "regfile.r7"}};
+  campaign.max_iterations = 1600;
+  campaign.log_mode = LogMode::kDetail;
+  campaign.observe_chains = {};
+  campaign.num_experiments = 3;
+  campaign.inject_max_instr = 60;
+  campaign.timeout_cycles = 10'000'000;
+  campaign.seed = 62;
+  return campaign;
+}
+
+TEST(SpotCheckTest, ThrowingLiveRunOfACappedMemberEndsTheRunWithAnError) {
+  const CampaignData campaign = CappedCampaign();
+  const std::shared_ptr<const LivenessAnalyzer> timeline =
+      LivenessAnalyzer::Build(campaign.workload, cpu::CpuConfig(), 200000,
+                              campaign.max_iterations)
+          .ValueOrDie();
+  // Runs the campaign classed over ThrowingThorStacks poisoned with
+  // `poison`; each target built records the runs it completes in `ran`.
+  auto run = [&](const std::string& poison, int workers,
+                 std::list<std::vector<std::string>>* ran) {
+    Session session(campaign);
+    CampaignStore* store = &session.store;
+    ParallelCampaignRunner runner(
+        store,
+        [store, &poison, ran]() -> std::unique_ptr<FaultInjectionAlgorithms> {
+          return std::make_unique<ThrowingThorStack>(
+              store, std::make_unique<testcard::SimTestCard>(), poison,
+              &ran->emplace_back());
+        },
+        workers);
+    runner.SetEquivalenceClassing(true);
+    runner.SetEquivalenceTimeline(timeline);
+    util::Status status = runner.Run(campaign.name);
+    return session.Snapshot(std::move(status), runner.stats(), campaign.name);
+  };
+  constexpr int kPoisoned = 1;
+  const std::string member =
+      CampaignStore::ExperimentName(campaign.name, kPoisoned);
+  std::string poison;
+  {
+    // Threaded, the committer has a target of its own, built last; under
+    // classing it runs nothing but the members of capped classes.
+    std::list<std::vector<std::string>> ran;
+    const RunResult clean = run("", 3, &ran);
+    ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
+    for (const CampaignStore::ExperimentRow& row : clean.rows) {
+      if (row.experiment_name == member) poison = row.experiment_data;
+    }
+    ASSERT_EQ(ran.size(), 4u) << "three workers and the committer";
+    ASSERT_EQ(ran.back(), std::vector<std::string>{poison})
+        << member << " is the one member run live";
+  }
+  CountingMonitor stopper(/*limit=*/kPoisoned);
+  const RunResult stopped = RunSerial(campaign, &stopper);
+  ASSERT_TRUE(stopped.status.ok()) << stopped.status.ToString();
+
+  for (int workers : {1, 3}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::list<std::vector<std::string>> unused;
+    const RunResult result = run(poison, workers, &unused);
+    EXPECT_EQ(result.status.code(), util::StatusCode::kInternal);
+    EXPECT_EQ(result.status.message(),
+              "experiment " + member + " threw: target lost");
+    EXPECT_EQ(result.stats, stopped.stats);
+    EXPECT_EQ(result.db_bytes, stopped.db_bytes)
+        << "the experiments before the throw must be committed, in order";
   }
 }
 

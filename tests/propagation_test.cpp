@@ -7,6 +7,7 @@
 #include <thread>
 #include <tuple>
 
+#include "analysis_reference.hpp"
 #include "core/goofi.hpp"
 #include "db/database.hpp"
 #include "util/strings.hpp"
@@ -106,7 +107,12 @@ util::Result<std::map<uint64_t, LoggedState>> UnmemoizedTrace(
   for (auto& row : rows.value()) {
     trace.emplace(row.state.instret, std::move(row.state));
   }
-  if (trace.empty()) return util::FailedPrecondition("no trace " + rerun_name);
+  if (trace.empty()) {
+    return util::FailedPrecondition(
+        "no detail trace under " + rerun_name +
+        "; run RerunDetailed first (for the experiment and for the campaign "
+        "reference)");
+  }
   return trace;
 }
 
@@ -301,6 +307,200 @@ TEST_F(PropagationMemoTest, ConcurrentCallsOnOneConstStoreMatchSerial) {
                                  << results[i].status().ToString();
     EXPECT_EQ(Fields(results[i].value()), Fields(serial[i])) << Name(i);
   }
+}
+
+// --- in-place analysis against the copy-based one ----------------------------
+//
+// AnalyzeErrorPropagation walks the faulty trace in place;
+// UnmemoizedPropagation above is the copy-based walk it replaced. Statuses,
+// messages and reports must match, on real campaigns of every technique and
+// on rows written by hand.
+
+/// AnalyzeErrorPropagation(name) equals the copy-based walk, status included.
+void ExpectPropagationMatches(const CampaignStore& store,
+                              const std::string& name) {
+  SCOPED_TRACE(name);
+  testing_reference::ExpectSameResult(
+      AnalyzeErrorPropagation(store, name), UnmemoizedPropagation(store, name),
+      [](const PropagationReport& got, const PropagationReport& want) {
+        EXPECT_EQ(Fields(got), Fields(want));
+      });
+}
+
+TEST(InPlaceAnalysisTest, EveryTechniqueWithDetailReRunsMatchesCopyBased) {
+  db::Database db;
+  CampaignStore store(&db);
+  testcard::SimTestCard card;
+  ThorRdTarget thor(&store, &card);
+  SwifiSimTarget swifi(&store);
+  ASSERT_TRUE(store
+                  .PutTargetSystem(ThorRdTarget::DescribeTarget(
+                      card, ThorRdTarget::kTargetName))
+                  .ok());
+  ASSERT_TRUE(store.PutTargetSystem(SwifiSimTarget::Describe()).ok());
+  struct Case {
+    const char* name;
+    Technique technique;
+    const char* workload;
+    std::vector<FaultLocationSelector> locations;
+    FaultInjectionAlgorithms* target;
+  };
+  const Case cases[] = {
+      {"scifi", Technique::kScifi, "fibonacci",
+       {{"internal_regfile", ""}, {"internal_core", ""}}, &thor},
+      {"preruntime", Technique::kSwifiPreRuntime, "fibonacci",
+       {{"memory.text", ""}}, &swifi},
+      {"runtime", Technique::kSwifiRuntime, "bubblesort",
+       {{"memory.text", ""}, {"memory.data", ""}}, &swifi},
+  };
+  constexpr int kExperiments = 16;
+  constexpr int kReRuns = 10;
+  for (const Case& c : cases) {
+    CampaignData campaign;
+    campaign.name = c.name;
+    campaign.target_name = c.target == &thor ? ThorRdTarget::kTargetName
+                                             : SwifiSimTarget::kTargetName;
+    campaign.technique = c.technique;
+    campaign.workload = c.workload;
+    campaign.locations = c.locations;
+    campaign.num_experiments = kExperiments;
+    campaign.inject_min_instr = 1;
+    campaign.inject_max_instr = 300;
+    campaign.timeout_cycles = 100000;
+    ASSERT_TRUE(store.PutCampaign(campaign).ok());
+    ASSERT_TRUE(c.target->RunCampaign(c.name).ok()) << c.name;
+    ASSERT_TRUE(
+        c.target->RerunDetailed(CampaignStore::ReferenceName(c.name)).ok());
+    for (int i = 0; i < kReRuns; ++i) {
+      ASSERT_TRUE(
+          c.target->RerunDetailed(CampaignStore::ExperimentName(c.name, i))
+              .ok());
+    }
+  }
+  for (const Case& c : cases) {
+    testing_reference::ExpectInPlaceAnalysisMatches(store, c.name);
+    // Re-run experiments, experiments without a re-run, and names that are
+    // not experiments.
+    for (int i = 0; i < kExperiments; ++i) {
+      ExpectPropagationMatches(store, CampaignStore::ExperimentName(c.name, i));
+    }
+    ExpectPropagationMatches(store, CampaignStore::ReferenceName(c.name));
+    ExpectPropagationMatches(store, std::string(c.name) + "/ghost");
+  }
+  // SCIFI re-runs log traces to walk. The SWIFI targets log no detail rows,
+  // so there both walks fail the same precondition.
+  int walked = 0;
+  for (int i = 0; i < kReRuns; ++i) {
+    walked += AnalyzeErrorPropagation(
+                  store, CampaignStore::ExperimentName("scifi", i))
+                  .ok();
+  }
+  EXPECT_GT(walked, kReRuns / 2);
+}
+
+/// The reference trace of PropagationTest written back by hand as the trace
+/// of prop/e0000, through SQL.
+class HandWrittenTraceTest : public PropagationTest {
+ protected:
+  HandWrittenTraceTest()
+      : steps_(store_.DetailRowsOf("prop/ref/detail").ValueOrDie()) {
+    EXPECT_GT(steps_.size(), 20u);
+    EXPECT_TRUE(Insert("prop/e0000/detail", "prop/e0000",
+                       LoggedState().Serialize())
+                    .ok());
+  }
+
+  util::Status Insert(const std::string& name, const std::string& parent,
+                      const std::string& state_vector) {
+    return store_.statement_cache()
+        .Execute(db_, "INSERT INTO LoggedSystemState VALUES (?, ?, ?, ?, ?)",
+                 {db::Value::Text(name), db::Value::Text(parent),
+                  db::Value::Text("prop"), db::Value::Text("detail_step"),
+                  db::Value::Text(state_vector)})
+        .status();
+  }
+
+  /// Appends one detail row of prop/e0000's trace.
+  void Step(const std::string& state_vector) {
+    ASSERT_TRUE(Insert(util::Format("prop/e0000/detail/h%04d", rows_++),
+                       "prop/e0000/detail", state_vector)
+                    .ok());
+  }
+
+  std::vector<CampaignStore::ExperimentRow> steps_;  ///< the reference trace
+  int rows_ = 0;
+};
+
+TEST_F(HandWrittenTraceTest, OutOfOrderAndRepeatedStepsMatchCopyBased) {
+  // Every reference step, back to front, so the walk has to sort them. Step
+  // 5 first shows a changed image and then the reference's: the first row
+  // logged at an instret counts. Step 9 is detected; step 12's chains are
+  // written out of order, so only the sort makes them compare equal.
+  for (size_t i = steps_.size(); i-- > 0;) {
+    LoggedState state = steps_[i].state;
+    if (i == 5) {
+      LoggedState changed = state;
+      changed.scan_images["internal_core"] = "1";
+      Step(changed.Serialize());
+    }
+    if (i == 9) {
+      state.detected = true;
+      state.edm = "illegal_opcode";
+    }
+    std::string text = state.Serialize();
+    if (i == 12) {
+      std::string scans;
+      for (auto it = state.scan_images.rbegin(); it != state.scan_images.rend();
+           ++it) {
+        scans += "scan." + it->first + "=" + it->second + ";";
+      }
+      text = text.substr(0, text.find("scan.")) + scans;
+    }
+    Step(text);
+  }
+  ExpectPropagationMatches(store_, "prop/e0000");
+  const PropagationReport report =
+      AnalyzeErrorPropagation(store_, "prop/e0000").ValueOrDie();
+  EXPECT_EQ(report.steps_compared, static_cast<int>(steps_.size()));
+  EXPECT_EQ(report.diverged_steps, 1);
+  EXPECT_EQ(report.detection_step, 10);
+  EXPECT_FALSE(report.length_mismatch);
+}
+
+TEST_F(HandWrittenTraceTest, StepsPastTheReferenceMatchCopyBased) {
+  // A step at an instret the reference never logged ends the walk there.
+  for (size_t i = 0; i < 8; ++i) Step(steps_[i].state.Serialize());
+  LoggedState beyond = steps_.back().state;
+  beyond.instret += 1000;
+  Step(beyond.Serialize());
+  LoggedState before = steps_.front().state;
+  before.instret = 0;
+  before.scan_images.clear();
+  Step(before.Serialize());
+  ExpectPropagationMatches(store_, "prop/e0000");
+  EXPECT_TRUE(AnalyzeErrorPropagation(store_, "prop/e0000")
+                  .ValueOrDie()
+                  .length_mismatch);
+}
+
+TEST_F(HandWrittenTraceTest, MalformedRowsKeepTheirStatus) {
+  Step(steps_[0].state.Serialize());
+  Step("halted=1;instret=zz");
+  Step("wat");
+  ExpectPropagationMatches(store_, "prop/e0000");
+  EXPECT_EQ(AnalyzeErrorPropagation(store_, "prop/e0000").status().message(),
+            "bad integer in LoggedState: instret=zz");
+  // The experiment's own row is parsed first.
+  ASSERT_TRUE(store_.statement_cache()
+                  .Execute(db_,
+                           "UPDATE LoggedSystemState SET stateVector = ? "
+                           "WHERE experimentName = ?",
+                           {db::Value::Text("outputs=g"),
+                            db::Value::Text("prop/e0000")})
+                  .ok());
+  ExpectPropagationMatches(store_, "prop/e0000");
+  EXPECT_EQ(AnalyzeErrorPropagation(store_, "prop/e0000").status().message(),
+            "bad output word: g");
 }
 
 // --- campaign resume (Fig. 7: pause/restart) ---------------------------------

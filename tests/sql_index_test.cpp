@@ -315,6 +315,88 @@ TEST(SqlIndexTest, PreparedStatementsBindParams) {
   EXPECT_EQ(prepared.value()->plans_built(), 1u);
 }
 
+TEST(SqlIndexTest, ForEachMatchVisitsTheStoredRowsExecuteReturns) {
+  // ForEachMatch runs Execute's gather-and-WHERE stage and hands out the
+  // stored rows themselves, whatever the select list: for random
+  // predicates they are SELECT *'s rows, in its order.
+  util::Rng rng(77);
+  Database db;
+  Populate(&db, &rng, 300);
+  const auto text_of = [](const std::vector<Row>& rows) {
+    std::string text;
+    for (const Row& row : rows) {
+      for (const Value& v : row) text += v.Serialize() + "|";
+      text += "\n";
+    }
+    return text;
+  };
+  const auto visit = [](PreparedStatement& statement, const Database& database,
+                        const std::vector<Value>& params,
+                        std::vector<Row>* rows) {
+    return statement.ForEachMatch(database, params, [rows](const Row& row) {
+      rows->push_back(row);
+      return util::Status::Ok();
+    });
+  };
+  for (int q = 0; q < 200; ++q) {
+    const std::string where = RandomPredicate(&rng);
+    auto star = ExpectSame(db, "SELECT * FROM t WHERE " + where);
+    auto ids = PreparedStatement::Prepare("SELECT id FROM t WHERE " + where);
+    ASSERT_TRUE(ids.ok()) << where;
+    std::vector<Row> visited;
+    const util::Status status = visit(*ids.value(), db, {}, &visited);
+    ASSERT_EQ(status.ok(), star.ok()) << where;
+    if (!star.ok()) {
+      EXPECT_EQ(status.ToString(), star.status().ToString()) << where;
+      continue;
+    }
+    EXPECT_EQ(text_of(visited), text_of(star.value().rows)) << where;
+  }
+
+  // A bound `?` (index probe), NULL keys and the primary key.
+  auto by_label = PreparedStatement::Prepare("SELECT * FROM t WHERE label = ?");
+  ASSERT_TRUE(by_label.ok());
+  for (const Value& key : {Value::Text("x3"), Value::Null()}) {
+    std::vector<Row> visited;
+    ASSERT_TRUE(visit(*by_label.value(), db, {key}, &visited).ok());
+    auto executed = by_label.value()->Execute(db, {key});
+    ASSERT_TRUE(executed.ok());
+    EXPECT_EQ(text_of(visited), text_of(executed.value().rows));
+  }
+  EXPECT_EQ(by_label.value()->plans_built(), 1u) << "one plan for both calls";
+  std::vector<Row> none;
+  EXPECT_EQ(visit(*by_label.value(), db, {}, &none).code(),
+            util::StatusCode::kInvalidArgument)
+      << "the parameter count is checked";
+
+  // The callback's error stops the walk and is returned.
+  auto all = PreparedStatement::Prepare("SELECT * FROM t");
+  ASSERT_TRUE(all.ok());
+  int seen = 0;
+  const util::Status stopped =
+      all.value()->ForEachMatch(db, {}, [&seen](const Row&) {
+        return ++seen == 5 ? util::Internal("enough") : util::Status::Ok();
+      });
+  EXPECT_EQ(stopped.message(), "enough");
+  EXPECT_EQ(seen, 5);
+
+  // Anything but a plain filtered read is refused.
+  for (const char* sql :
+       {"SELECT * FROM t JOIN t u ON t.id = u.id",
+        "SELECT label FROM t GROUP BY label", "SELECT COUNT(*) FROM t",
+        "SELECT * FROM t ORDER BY id", "SELECT * FROM t LIMIT 3",
+        "DELETE FROM t WHERE id = 1"}) {
+    auto prepared = PreparedStatement::Prepare(sql);
+    ASSERT_TRUE(prepared.ok()) << sql;
+    std::vector<Row> visited;
+    EXPECT_EQ(visit(*prepared.value(), db, {}, &visited).code(),
+              util::StatusCode::kInvalidArgument)
+        << sql;
+    EXPECT_TRUE(visited.empty()) << sql;
+  }
+  EXPECT_EQ(db.GetTable("t")->size(), 300u) << "the DELETE never ran";
+}
+
 TEST(SqlIndexTest, PreparedPlanInvalidatedBySchemaChanges) {
   util::Rng rng(66);
   Database db;
